@@ -7,7 +7,10 @@ One run is one process, one thread, a closed loop: whole passes over the
 seeded job list, one job at a time, ending at the pass boundary nearest to
 --seconds (at least one pass).  Every job is checked against an independent
 route and against the digests pinned in digests.json; a failed or raising
-job counts in `failed` and makes the exit code 1.
+job counts in `failed` and makes the exit code 1.  Jobs and set-up probes
+are timed in process CPU time, which leaves out time the host steals from a
+virtual CPU, and each turns round the CPUs the process may use
+(spread_over_cpus), so no run's figures hang on one CPU of a shared host.
 
 --trace 0 prints the end-to-end metrics.  --trace 1 runs each job twice,
 untraced then traced, prints the per-layer metrics taken from the spans of
@@ -17,13 +20,14 @@ Without --workload every workload runs in a fresh process, one at a time.
 The last line of stdout is one JSON object: correct, attempted, failed,
 metrics.  Human-readable lines above it carry the job list, stamps, each
 metric with its sample count, and the reported-only figures (job_ms.p50,
-job_ms.tail, fail_ratio); the same go to out/result-*.json.
+job_ms.tail, job_ms.wall_mean, fail_ratio); the same go to out/result-*.json.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -31,14 +35,16 @@ import platform
 import random
 import resource
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
 import tempfile
 import traceback
+from contextlib import contextmanager
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, process_time
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -48,6 +54,7 @@ DIGESTS = HERE / "digests.json"
 WORKLOAD_NAMES = ("enumerate", "exact_deep", "verify_cli")
 SETUP_PROBES = 7
 CHILD_TIMEOUT_S = 900
+ROTATE_S = 0.05  # a measured section moves to the next allowed CPU this often
 
 # work_per_s under the name each workload's users know it by
 WORK_ALIASES = {
@@ -172,16 +179,50 @@ def load_workloads():
     return workloads
 
 
+@contextmanager
+def spread_over_cpus():
+    """Move this process round the CPUs it may use, one every ROTATE_S seconds.
+
+    On a shared host one CPU can run 1.3-1.6x slower than another for tens
+    of seconds at a time, and a single-threaded process stays on the CPU the
+    scheduler first gave it, so a whole run's figures hung on that pick.
+    Rotating gives every measured section an even share of each CPU.  With
+    one allowed CPU, or no affinity calls, it does nothing.
+    """
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+    if len(cpus) < 2:
+        yield
+        return
+    order = itertools.cycle(cpus)
+
+    def rotate(signum, frame):
+        try:
+            os.sched_setaffinity(0, {next(order)})
+        except OSError:
+            pass
+
+    previous = signal.signal(signal.SIGALRM, rotate)
+    signal.setitimer(signal.ITIMER_REAL, ROTATE_S, ROTATE_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        os.sched_setaffinity(0, cpus)
+
+
 def setup_probe(args) -> int:
-    """Time import, input generation and one warm-up job in this fresh process."""
+    """CPU time of import, input generation and one warm-up job in this fresh process."""
     from tracer import Tracer
 
-    start = perf_counter()
-    wl = load_workloads().WORKLOADS[args.workload]
-    jobs = wl.draw(random.Random(args.seed))
-    with tempfile.TemporaryDirectory(dir=OUT) as tmp:
-        wl.run(wl.warmup(jobs), Tracer(False), Path(tmp))
-    print(json.dumps({"setup_s": perf_counter() - start}))
+    with spread_over_cpus():
+        start = process_time()
+        wl = load_workloads().WORKLOADS[args.workload]
+        jobs = wl.draw(random.Random(args.seed))
+        with tempfile.TemporaryDirectory(dir=OUT) as tmp:
+            wl.run(wl.warmup(jobs), Tracer(False), Path(tmp))
+        seconds = process_time() - start
+    print(json.dumps({"setup_s": seconds}))
     return 0
 
 
@@ -198,21 +239,21 @@ def measure_setup(args) -> float:
 
 
 def run_job(wl, job, tracer, workdir, digests, sha256, job_id):
-    """Run one job and check it; returns (seconds, units of work, problems)."""
+    """Run one job and check it; returns (CPU s, wall s, units of work, problems)."""
     gc.collect()  # no earlier job's garbage is collected on this job's clock
     try:
-        start = perf_counter()
+        start, wall_start = process_time(), perf_counter()
         with tracer.job(job_id, repr(job)):
             out = wl.run(job, tracer, workdir)
-        seconds = perf_counter() - start
+        seconds, wall = process_time() - start, perf_counter() - wall_start
         problems = wl.check(job, out, workdir) or [
             f"{key} differs from its pinned digest"
             for key, text in wl.digest_texts(job, out, workdir).items()
             if digests.get(key) != sha256(text)
         ]
-        return seconds, out["units"], problems
+        return seconds, wall, out["units"], problems
     except Exception:
-        return None, 0, [traceback.format_exc()]
+        return None, None, 0, [traceback.format_exc()]
 
 
 def run_workload(args) -> int:
@@ -251,9 +292,10 @@ def run_workload(args) -> int:
                 pair = []
                 for tracer in (plain, traced) if args.trace else (plain,):
                     attempted += 1
-                    seconds, units, problems = run_job(
-                        wl, job, tracer, workdir, digests, workloads.sha256, attempted
-                    )
+                    with spread_over_cpus():
+                        seconds, wall, units, problems = run_job(
+                            wl, job, tracer, workdir, digests, workloads.sha256, attempted
+                        )
                     label = f"#{attempted} {job!r}{' traced' if tracer.enabled else ''}"
                     if problems:
                         failures.append({"job": label, "problems": problems})
@@ -262,7 +304,7 @@ def run_workload(args) -> int:
                     print(f"job {label}: {seconds * 1e3:.1f} ms ok", flush=True)
                     pair.append(seconds)
                     if not tracer.enabled:
-                        done.append((index, seconds, units))
+                        done.append((index, seconds, wall, units))
                 if not args.trace:  # set-up probes spread over the run, off any job's clock
                     setup_times.append(measure_setup(args))
                 if len(pair) == 2:
@@ -299,17 +341,15 @@ def run_workload(args) -> int:
                 metrics[name] = (value(totals), unit, n, "spans")
         traced.write_jsonl(OUT / f"spans-{wl.name}-seed{args.seed}.jsonl")
     elif done:
-        ms = [s * 1e3 for _, s, _ in done]
+        ms = [s * 1e3 for _, s, _, _ in done]
         tail_ms, pct = tail(ms)
-        by_job = {}
-        for index, seconds, units in done:
-            by_job.setdefault(index, (units, []))[1].append(seconds)
-        # one pass's work over the sum of each job's median time: robust to a stall
-        work_per_s = sum(u for u, _ in by_job.values()) / sum(
-            statistics.median(s) for _, s in by_job.values()
-        )
+        # all jobs' units over all jobs' seconds; whole passes keep each job's share fixed
+        work_per_s = sum(u for *_, u in done) / sum(s for _, s, _, _ in done)
         reported["job_ms.p50"] = (statistics.median(ms), "ms", len(ms), "")
         reported["job_ms.tail"] = (tail_ms, "ms", len(ms), pct)
+        reported["job_ms.wall_mean"] = (
+            statistics.fmean(w * 1e3 for _, _, w, _ in done), "ms", len(ms), "wall clock"
+        )
         metrics = {
             "setup_s": (statistics.median(setup_times), "s", len(setup_times), ""),
             "job_ms.mean": (statistics.fmean(ms), "ms", len(ms), ""),
@@ -327,7 +367,7 @@ def run_workload(args) -> int:
         failed=failed,
         failures=failures,
         setup_times=setup_times,
-        job_seconds=[[index, s] for index, s, _ in done],
+        job_seconds=[[index, s, w] for index, s, w, _ in done],
         metrics=_table_json(metrics),
         reported=_table_json(reported),
     )

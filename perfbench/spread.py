@@ -4,7 +4,7 @@
 
 Runs run.py once per seed, one run at a time, and prints per metric (gated
 or reported only) the median, the quartiles (statistics.quantiles, n=4), the
-spread (q3 - q1) as a share of the median, and the sample count.  --json FILE also saves the table.
+spread (q3 - q1) as a share of the median, and the sample count.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=WORKLOAD_NAMES, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
     parser.add_argument("--seconds", type=float, default=35)
-    parser.add_argument("--json", help="also write the summary to this file")
     args = parser.parse_args(argv)
 
     values: dict[str, list[float]] = {}
@@ -66,10 +65,6 @@ def main(argv=None) -> int:
             f"| {name} | {row['median']:.6g} | {row['q1']:.6g} | {row['q3']:.6g} "
             f"| {row['spread']:.3f} | {min(row['samples'])}-{max(row['samples'])} |"
         )
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"workload": args.workload, "seeds": args.seeds,
-                       "seconds": args.seconds, "metrics": table}, fh, indent=1)
     return 0
 
 

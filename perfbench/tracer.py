@@ -3,14 +3,15 @@
 The benchmark routes every call into a package module through `Tracer.call`.
 With tracing off that is a plain call.  With tracing on it records a span
 (name, start, end, parent span, job id, plus counts taken from the result
-after the clock stopped) in memory; `write_jsonl` saves them when the run ends.
+after the clock stopped) in memory; start and end are process CPU seconds,
+the clock the job times use; `write_jsonl` saves them when the run ends.
 """
 
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from time import perf_counter
+from time import process_time
 
 
 class Tracer:
@@ -28,9 +29,9 @@ class Tracer:
         """
         if not self.enabled:
             return fn(*args, **kwargs)
-        start = perf_counter()
+        start = process_time()
         result = fn(*args, **kwargs)
-        end = perf_counter()
+        end = process_time()
         span = {
             "id": len(self.spans),
             "name": name,
@@ -53,7 +54,7 @@ class Tracer:
         span = {
             "id": len(self.spans),
             "name": "job",
-            "start": perf_counter(),
+            "start": process_time(),
             "end": None,
             "parent": None,
             "job": job_id,
@@ -64,7 +65,7 @@ class Tracer:
         try:
             yield
         finally:
-            span["end"] = perf_counter()
+            span["end"] = process_time()
             self._job = self._job_span = None
 
     def write_jsonl(self, path) -> None:

@@ -313,10 +313,32 @@ def _deep_digest_texts(job: DeepJob, out: dict, workdir: Path) -> dict:
     }
 
 
+def _sign(a: Fraction, b: Fraction, d: int) -> int:
+    """Sign of a + b*sqrt(d) for d >= 1, from Fraction comparisons only."""
+    if b == 0 or a == 0 or (a > 0) == (b > 0):
+        return (a > 0) - (a < 0) if a else (b > 0) - (b < 0)
+    # a and b differ in sign: the larger of a**2 and b**2*d wins
+    bigger = (a * a > b * b * d) - (a * a < b * b * d)
+    return bigger if a > 0 else -bigger
+
+
 def _order_holds(value, e: int) -> bool:
-    """10**e <= |value| < 10**(e+1), decided exactly."""
-    value = abs(value)
-    return Fraction(10) ** e <= value < Fraction(10) ** (e + 1)
+    """10**e <= |value| < 10**(e+1), decided exactly.
+
+    Works on the parts of value = a + b*sqrt(d) with Fraction arithmetic, so
+    it shares no code with QuadraticNumber's ordering that
+    order_of_magnitude relies on.
+    """
+    if isinstance(value, QuadraticNumber):
+        a, b, d = value.x, value.y, value.d
+    else:
+        a, b, d = Fraction(value), Fraction(0), 1
+    s = _sign(a, b, d)
+    if s == 0:
+        return False
+    a, b = s * a, s * b  # now a + b*sqrt(d) = |value|
+    low, high = Fraction(10) ** e, Fraction(10) ** (e + 1)
+    return _sign(a - low, b, d) >= 0 and _sign(a - high, b, d) < 0
 
 
 def _check_deep(job: DeepJob, out: dict, workdir: Path) -> list[str]:
