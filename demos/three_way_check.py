@@ -8,19 +8,8 @@ one of the routes; agreement is strong evidence for all three.
 """
 
 import time
-from fractions import Fraction
 
-from mosaicforest import (
-    Geometry,
-    SchlafliSymbol,
-    Series,
-    build,
-    closed_form_count,
-    exact_distribution,
-    grow,
-    layer_counts,
-    spectral_constants,
-)
+from mosaicforest import SchlafliSymbol, build, cross_check, grow
 
 SYMBOLS = ((4, 5), (5, 4), (4, 6), (6, 4), (5, 5), (4, 4))
 LEVELS = 5
@@ -28,36 +17,11 @@ LEVELS = 5
 t0 = time.perf_counter()
 for p, q in SYMBOLS:
     symbol = SchlafliSymbol(p, q)
-    rows = layer_counts(symbol, 200)
     mosaic = build(symbol, LEVELS)
-    forest = grow(mosaic, LEVELS)
-
-    enum_ok = mosaic.layer_sizes == [rows[i].total for i in range(LEVELS + 1)]
-    forest_ok = all(forest.counts(i) == (rows[i].a, rows[i].b) for i in range(LEVELS + 1))
-
-    if symbol.geometry is Geometry.HYPERBOLIC:
-        c = spectral_constants(symbol)
-        closed_ok = all(
-            closed_form_count(c, i, s) == v
-            for i in range(1, 201)
-            for s, v in ((Series.A, rows[i].a), (Series.B, rows[i].b), (Series.ALL, rows[i].total))
-        )
-        closed_label = "closed-form(1..200)"
-    else:
-        closed_ok = all((rows[i].a, rows[i].b) == (8 * i - 4, 4) for i in range(1, LEVELS + 1))
-        closed_label = "affine-form"
-
-    hist_ok = True
-    for i in range(1, LEVELS + 1):
-        hist = forest.root_level_histogram(i)
-        dist = exact_distribution(symbol, i, rows)
-        hist_ok &= all(
-            Fraction(hist.get(j, 0), rows[i].total) == dist.point_mass(j) for j in range(i + 1)
-        )
-
-    print(f"{symbol}: enumeration={enum_ok} recursion-vs-forest={forest_ok} "
-          f"{closed_label}={closed_ok} histogram-vs-law={hist_ok} "
-          f"({mosaic.vertex_count} vertices)")
+    report = cross_check(grow(mosaic, LEVELS))
+    checks = " ".join(f"{c.name}={c.passed}" for c in report.checks)
+    print(f"{symbol}: {checks} ({mosaic.vertex_count} vertices)")
 
 print(f"\ntotal time: {time.perf_counter() - t0:.2f}s")
-print("the same checks run as `mosaicforest verify` and in tests/test_acceptance.py")
+print("`mosaicforest verify` prints the same cross_check per symbol; "
+      "tests/test_acceptance.py checks criterion 6 independently")

@@ -40,6 +40,7 @@ from .recurrence import (
     layer_counts,
     spectral_constants,
 )
+from .verify import cross_check
 
 __version__ = "0.1.0"
 
@@ -67,6 +68,7 @@ __all__ = [
     "asymptotic_distribution",
     "build",
     "closed_form_count",
+    "cross_check",
     "cumulative_root_limit",
     "cumulative_root_ratio",
     "distribution_error_report",

@@ -1,15 +1,21 @@
 """Command-line front end.
 
-Subcommands:
+Subcommands and the options each accepts (any other option is rejected):
   counts     level-count table (a_i, b_i, a_i+b_i)
+             --p --q --levels --format --out
   constants  growth constants in exact radical form plus decimal views
+             --p --q --precision --format --out
   probs      root-level probability distributions and their error report
-  verify     three-way cross-validation over a list of symbols
-  export     forest / spanning-tree / mosaic edge-list files
+             --p --q --levels --mode --format --out
+  verify     the three-way cross-check (`verify.cross_check`) per symbol
+             --symbols --levels --inject-corruption --cap --out
+  export     forest / spanning-tree / mosaic-edge-list files
+             --what --p --q --levels --cap --out
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
 The default vertex cap is 10**7 and can be overridden with the
-MOSAICFOREST_CAP environment variable or --cap.
+MOSAICFOREST_CAP environment variable or --cap; either must be an integer
+>= 1.
 """
 
 from __future__ import annotations
@@ -18,56 +24,37 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 
 from . import forest as forest_mod
 from . import mosaic as mosaic_mod
 from .errors import SizeLimitError, StructureError, UnsupportedSymbolError
+from .mosaic import ValidationReport
 from .probability import (
     asymptotic_distribution,
     distribution_error_report,
     exact_distribution,
 )
 from .quadratic import QuadraticNumber
-from .recurrence import (
-    Geometry,
-    SchlafliSymbol,
-    Series,
-    closed_form_count,
-    euclidean_counts,
-    layer_counts,
-    spectral_constants,
-)
+from .recurrence import SchlafliSymbol, layer_counts, spectral_constants
+from .verify import cross_check
 
 ENV_CAP = "MOSAICFOREST_CAP"
 DEFAULT_VERIFY_SYMBOLS = "4:5,5:4,4:6,6:4,5:5,4:4"
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated command configuration; built before any work is dispatched."""
-
-    symbol: SchlafliSymbol | None
-    levels: int
-    precision: int
-    fmt: str
-    out: str
-    cap: int
-    mode: str = "asymptotic"
-    symbols: tuple[SchlafliSymbol, ...] = ()
-    what: str = ""
-    inject_corruption: bool = False
-
-
-def _default_cap() -> int:
-    raw = os.environ.get(ENV_CAP, "")
-    if not raw:
-        return mosaic_mod.DEFAULT_VERTEX_CAP
+def _cap(text: str) -> int:
+    """A vertex cap from --cap or MOSAICFOREST_CAP: an integer >= 1."""
     try:
-        return int(raw)
+        cap = int(text)
     except ValueError:
-        raise SystemExit(2)
+        cap = 0
+    if cap < 1:
+        raise argparse.ArgumentTypeError(
+            f"vertex cap must be an integer >= 1, got {text!r} (from --cap or {ENV_CAP})"
+        )
+    return cap
 
 
 def _parse_symbols(text: str) -> tuple[SchlafliSymbol, ...]:
@@ -88,8 +75,10 @@ def _parse_symbols(text: str) -> tuple[SchlafliSymbol, ...]:
     return tuple(out)
 
 
-def _frac_json(fr: Fraction) -> dict[str, str]:
-    return {"numerator": str(fr.numerator), "denominator": str(fr.denominator)}
+def _levels(args: argparse.Namespace, least: int = 0) -> int:
+    if args.levels < least:
+        raise UnsupportedSymbolError(f"levels must be >= 1, got {args.levels}")
+    return args.levels
 
 
 class _Output:
@@ -106,220 +95,180 @@ class _Output:
         body = "\n".join(self.lines) + ("\n" if self.lines else "")
         if self.path == "-":
             sys.stdout.write(body)
-        else:
-            with open(self.path, "w", encoding="utf-8") as fh:
+            return
+        # a temporary file beside the target, renamed over it once complete
+        tmp = f"{self.path}.{os.getpid()}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
                 fh.write(body)
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
-def _emit_counts(cfg: RunConfig, out: _Output) -> None:
-    rows = layer_counts(cfg.symbol, cfg.levels)
-    if cfg.fmt == "markdown":
-        out.write("| i | a_i | b_i | a_i+b_i |")
-        out.write("|---|-----|-----|---------|")
-        for r in rows:
-            out.write(f"| {r.level} | {r.a} | {r.b} | {r.total} |")
-    elif cfg.fmt == "csv":
-        out.write("level,a,b,total")
-        for r in rows:
-            out.write(f"{r.level},{r.a},{r.b},{r.total}")
+def _table(out: _Output, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a markdown table (header, dash separator, rows) or a CSV block."""
+    if fmt == "markdown":
+        out.write("| " + " | ".join(header) + " |")
+        out.write("|" + "|".join("-" * (len(label) + 2) for label in header) + "|")
+        for row in rows:
+            out.write("| " + " | ".join(map(str, row)) + " |")
     else:
-        for r in rows:
-            out.write(
-                json.dumps(
-                    {"level": r.level, "a": str(r.a), "b": str(r.b), "total": str(r.total)},
-                    sort_keys=True,
-                )
-            )
+        out.write(",".join(header))
+        for row in rows:
+            out.write(",".join(map(str, row)))
 
 
-def _emit_constants(cfg: RunConfig, out: _Output) -> None:
-    constants = spectral_constants(cfg.symbol, cfg.precision)
-    named = constants.named()
-    decimals = constants.decimals(cfg.precision)
-    short = constants.decimals(6)
-    if cfg.fmt == "markdown":
-        out.write(
-            f"constants for {cfg.symbol} (trace {constants.trace}, "
-            f"radicand {constants.radicand})"
+def _jsonl(out: _Output, records: Iterable[dict]) -> None:
+    for rec in records:
+        out.write(json.dumps(rec, sort_keys=True))
+
+
+def _emit_counts(args: argparse.Namespace, out: _Output) -> None:
+    symbol = SchlafliSymbol(args.p, args.q)
+    rows = [(r.level, r.a, r.b, r.total) for r in layer_counts(symbol, _levels(args))]
+    if args.fmt == "jsonl":
+        _jsonl(
+            out,
+            ({"level": i, "a": str(a), "b": str(b), "total": str(t)} for i, a, b, t in rows),
         )
-        out.write("| name | exact | 6 decimals | full precision |")
-        out.write("|------|-------|------------|----------------|")
-        for name, value in named.items():
-            out.write(f"| {name} | {value} | {short[name]} | {decimals[name]} |")
-    elif cfg.fmt == "csv":
-        out.write("name,exact,decimal")
-        for name, value in named.items():
-            out.write(f'{name},"{value}",{decimals[name]}')
+    elif args.fmt == "markdown":
+        _table(out, args.fmt, ("i", "a_i", "b_i", "a_i+b_i"), rows)
     else:
-        for name, value in named.items():
-            out.write(
-                json.dumps(
-                    {"name": name, "exact": str(value), "decimal": decimals[name]},
-                    sort_keys=True,
-                )
-            )
+        _table(out, args.fmt, ("level", "a", "b", "total"), rows)
 
 
-def _emit_probs(cfg: RunConfig, out: _Output) -> None:
-    level = cfg.levels
+def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
+    symbol = SchlafliSymbol(args.p, args.q)
+    if args.precision < 1:
+        raise UnsupportedSymbolError(f"precision must be >= 1, got {args.precision}")
+    constants = spectral_constants(symbol, args.precision)
+    short, full = constants.decimals(6), constants.decimals(args.precision)
+    named = constants.named()
+    rows = [(name, str(value), short[name], full[name]) for name, value in named.items()]
+    if args.fmt == "jsonl":
+        _jsonl(out, ({"name": n, "exact": e, "decimal": d} for n, e, _, d in rows))
+    elif args.fmt == "markdown":
+        out.write(
+            f"constants for {symbol} (trace {constants.trace}, radicand {constants.radicand})"
+        )
+        _table(out, args.fmt, ("name", "exact", "6 decimals", "full precision"), rows)
+    else:
+        quoted = [(n, f'"{e}"', d) for n, e, _, d in rows]
+        _table(out, args.fmt, ("name", "exact", "decimal"), quoted)
+
+
+def _decimal(value: Fraction | QuadraticNumber, digits: int) -> str:
+    return (QuadraticNumber(value) if isinstance(value, Fraction) else value).decimal(digits)
+
+
+def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
+    symbol = SchlafliSymbol(args.p, args.q)
+    level = _levels(args, least=1)
     dists = []
-    if cfg.mode in ("asymptotic", "both"):
-        constants = spectral_constants(cfg.symbol, cfg.precision)
-        dists.append(asymptotic_distribution(constants, level))
-    if cfg.mode in ("exact", "both"):
-        dists.append(exact_distribution(cfg.symbol, level))
-    digits = 6
-    if cfg.fmt == "markdown":
+    if args.mode in ("asymptotic", "both"):
+        dists.append(asymptotic_distribution(spectral_constants(symbol), level))
+    if args.mode in ("exact", "both"):
+        dists.append(exact_distribution(symbol, level))
+    js = range(level, -1, -1)
+    if args.fmt == "markdown":
         for d in dists:
-            out.write(f"{d.kind.value} root-level distribution for {cfg.symbol}, level {level}")
-            out.write("| j | mass | cumulative_below |")
-            out.write("|---|------|------------------|")
-            masses = d.decimals(digits)
-            for j in range(level, -1, -1):
-                cum = d.cumulative_below(j)
-                if isinstance(cum, Fraction):
-                    cum = QuadraticNumber(cum)
-                out.write(f"| {j} | {masses[j]} | {cum.decimal(digits)} |")
-    elif cfg.fmt == "csv":
-        # exact rows also carry the unnormalised per-level vertex count
-        total = layer_counts(cfg.symbol, level)[level].total
-        out.write("kind,j,mass,numerator,denominator,count")
-        for d in dists:
-            masses = d.decimals(digits)
-            for j in range(level, -1, -1):
-                m = d.point_mass(j)
-                if isinstance(m, Fraction):
-                    out.write(
-                        f"{d.kind.value},{j},{masses[j]},"
-                        f"{m.numerator},{m.denominator},{m * total}"
-                    )
-                else:
-                    out.write(f"{d.kind.value},{j},{masses[j]},,,")
+            out.write(f"{d.kind.value} root-level distribution for {symbol}, level {level}")
+            masses = d.decimals(6)
+            rows = [(j, masses[j], _decimal(d.cumulative_below(j), 6)) for j in js]
+            _table(out, args.fmt, ("j", "mass", "cumulative_below"), rows)
     else:
-        total = layer_counts(cfg.symbol, level)[level].total
+        # exact rows also carry the unnormalised per-level vertex count
+        total = layer_counts(symbol, level)[level].total
+        rows = []
         for d in dists:
-            masses = d.decimals(digits)
-            for j in range(level, -1, -1):
-                rec: dict = {"kind": d.kind.value, "j": j, "mass": masses[j]}
-                m = d.point_mass(j)
-                if isinstance(m, Fraction):
-                    rec["exact"] = _frac_json(m)
-                    rec["count"] = str(m * total)
-                out.write(json.dumps(rec, sort_keys=True))
-    if cfg.mode == "both":
-        report = distribution_error_report(dists[0], dists[1])
-        if cfg.fmt == "markdown":
-            out.write("")
-            out.write("| j | abs error | order |")
-            out.write("|---|-----------|-------|")
-            for row in reversed(report.rows):
-                order = f"1e{row.order}" if row.order is not None else "0"
-                out.write(f"| {row.root_level} | {row.difference.decimal(12)} | {order} |")
-        elif cfg.fmt == "csv":
-            out.write("error_j,abs_error,order")
-            for row in reversed(report.rows):
-                out.write(f"{row.root_level},{row.difference.decimal(12)},{row.order}")
+            masses = d.decimals(6)
+            rows += [(d.kind.value, j, masses[j], d.point_mass(j)) for j in js]
+        if args.fmt == "csv":
+            _table(
+                out,
+                args.fmt,
+                ("kind", "j", "mass", "numerator", "denominator", "count"),
+                (
+                    (kind, j, mass, m.numerator, m.denominator, m * total)
+                    if isinstance(m, Fraction)
+                    else (kind, j, mass, "", "", "")
+                    for kind, j, mass, m in rows
+                ),
+            )
         else:
-            for row in reversed(report.rows):
-                out.write(
-                    json.dumps(
-                        {
-                            "j": row.root_level,
-                            "abs_error": row.difference.decimal(12),
-                            "order": row.order,
-                        },
-                        sort_keys=True,
-                    )
-                )
+            records = []
+            for kind, j, mass, m in rows:
+                rec: dict = {"kind": kind, "j": j, "mass": mass}
+                if isinstance(m, Fraction):
+                    rec["exact"] = {
+                        "numerator": str(m.numerator),
+                        "denominator": str(m.denominator),
+                    }
+                    rec["count"] = str(m * total)
+                records.append(rec)
+            _jsonl(out, records)
+    if args.mode == "both":
+        report = distribution_error_report(dists[0], dists[1])
+        rows = [(r.root_level, r.difference.decimal(12), r.order) for r in reversed(report.rows)]
+        if args.fmt == "jsonl":
+            _jsonl(out, ({"j": j, "abs_error": e, "order": o} for j, e, o in rows))
+        elif args.fmt == "markdown":
+            out.write("")
+            orders = [(j, e, "0" if o is None else f"1e{o}") for j, e, o in rows]
+            _table(out, args.fmt, ("j", "abs error", "order"), orders)
+        else:
+            _table(out, args.fmt, ("error_j", "abs_error", "order"), rows)
 
 
-def _verify_symbol(
+def _check_symbol(
     symbol: SchlafliSymbol, levels: int, cap: int, inject_corruption: bool
-) -> list[tuple[str, bool, str]]:
-    """The three-way cross-check for one symbol.
+) -> ValidationReport:
+    """Build, grow, optionally corrupt and cross-check one symbol.
 
-    (a) mosaic layer sizes vs the recursion, (b) forest empirical counts vs
-    the recursion, (c) closed form vs the recursion up to level 200, and
-    (d) the forest root-level histogram vs the exact distribution.
+    Only the report is returned, so the mosaic and forest are freed before
+    the caller builds the next symbol.
     """
-    results: list[tuple[str, bool, str]] = []
     m = mosaic_mod.build(symbol, levels, cap=cap)
     f = forest_mod.grow(m, levels)
     if inject_corruption:
         victim = m.layers[levels][0]
         f.root_level[victim] = (f.root_level[victim] + 1) % (levels + 1)
-
-    euclidean = symbol.geometry is Geometry.EUCLIDEAN
-    deep = levels if euclidean else 200
-    rows = layer_counts(symbol, max(levels, deep))
-
-    ok = all(len(m.layers[i]) == rows[i].total for i in range(levels + 1))
-    results.append(("layer-sizes", ok, "mosaic layer sizes vs recursion"))
-
-    ok = all(f.counts(i) == (rows[i].a, rows[i].b) for i in range(levels + 1))
-    results.append(("forest-counts", ok, "empirical counts vs recursion"))
-
-    if euclidean:
-        ok = all(
-            (rows[i].a, rows[i].b) == (euclidean_counts(i).a, euclidean_counts(i).b)
-            for i in range(1, levels + 1)
-        )
-        results.append(("closed-form", ok, "affine closed form vs recursion"))
-    else:
-        constants = spectral_constants(symbol)
-        ok = all(
-            closed_form_count(constants, i, series) == val
-            for i in range(1, 201)
-            for series, val in (
-                (Series.A, rows[i].a),
-                (Series.B, rows[i].b),
-                (Series.ALL, rows[i].total),
-            )
-        )
-        results.append(("closed-form", ok, "eigen closed form vs recursion, levels 1..200"))
-
-    ok = True
-    for i in range(1, levels + 1):
-        hist = f.root_level_histogram(i)
-        dist = exact_distribution(symbol, i, rows)
-        total = rows[i].total
-        if any(Fraction(hist.get(j, 0), total) != dist.point_mass(j) for j in range(i + 1)):
-            ok = False
-            break
-    results.append(("histogram", ok, "root-level histogram vs exact distribution"))
-    return results
+    return cross_check(f)
 
 
-def _emit_verify(cfg: RunConfig, out: _Output) -> bool:
+def _emit_verify(args: argparse.Namespace, out: _Output) -> int:
+    levels = _levels(args)
     all_ok = True
-    for symbol in cfg.symbols:
+    for symbol in args.symbols:
         try:
-            results = _verify_symbol(symbol, cfg.levels, cfg.cap, cfg.inject_corruption)
+            report = _check_symbol(symbol, levels, args.cap, args.inject_corruption)
         except (StructureError, SizeLimitError) as exc:
             out.write(f"FAIL {symbol}: {exc}")
             all_ok = False
             continue
-        for name, ok, detail in results:
-            all_ok &= ok
-            out.write(f"{'ok  ' if ok else 'FAIL'} {symbol} {name}: {detail}")
+        all_ok &= report.passed
+        for c in report.checks:
+            out.write(f"{'ok  ' if c.passed else 'FAIL'} {symbol} {c.name}: {c.detail}")
     out.write("verification " + ("PASSED" if all_ok else "FAILED"))
-    return all_ok
+    return 0 if all_ok else 1
 
 
-def _emit_export(cfg: RunConfig, out: _Output) -> None:
-    m = mosaic_mod.build(cfg.symbol, cfg.levels, cap=cfg.cap)
-    if cfg.what == "mosaic-edges":
+def _emit_export(args: argparse.Namespace, out: _Output) -> None:
+    s = SchlafliSymbol(args.p, args.q)
+    levels = _levels(args)
+    m = mosaic_mod.build(s, levels, cap=args.cap)
+    if args.what == "mosaic-edges":
         out.write(m.edge_list_text().rstrip("\n"))
         return
-    f = forest_mod.grow(
-        m, cfg.levels, allow_triangles=(cfg.symbol.p == 3)
-    )
-    if cfg.what == "forest":
+    f = forest_mod.grow(m, levels, allow_triangles=(s.p == 3))
+    if args.what == "forest":
         out.write(f.to_dot().rstrip("\n"))
         return
     tree, connectors = f.spanning_tree()
-    s = cfg.symbol
-    out.write(f"# spanning-tree p={s.p} q={s.q} levels={cfg.levels} vertices={m.vertex_count}")
+    out.write(f"# spanning-tree p={s.p} q={s.q} levels={levels} vertices={m.vertex_count}")
     for u, v in tree:
         out.write(f"{u} {v}")
     for u, v in connectors:
@@ -333,35 +282,44 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, need_pq=True):
-        if need_pq:
+    def command(name, emit, summary, pq=True, levels=True, precision=False, fmt=True, cap=False):
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(emit=emit)
+        if pq:
             sp.add_argument("--p", type=int, required=True, help="gon size, >= 3")
             sp.add_argument("--q", type=int, required=True, help="vertex degree, >= 3")
-        sp.add_argument("--levels", type=int, default=6, help="levels/belts to use")
-        sp.add_argument("--precision", type=int, default=30, help="decimal digits")
-        sp.add_argument(
-            "--format",
-            dest="fmt",
-            choices=("markdown", "csv", "jsonl"),
-            default="markdown",
-        )
+        if levels:
+            sp.add_argument("--levels", type=int, default=6, help="levels/belts to use")
+        if precision:
+            sp.add_argument("--precision", type=int, default=30, help="decimal digits")
+        if fmt:
+            sp.add_argument(
+                "--format",
+                dest="fmt",
+                choices=("markdown", "csv", "jsonl"),
+                default="markdown",
+            )
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sp.add_argument("--cap", type=int, default=None, help="vertex cap")
+        if cap:
+            # a string default goes through type=_cap like a command-line value
+            sp.add_argument(
+                "--cap",
+                type=_cap,
+                default=os.environ.get(ENV_CAP) or str(mosaic_mod.DEFAULT_VERTEX_CAP),
+                help=f"vertex cap (default: ${ENV_CAP} or {mosaic_mod.DEFAULT_VERTEX_CAP})",
+            )
+        return sp
 
-    sp = sub.add_parser("counts", help="level-count table")
-    common(sp)
-
-    sp = sub.add_parser("constants", help="growth constants")
-    common(sp)
-
-    sp = sub.add_parser("probs", help="root-level distributions")
-    common(sp)
+    command("counts", _emit_counts, "level-count table")
+    command("constants", _emit_constants, "growth constants", levels=False, precision=True)
+    sp = command("probs", _emit_probs, "root-level distributions")
     sp.add_argument(
         "--mode", choices=("asymptotic", "exact", "both"), default="asymptotic"
     )
 
-    sp = sub.add_parser("verify", help="three-way cross-validation")
-    common(sp, need_pq=False)
+    sp = command(
+        "verify", _emit_verify, "three-way cross-validation", pq=False, fmt=False, cap=True
+    )
     sp.add_argument(
         "--symbols",
         type=_parse_symbols,
@@ -374,59 +332,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="deliberately corrupt one grown forest (negative control)",
     )
 
-    sp = sub.add_parser("export", help="graph exports")
-    common(sp)
+    sp = command("export", _emit_export, "graph exports", fmt=False, cap=True)
     sp.add_argument(
         "--what", choices=("forest", "spanning", "mosaic-edges"), required=True
     )
     return parser
 
 
-def _make_config(args: argparse.Namespace) -> RunConfig:
-    symbol = None
-    if getattr(args, "p", None) is not None:
-        symbol = SchlafliSymbol(args.p, args.q)
-    if args.levels < 0 or (args.command in ("probs",) and args.levels < 1):
-        raise UnsupportedSymbolError(f"levels must be >= 1, got {args.levels}")
-    if args.precision < 1:
-        raise UnsupportedSymbolError(f"precision must be >= 1, got {args.precision}")
-    return RunConfig(
-        symbol=symbol,
-        levels=args.levels,
-        precision=args.precision,
-        fmt=args.fmt,
-        out=args.out,
-        cap=args.cap if args.cap is not None else _default_cap(),
-        mode=getattr(args, "mode", "asymptotic"),
-        symbols=getattr(args, "symbols", ()),
-        what=getattr(args, "what", ""),
-        inject_corruption=getattr(args, "inject_corruption", False),
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    out = _Output(args.out)
     try:
-        cfg = _make_config(args)
-        out = _Output(cfg.out)
-        if args.command == "counts":
-            _emit_counts(cfg, out)
-        elif args.command == "constants":
-            _emit_constants(cfg, out)
-        elif args.command == "probs":
-            _emit_probs(cfg, out)
-        elif args.command == "verify":
-            ok = _emit_verify(cfg, out)
-            out.flush()
-            return 0 if ok else 1
-        elif args.command == "export":
-            _emit_export(cfg, out)
-    except (UnsupportedSymbolError, SizeLimitError, ValueError) as exc:
+        code = args.emit(args, out)
+        out.flush()
+    except (ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out.flush()
-    return 0
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code or 0
 
 
 if __name__ == "__main__":

@@ -229,3 +229,67 @@ class TestConfig:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counts", "--p", "4", "--q", "5", "--precision", "10"],
+            ["probs", "--p", "4", "--q", "5", "--precision", "10"],
+            ["verify", "--precision", "10"],
+            ["export", "--what", "forest", "--p", "4", "--q", "5", "--precision", "10"],
+            ["counts", "--p", "4", "--q", "5", "--cap", "100"],
+            ["constants", "--p", "4", "--q", "5", "--cap", "100"],
+            ["probs", "--p", "4", "--q", "5", "--cap", "100"],
+            ["constants", "--p", "4", "--q", "5", "--levels", "3"],
+            ["verify", "--format", "csv"],
+            ["export", "--what", "forest", "--p", "4", "--q", "5", "--format", "csv"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[-2]}",
+    )
+    def test_option_the_command_does_not_use(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_cap_env_not_a_positive_integer(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("MOSAICFOREST_CAP", raw)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--levels", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and repr(raw) in err and "MOSAICFOREST_CAP" in err
+
+    def test_cap_flag_negative(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--what", "forest", "--p", "4", "--q", "5", "--cap", "-5"])
+        assert exc.value.code == 2
+        assert "vertex cap must be an integer >= 1, got '-5'" in capsys.readouterr().err
+
+    def test_verify_cap_zero_is_usage_error_not_failure(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--levels", "2", "--symbols", "4:5", "--cap", "0"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run(capsys, "counts", "--p", "4", "--q", "5", "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}:")
+        assert "Traceback" not in err
+
+    def test_failed_write_leaves_no_temporary_file(self, capsys, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        code, _, err = run(capsys, "counts", "--p", "4", "--q", "5", "--out", str(target))
+        assert code == 2
+        assert err.startswith("error:")
+        assert list(tmp_path.iterdir()) == [target]
+        assert list(target.iterdir()) == []
