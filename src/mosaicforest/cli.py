@@ -77,7 +77,7 @@ def _parse_symbols(text: str) -> tuple[SchlafliSymbol, ...]:
 
 def _levels(args: argparse.Namespace, least: int = 0) -> int:
     if args.levels < least:
-        raise UnsupportedSymbolError(f"levels must be >= 1, got {args.levels}")
+        raise UnsupportedSymbolError(f"levels must be >= {least}, got {args.levels}")
     return args.levels
 
 
@@ -245,7 +245,7 @@ def _emit_verify(args: argparse.Namespace, out: _Output) -> int:
     for symbol in args.symbols:
         try:
             report = _check_symbol(symbol, levels, args.cap, args.inject_corruption)
-        except (StructureError, SizeLimitError) as exc:
+        except (StructureError, SizeLimitError, UnsupportedSymbolError) as exc:
             out.write(f"FAIL {symbol}: {exc}")
             all_ok = False
             continue

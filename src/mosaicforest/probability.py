@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Sequence, Union
 
 from .errors import DegenerateForestError, RepeatedEigenvalueError
@@ -53,10 +55,13 @@ class RootDistribution:
         """Probability that the root sits on level j or any level below."""
         if not 0 <= j <= self.level:
             raise ValueError(f"root level {j} outside 0..{self.level}")
-        total = self.masses[0]
-        for m in self.masses[1 : j + 1]:
-            total = total + m
-        return total
+        return self._cumulative[j]
+
+    @cached_property
+    def _cumulative(self) -> tuple[Mass, ...]:
+        # prefix sums, computed on first use; cached_property writes to the
+        # instance __dict__, which the frozen dataclass leaves writable
+        return tuple(accumulate(self.masses))
 
     def total_mass(self) -> Mass:
         return self.cumulative_below(self.level)

@@ -282,17 +282,40 @@ class QuadraticNumber:
         return f"{n.x} {op} {root}"
 
 
+# floor(log10(2) * 2**32): bits times this, shifted right by 32, estimate
+# decimal digits to well within one for any bit length below about 10**9
+_LOG10_2_Q32 = 1292913986
+
+
 def order_of_magnitude(value) -> int:
-    """Exponent e with 10**e <= |value| < 10**(e+1), computed exactly."""
+    """Exponent e with 10**e <= |value| < 10**(e+1), computed exactly.
+
+    Bit lengths of an integer quotient near |value| estimate e to within
+    one; exact comparisons with 10**e and 10**(e+1) then settle it, so the
+    cost does not grow with |e|.
+    """
     v = value if isinstance(value, QuadraticNumber) else QuadraticNumber(value)
     v = abs(v)
     if not v:
         raise ValueError("zero has no order of magnitude")
-    e = 0
-    while v._cmp(1) < 0:
-        v = v * 10
+    # v = (a + b*sqrt(d)) / m with integers a, b and m > 0, as in __floor__
+    x, y = v.x, v.y
+    m = x.denominator * y.denominator
+    a = x.numerator * y.denominator
+    b = y.numerator * x.denominator
+    root = isqrt(b * b * v.d)  # |b|*sqrt(d) - 1 < root <= |b|*sqrt(d)
+    if a >= 0 and b >= 0:
+        num, den = a + root, m
+    else:
+        # opposite signs: divide the norm by the conjugate's size instead of
+        # subtracting two nearly equal magnitudes
+        num, den = abs(a * a - b * b * v.d), m * (abs(a) + root)
+    # num/den is within a factor 2 of v, so log2(v) lies within 2 of bits
+    bits = num.bit_length() - den.bit_length()
+    e = (bits * _LOG10_2_Q32) >> 32
+    ten = Fraction(10)
+    while v._cmp(ten**e) < 0:
         e -= 1
-    while v._cmp(10) >= 0:
-        v = v / 10
+    while v._cmp(ten ** (e + 1)) >= 0:
         e += 1
     return e

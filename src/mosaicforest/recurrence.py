@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DegenerateForestError, RepeatedEigenvalueError, SphericalSymbolError
 from .quadratic import QuadraticNumber
@@ -183,6 +183,19 @@ class SpectralConstants:
         return out
 
 
+def _eigenvalues(symbol: SchlafliSymbol) -> tuple[QuadraticNumber, QuadraticNumber]:
+    """(growth, decay) = (c +- sqrt(c*c - 4)) / 2 for the trace c of `symbol`."""
+    c = symbol.trace
+    if c == 2:
+        raise RepeatedEigenvalueError(
+            f"{symbol} is Euclidean: both eigenvalues equal 1, the closed form "
+            "degenerates; use euclidean_counts for the affine formulas"
+        )
+    half = Fraction(1, 2)
+    d = c * c - 4
+    return QuadraticNumber(Fraction(c, 2), half, d), QuadraticNumber(Fraction(c, 2), -half, d)
+
+
 def spectral_constants(symbol: SchlafliSymbol, precision: int = 30) -> SpectralConstants:
     """Eigenvalues, closed-form coefficients and limit constants for `symbol`.
 
@@ -192,16 +205,7 @@ def spectral_constants(symbol: SchlafliSymbol, precision: int = 30) -> SpectralC
     _require_forest_domain(symbol)
     if precision < 1:
         raise ValueError("precision must be >= 1")
-    c = symbol.trace
-    if c == 2:
-        raise RepeatedEigenvalueError(
-            f"{symbol} is Euclidean: both eigenvalues equal 1, the closed form "
-            "degenerates; use euclidean_counts for the affine formulas"
-        )
-    d = c * c - 4
-    half = Fraction(1, 2)
-    growth = QuadraticNumber(Fraction(c, 2), half, d)
-    decay = QuadraticNumber(Fraction(c, 2), -half, d)
+    growth, decay = _eigenvalues(symbol)
     gap = growth - decay
 
     rows = layer_counts(symbol, 2)
@@ -225,8 +229,8 @@ def spectral_constants(symbol: SchlafliSymbol, precision: int = 30) -> SpectralC
 
     return SpectralConstants(
         symbol=symbol,
-        trace=c,
-        radicand=d,
+        trace=symbol.trace,
+        radicand=growth.d,
         growth=growth,
         decay=decay,
         lead_coefficients=MappingProxyType(lead),
@@ -239,18 +243,48 @@ def spectral_constants(symbol: SchlafliSymbol, precision: int = 30) -> SpectralC
     )
 
 
-def closed_form_count(constants: SpectralConstants, level: int, series: Series) -> int:
-    """Evaluate lead*growth**i + sub*decay**i exactly; the result is an integer."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    value = (
-        constants.lead(series) * constants.growth**level
-        + constants.sub(series) * constants.decay**level
-    )
+def _closed_form_value(
+    constants: SpectralConstants,
+    series: Series,
+    growth_power: QuadraticNumber,
+    decay_power: QuadraticNumber,
+    level: int,
+) -> int:
+    value = constants.lead(series) * growth_power + constants.sub(series) * decay_power
     fr = value.as_fraction()  # irrational parts cancel by construction
     if fr.denominator != 1:
         raise ArithmeticError(f"closed form produced non-integer {fr} at level {level}")
     return fr.numerator
+
+
+def closed_form_count(constants: SpectralConstants, level: int, series: Series) -> int:
+    """Evaluate lead*growth**i + sub*decay**i exactly; the result is an integer."""
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    return _closed_form_value(
+        constants, series, constants.growth**level, constants.decay**level, level
+    )
+
+
+def closed_form_counts(
+    constants: SpectralConstants, levels: int
+) -> Iterator[tuple[int, int, int]]:
+    """Yield the closed-form (a_i, b_i, a_i + b_i) for i = 1..levels.
+
+    Each series is evaluated from its own coefficients, as by
+    `closed_form_count`, but growth**i and decay**i are carried from one
+    level to the next with one multiplication each.
+    """
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
+    growth_power, decay_power = constants.growth, constants.decay
+    for level in range(1, levels + 1):
+        yield tuple(
+            _closed_form_value(constants, series, growth_power, decay_power, level)
+            for series in (Series.A, Series.B, Series.ALL)
+        )
+        growth_power = growth_power * constants.growth
+        decay_power = decay_power * constants.decay
 
 
 def growth_ratio(symbol: SchlafliSymbol, level: int, series: Series) -> Fraction:
@@ -267,8 +301,9 @@ def growth_ratio(symbol: SchlafliSymbol, level: int, series: Series) -> Fraction
 
 def growth_ratio_error(symbol: SchlafliSymbol, level: int, series: Series) -> QuadraticNumber:
     """|r_{i+1}/r_i - growth|, exactly; strictly decreasing in the level."""
-    constants = spectral_constants(symbol)
-    return abs(growth_ratio(symbol, level, series) - constants.growth)
+    _require_forest_domain(symbol)
+    growth, _ = _eigenvalues(symbol)
+    return abs(growth_ratio(symbol, level, series) - growth)
 
 
 def cumulative_root_ratio(symbol: SchlafliSymbol, level: int) -> Fraction:

@@ -15,8 +15,7 @@ from .mosaic import CheckResult, ValidationReport
 from .probability import exact_distribution
 from .recurrence import (
     Geometry,
-    Series,
-    closed_form_count,
+    closed_form_counts,
     euclidean_counts,
     layer_counts,
     spectral_constants,
@@ -58,13 +57,8 @@ def cross_check(forest: Forest) -> ValidationReport:
     else:
         constants = spectral_constants(symbol)
         ok = all(
-            closed_form_count(constants, i, series) == value
-            for i in range(1, CLOSED_FORM_LEVELS + 1)
-            for series, value in (
-                (Series.A, rows[i].a),
-                (Series.B, rows[i].b),
-                (Series.ALL, rows[i].total),
-            )
+            got == (rows[i].a, rows[i].b, rows[i].total)
+            for i, got in enumerate(closed_form_counts(constants, CLOSED_FORM_LEVELS), start=1)
         )
         checks.append(
             CheckResult(

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +164,30 @@ class TestExact:
             exact_distribution(SchlafliSymbol(7, 3), 3)
         with pytest.raises(DegenerateForestError, match="p = 3"):
             exact_distribution(SchlafliSymbol(3, 7), 3)
+
+
+class TestCumulativeBelow:
+    @pytest.mark.parametrize("symbol", [S45, SchlafliSymbol(5, 6)])
+    def test_prefix_sums_of_both_laws_at_level_200(self, symbol):
+        laws = (
+            exact_distribution(symbol, 200),
+            asymptotic_distribution(spectral_constants(symbol), 200),
+        )
+        for d in laws:
+            prefix = list(accumulate(d.masses))
+            assert [d.cumulative_below(j) for j in range(201)] == prefix
+            assert prefix[-1] == d.total_mass() == 1
+
+    def test_euclidean_case_at_level_200(self):
+        d = exact_distribution(S44, 200)
+        for j in range(1, 200):
+            assert d.cumulative_below(j) == Fraction(8 * j + 4, 8 * 200)
+
+    def test_out_of_range_rejected(self):
+        d = exact_distribution(S45, 5)
+        for j in (-1, 6):
+            with pytest.raises(ValueError, match="outside"):
+                d.cumulative_below(j)
 
 
 class TestErrorReport:

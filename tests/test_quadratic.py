@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from mosaicforest.quadratic import (
@@ -120,6 +120,84 @@ def test_order_of_magnitude():
     assert order_of_magnitude(Fraction(4023, 10**6)) == -3
     with pytest.raises(ValueError):
         order_of_magnitude(0)
+
+
+def order_of_magnitude_by_scaling(value) -> int:
+    """The original loop: scale by 10 until the value lies in [1, 10)."""
+    v = value if isinstance(value, QuadraticNumber) else QuadraticNumber(value)
+    v = abs(v)
+    if not v:
+        raise ValueError("zero has no order of magnitude")
+    e = 0
+    while v._cmp(1) < 0:
+        v = v * 10
+        e -= 1
+    while v._cmp(10) >= 0:
+        v = v / 10
+        e += 1
+    return e
+
+
+wide_rationals = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.integers(min_value=1, max_value=10**40),
+)
+# 12 and 32 are not square-free, so these also exercise unnormalised fields
+om_radicands = st.sampled_from([2, 3, 5, 12, 21, 32, 1932])
+
+
+def powers_of_ten_and_neighbours():
+    def build(k, j, side):
+        power = Fraction(10) ** k
+        return power + side * Fraction(1, 10**j)
+
+    return st.builds(
+        build,
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=1, max_value=80),
+        st.sampled_from([-1, 0, 1]),
+    )
+
+
+def near_cancelling():
+    """x + y*sqrt(d) with x within a few units of -y*sqrt(d)."""
+
+    def build(y, d, shift, scale):
+        x = -math.isqrt(y * y * d) + shift
+        return QuadraticNumber(Fraction(x, scale), Fraction(y, scale), d)
+
+    return st.builds(
+        build,
+        st.integers(min_value=-(10**50), max_value=10**50).filter(bool),
+        om_radicands,
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=1, max_value=10**30),
+    )
+
+
+nonzero_values = st.one_of(
+    wide_rationals,
+    st.builds(QuadraticNumber, wide_rationals, wide_rationals, om_radicands),
+    powers_of_ten_and_neighbours(),
+    near_cancelling(),
+).filter(bool)
+
+
+@given(nonzero_values, st.booleans())
+@example(Fraction(1, 10**400), False)
+@example(QuadraticNumber(0, Fraction(1, 10**300), 32), True)
+@example(QuadraticNumber(-1393, Fraction(985, 1), 2), False)  # 985*sqrt(2) ~ 1393
+def test_order_of_magnitude_matches_scaling_loop(value, negate):
+    if negate:
+        value = -value
+    assert order_of_magnitude(value) == order_of_magnitude_by_scaling(value)
+
+
+@pytest.mark.parametrize("zero", [0, Fraction(0), QuadraticNumber(0), QuadraticNumber(0, 0, 12)])
+def test_order_of_magnitude_of_zero_raises(zero):
+    with pytest.raises(ValueError):
+        order_of_magnitude(zero)
 
 
 def test_square_free_split():

@@ -11,6 +11,7 @@ from mosaicforest.recurrence import (
     SchlafliSymbol,
     Series,
     closed_form_count,
+    closed_form_counts,
     cumulative_root_limit,
     cumulative_root_ratio,
     euclidean_counts,
@@ -203,6 +204,26 @@ class TestClosedForm:
             closed_form_count(spectral_constants(S45), 0, Series.A)
 
 
+class TestClosedFormSweep:
+    @pytest.mark.parametrize("p,q", [(4, 5), (5, 4), (4, 6), (6, 4), (5, 5)])
+    def test_matches_recursion_to_level_200(self, p, q):
+        symbol = SchlafliSymbol(p, q)
+        rows = layer_counts(symbol, 200)
+        sweep = list(closed_form_counts(spectral_constants(symbol), 200))
+        assert sweep == [(r.a, r.b, r.total) for r in rows[1:]]
+
+    def test_euclidean_rejected_like_spectral_constants(self):
+        # the constants the sweep needs do not exist for {4,4}
+        with pytest.raises(RepeatedEigenvalueError):
+            list(closed_form_counts(spectral_constants(S44), 200))
+
+    def test_level_bounds(self):
+        c = spectral_constants(S45)
+        assert list(closed_form_counts(c, 0)) == []
+        with pytest.raises(ValueError):
+            list(closed_form_counts(c, -1))
+
+
 class TestGrowthRatio:
     def test_exact_value(self):
         assert growth_ratio(S45, 10, Series.A) == Fraction(3580175, 959305)
@@ -225,6 +246,27 @@ class TestGrowthRatio:
         for series in Series:
             errors = [growth_ratio_error(S45, i, series) for i in range(2, 30)]
             assert all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
+
+    @pytest.mark.parametrize(
+        "p,q,level",
+        [(4, 5, 1), (4, 5, 40), (6, 5, 3), (4, 5, 0), (4, 4, 1), (4, 4, 0), (3, 7, 2),
+         (7, 3, 0)],
+    )
+    def test_error_agrees_with_spectral_constants_route(self, p, q, level):
+        symbol = SchlafliSymbol(p, q)
+
+        def through_spectral_constants():
+            constants = spectral_constants(symbol)
+            return abs(growth_ratio(symbol, level, Series.ALL) - constants.growth)
+
+        try:
+            want = through_spectral_constants()
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                growth_ratio_error(symbol, level, Series.ALL)
+            assert type(got.value) is type(exc)
+        else:
+            assert growth_ratio_error(symbol, level, Series.ALL) == want
 
     def test_monotone_error_decrease_other_symbols(self):
         for symbol in (SchlafliSymbol(5, 4), SchlafliSymbol(6, 5)):
