@@ -37,7 +37,7 @@ from .probability import (
     exact_distribution,
 )
 from .quadratic import QuadraticNumber
-from .recurrence import SchlafliSymbol, layer_counts, spectral_constants
+from .recurrence import SchlafliSymbol, forest_domain_reason, layer_counts, spectral_constants
 from .verify import cross_check
 
 ENV_CAP = "MOSAICFOREST_CAP"
@@ -243,9 +243,14 @@ def _emit_verify(args: argparse.Namespace, out: _Output) -> int:
     levels = _levels(args)
     all_ok = True
     for symbol in args.symbols:
+        reason = forest_domain_reason(symbol)
+        if reason is not None:
+            out.write(f"FAIL {symbol}: {reason}")
+            all_ok = False
+            continue
         try:
             report = _check_symbol(symbol, levels, args.cap, args.inject_corruption)
-        except (StructureError, SizeLimitError, UnsupportedSymbolError) as exc:
+        except (StructureError, SizeLimitError) as exc:
             out.write(f"FAIL {symbol}: {exc}")
             all_ok = False
             continue

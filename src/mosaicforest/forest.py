@@ -169,44 +169,31 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
 
     for i in range(1, levels + 1):
         a = b = 0
-        if symbol.p >= 4:
-            for v in mosaic.layers[i]:
-                below = mosaic.down_neighbors(v)
-                if len(below) > 1:
+        child_count = dict.fromkeys(mosaic.layers[i - 1], 0)
+        for v in mosaic.layers[i]:
+            below = mosaic.down_neighbors(v)
+            if not below:
+                vclass[v] = VertexClass.B
+                root_of[v] = v
+                root_level[v] = i
+                b += 1
+                continue
+            u = below[0]
+            if len(below) > 1:
+                if symbol.p >= 4:
                     raise StructureError(
                         f"vertex {v} on level {i} has {len(below)} lower neighbours; "
                         f"parenthood must be forced for p >= 4"
                     )
-                if below:
-                    u = below[0]
-                    parent[v] = u
-                    vclass[v] = VertexClass.A
-                    root_of[v] = root_of[u]
-                    root_level[v] = root_level[u]
-                    a += 1
-                else:
-                    vclass[v] = VertexClass.B
-                    root_of[v] = v
-                    root_level[v] = i
-                    b += 1
-        else:
-            child_count = {u: 0 for u in mosaic.layers[i - 1]}
-            for v in mosaic.layers[i]:
-                below = mosaic.down_neighbors(v)
-                if not below:
-                    vclass[v] = VertexClass.B
-                    root_of[v] = v
-                    root_level[v] = i
-                    b += 1
-                    continue
-                childless = [u for u in below if child_count[u] == 0]
+                # p = 3: prefer a childless lower neighbour, then the smallest id
+                childless = [w for w in below if child_count[w] == 0]
                 u = min(childless) if childless else min(below)
-                child_count[u] += 1
-                parent[v] = u
-                vclass[v] = VertexClass.A
-                root_of[v] = root_of[u]
-                root_level[v] = root_level[u]
-                a += 1
+            child_count[u] += 1
+            parent[v] = u
+            vclass[v] = VertexClass.A
+            root_of[v] = root_of[u]
+            root_level[v] = root_level[u]
+            a += 1
         rows.append(LayerCounts(i, a, b))
 
     return Forest(

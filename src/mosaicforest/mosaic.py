@@ -16,8 +16,9 @@ makes builds fully deterministic.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, chain
 from typing import Iterator, NamedTuple
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
@@ -104,8 +105,11 @@ class _Builder:
         self.cells: list[Cell] = []
         self.layers: list[list[int]] = [[0]]
         self.belt_sizes: list[int] = []
+        self.belt = 0  # the belt being built, and its outer boundary so far
+        self.boundary: list[int] = []
 
-    def close_boundary(self, boundary: list[int]) -> None:
+    def close_boundary(self) -> None:
+        boundary = self.boundary
         m = len(boundary)
         prevv, nextv = self.prevv, self.nextv
         grow_to = len(self.layer_of) - len(prevv)
@@ -117,73 +121,57 @@ class _Builder:
             nextv[v] = boundary[(idx + 1) % m]
         self.layers.append(boundary)
 
+    def start_belt(self, belt: int) -> None:
+        self.belt = belt
+        self.boundary = []
+        self.belt_sizes.append(0)
+
+    def new_vertex(self, downs: list[int] | None) -> int:
+        """A vertex on the current belt's boundary; refuses vertex id `cap`."""
+        vid = len(self.layer_of)
+        if vid >= self.cap:
+            raise SizeLimitError(
+                f"vertex cap {self.cap} exceeded while building belt {self.belt}"
+            )
+        self.layer_of.append(self.belt)
+        self.downs.append(downs)
+        self.ncells.append(0)
+        self.boundary.append(vid)
+        return vid
+
+    def add_cell(self, verts: list[int], attach: str) -> None:
+        self.cells.append(Cell(self.belt, tuple(verts), attach))
+        self.belt_sizes[-1] += 1
+        ncells = self.ncells
+        for v in verts:
+            ncells[v] += 1
+
     def first_belt(self) -> None:
         """q cells around the seed; the seed's rotation is its q spokes."""
         p, q = self.p, self.q
-        self.belt_sizes.append(0)
-        boundary: list[int] = []
-        layer_of, downs, ncells = self.layer_of, self.downs, self.ncells
-
-        def new_v(dn):
-            vid = len(layer_of)
-            layer_of.append(1)
-            downs.append(dn)
-            ncells.append(0)
-            boundary.append(vid)
-            return vid
-
+        self.start_belt(1)
+        new_v = self.new_vertex
         first_tip = new_v([0])
         tip = first_tip
         for j in range(q):
             arcs = [new_v(None) for _ in range(p - 3)]
             nxt = first_tip if j == q - 1 else new_v([0])
-            self.add_cell(1, [0, tip, *arcs, nxt], "vertex")
+            self.add_cell([0, tip, *arcs, nxt], "vertex")
             tip = nxt
-        if len(boundary) > self.cap:
-            raise SizeLimitError(f"vertex cap {self.cap} exceeded while building belt 1")
-        self.gap[0] = [v for v in boundary if downs[v]]
-        self.close_boundary(boundary)
-
-    def add_cell(self, belt: int, verts: list[int], attach: str) -> None:
-        self.cells.append(Cell(belt, tuple(verts), attach))
-        self.belt_sizes[belt - 1] += 1
-        ncells = self.ncells
-        for v in verts:
-            ncells[v] += 1
+        self.gap[0] = [v for v in self.boundary if self.downs[v]]
+        self.close_boundary()
 
     def next_belt(self, belt: int) -> None:
         p, q = self.p, self.q
-        self.belt_sizes.append(0)
+        self.start_belt(belt)
         old = self.layers[-1]
-        layer_of, downs, ncells = self.layer_of, self.downs, self.ncells
-        gap, cells, belt_sizes = self.gap, self.cells, self.belt_sizes
-        cap = self.cap
+        downs, ncells, gap = self.downs, self.ncells, self.gap
+        new_v, add_cell = self.new_vertex, self.add_cell
 
         # start the sweep at a vertex that will own at least one radial tip
         start = next(i for i, v in enumerate(old) if ncells[v] <= q - 2)
         walk = old[start:] + old[:start]
         m = len(walk)
-
-        new_boundary: list[int] = []
-        append_new = new_boundary.append
-
-        def new_v(dn):
-            vid = len(layer_of)
-            if vid >= cap:
-                raise SizeLimitError(
-                    f"vertex cap {cap} exceeded while building belt {belt}"
-                )
-            layer_of.append(belt)
-            downs.append(dn)
-            ncells.append(0)
-            append_new(vid)
-            return vid
-
-        def add_cell(verts, attach):
-            cells.append(Cell(belt, tuple(verts), attach))
-            belt_sizes[belt - 1] += 1
-            for v in verts:
-                ncells[v] += 1
 
         v0 = walk[0]
         s0 = new_v([v0])  # tip shared by v0's first own cell and the closing cell
@@ -251,7 +239,7 @@ class _Builder:
                 add_cell([v, carry, *arcs, tip, *reversed(inner[1:])], "edge")
                 carry = tip
 
-        self.close_boundary(new_boundary)
+        self.close_boundary()
 
     def finish(self, symbol: SchlafliSymbol, belts: int) -> Mosaic:
         prevv, nextv, gap, downs = self.prevv, self.nextv, self.gap, self.downs
@@ -322,143 +310,125 @@ class ValidationReport:
         )
 
 
-def _canonical_cycle(cycle: tuple[int, ...]) -> tuple[int, ...]:
-    k = cycle.index(min(cycle))
-    return cycle[k:] + cycle[:k]
-
-
 def validate(mosaic: Mosaic) -> ValidationReport:
     """Run the structural invariant checks and report each outcome.
 
     Checks: cell sizes, interior degrees and cell counts, rotation-system
     face recovery (stored cells plus exactly one outer walk), outer boundary
-    simplicity, and per-edge cell coverage (interior 2, boundary 1).
+    simplicity, per-edge cell coverage (interior 2, boundary 1) and Euler's
+    formula.  They run over one dart numbering: dart (u, rot[u][i]) is
+    first[u] + i.  While every vertex id is in range, a malformed map (say,
+    a neighbour listed on one side only) fails a check; it never raises.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
+    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
     checks: list[CheckResult] = []
 
-    bad = [c for c in mosaic.cells if len(c.vertices) != p or len(set(c.vertices)) != p]
-    checks.append(
-        CheckResult(
-            "cell-size",
-            not bad,
-            "" if not bad else f"cell {bad[0].vertices} is not a {p}-gon",
-        )
-    )
+    def report(name: str, failure: str | None) -> None:
+        checks.append(CheckResult(name, failure is None, failure or ""))
 
-    cells_at = [0] * mosaic.vertex_count
-    for c in mosaic.cells:
+    bad = next((c for c in cells if len(c.vertices) != p or len(set(c.vertices)) != p), None)
+    report("cell-size", None if bad is None else f"cell {bad.vertices} is not a {p}-gon")
+
+    cells_at = [0] * len(rot)
+    for c in cells:
         for v in c.vertices:
             cells_at[v] += 1
-    bad_deg = [
-        v
-        for v in range(mosaic.vertex_count)
-        if mosaic.is_interior(v) and (mosaic.degree(v) != q or cells_at[v] != q)
-    ]
-    checks.append(
-        CheckResult(
-            "interior-degree",
-            not bad_deg,
-            ""
-            if not bad_deg
-            else f"vertex {bad_deg[0]} has degree {mosaic.degree(bad_deg[0])} "
-            f"and {cells_at[bad_deg[0]]} cells (expected {q})",
-        )
+    v = next(
+        (
+            v
+            for v, nbrs in enumerate(rot)
+            if mosaic.is_interior(v) and (len(nbrs) != q or cells_at[v] != q)
+        ),
+        None,
+    )
+    report(
+        "interior-degree",
+        None
+        if v is None
+        else f"vertex {v} has degree {len(rot[v])} and {cells_at[v]} cells (expected {q})",
     )
 
-    # rotation-system face traversal
-    pos: list[dict[int, int]] = [
-        {w: i for i, w in enumerate(nbrs)} for nbrs in mosaic.rot
+    first = list(accumulate(map(len, rot), initial=0))
+    heads = list(chain.from_iterable(rot))
+
+    def dart(d: int) -> tuple[int, int]:
+        return bisect_right(first, d) - 1, heads[d]
+
+    # rev[d] is the dart back along d, at the first entry of d's tail in the
+    # head's rotation; -1 if the head does not list the tail
+    rev = [
+        first[v] + rot[v].index(u) if u in rot[v] else -1
+        for u, nbrs in enumerate(rot)
+        for v in nbrs
     ]
-    ok_rot = all(len(pos[v]) == mosaic.degree(v) for v in range(mosaic.vertex_count))
-    faces: list[tuple[int, ...]] = []
-    if ok_rot:
-        seen: set[tuple[int, int]] = set()
-        for u0 in range(mosaic.vertex_count):
-            for v0 in mosaic.rot[u0]:
-                if (u0, v0) in seen:
-                    continue
-                walk = []
-                u, v = u0, v0
-                while (u, v) not in seen:
-                    seen.add((u, v))
-                    walk.append(u)
-                    i = pos[v][u]
-                    u, v = v, mosaic.rot[v][(i - 1) % len(mosaic.rot[v])]
-                faces.append(tuple(walk))
-        stored = sorted(_canonical_cycle(c.vertices) for c in mosaic.cells)
-        traced = sorted(_canonical_cycle(f) for f in faces)
-        # multiset difference traced - stored
-        diff = Counter(traced)
-        diff.subtract(Counter(stored))
-        extras = [f for f, n in diff.items() if n > 0 for _ in range(n)]
-        missing = [f for f, n in diff.items() if n < 0 for _ in range(-n)]
-        outer = mosaic.layers[-1]
-        face_ok = (
-            not missing
-            and len(extras) == 1
-            and len(extras[0]) == len(outer)
-            and set(extras[0]) == set(outer)
-        )
-        checks.append(
-            CheckResult(
-                "rotation-faces",
-                face_ok,
-                ""
-                if face_ok
-                else f"{len(faces)} traced faces vs {len(stored)} cells; "
-                f"{len(missing)} missing, {len(extras)} extra",
-            )
-        )
+    broken = next((d for d, e in enumerate(rev) if e < 0 or rev[e] != d), None)
+    if broken is None:
+        # faces turn clockwise at the head: the dart just before rev[d] there
+        succ = [e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(rev, heads)]
+
+    # sides[d] counts the cell sides along dart d; a cell is a face when the
+    # successor map chains its sides in order and no other side shares them
+    sides = [0] * len(rev)
+    stray = bad = None
+    for c in cells:
+        vs = c.vertices
+        ds = [
+            first[a] + rot[a].index(b) if b in rot[a] else -1
+            for a, b in zip(vs, vs[1:] + vs[:1])
+        ]
+        if -1 in ds:
+            k = ds.index(-1)
+            stray = stray or tuple(sorted((vs[k], vs[(k + 1) % len(vs)])))
+            bad = bad or c
+            ds = [d for d in ds if d >= 0]
+        elif bad is None and broken is None and [succ[d] for d in ds] != ds[1:] + ds[:1]:
+            bad = c
+        for d in ds:
+            sides[d] += 1
+
+    if broken is not None:
+        u, v = dart(broken)
+        fault = f"{v} does not list {u}" if rev[broken] < 0 else f"{u} lists {v} twice"
+        failure = f"dart ({u}, {v}): {fault}"
+    elif bad is not None:
+        failure = f"cell {bad.vertices} is not a face of the rotation system"
+    elif max(sides, default=0) > 1:
+        d = next(d for d, n in enumerate(sides) if n > 1)
+        failure = f"dart {dart(d)} lies on {sides[d]} cells"
     else:
-        checks.append(CheckResult("rotation-faces", False, "duplicate neighbour in a rotation"))
+        # the darts on no cell must form one face: the outer one
+        free = [d for d, n in enumerate(sides) if not n]
+        walk = free[:1]
+        while walk and succ[walk[-1]] != walk[0]:
+            walk.append(succ[walk[-1]])
+        face = len(walk) == len(free) == len(outer) and {heads[d] for d in walk} == set(outer)
+        failure = None if face else f"the {len(free)} darts on no cell are not the outer face"
+    report("rotation-faces", failure)
 
-    outer = mosaic.layers[-1]
-    simple = len(outer) == len(set(outer)) and all(
-        outer[(i + 1) % len(outer)] in mosaic.rot[v] for i, v in enumerate(outer)
-    )
-    checks.append(
-        CheckResult(
-            "boundary-cycle",
-            simple,
-            "" if simple else "outer boundary is not a simple adjacent cycle",
-        )
-    )
+    ring = list(zip(outer, outer[1:] + outer[:1]))
+    simple = len(outer) == len(set(outer)) and all(b in rot[a] for a, b in ring)
+    report("boundary-cycle", None if simple else "outer boundary is not a simple adjacent cycle")
 
-    cover: Counter = Counter()
-    for c in mosaic.cells:
-        verts = c.vertices
-        for i, u in enumerate(verts):
-            v = verts[(i + 1) % len(verts)]
-            cover[(min(u, v), max(u, v))] += 1
-    boundary_edges = {
-        (min(u, v), max(u, v))
-        for u, v in zip(outer, outer[1:] + outer[:1])
-    }
-    all_edges = set(mosaic.edges())
-    bad_edge = None
-    for e in all_edges:
-        want = 1 if e in boundary_edges else 2
-        if cover.get(e, 0) != want:
-            bad_edge = (e, cover.get(e, 0), want)
-            break
-    if bad_edge is None and set(cover) != all_edges:
-        bad_edge = (next(iter(set(cover) ^ all_edges)), "-", "-")
-    checks.append(
-        CheckResult(
-            "edge-coverage",
-            bad_edge is None,
-            "" if bad_edge is None else f"edge {bad_edge[0]}: {bad_edge[1]} cells, expected {bad_edge[2]}",
-        )
-    )
+    on_boundary = bytearray(len(rev))
+    for a, b in ring:
+        if b in rot[a]:
+            on_boundary[first[a] + rot[a].index(b)] = 1
+    # an edge is a pair of darts that are each other's reverse; tails ascend
+    # with the dart index, so d < rev[d] takes each edge once, from u < v
+    edges = 0
+    failure = None
+    for d, e in enumerate(rev):
+        if d < e and rev[e] == d:
+            edges += 1
+            count, want = sides[d] + sides[e], 2 - (on_boundary[d] | on_boundary[e])
+            if count != want and failure is None:
+                failure = f"edge {dart(d)}: {count} cells, expected {want}"
+    if failure is None and stray is not None:
+        failure = f"edge {stray}: - cells, expected -"
+    report("edge-coverage", failure)
 
-    v_, e_, f_ = mosaic.vertex_count, len(all_edges), len(mosaic.cells) + 1
-    checks.append(
-        CheckResult(
-            "euler",
-            v_ - e_ + f_ == 2,
-            "" if v_ - e_ + f_ == 2 else f"V-E+F = {v_}-{e_}+{f_} != 2",
-        )
-    )
+    v_, e_, f_ = mosaic.vertex_count, edges, len(cells) + 1
+    report("euler", None if v_ - e_ + f_ == 2 else f"V-E+F = {v_}-{e_}+{f_} != 2")
 
     return ValidationReport(tuple(checks))

@@ -55,17 +55,28 @@ class SchlafliSymbol:
         return f"{{{self.p},{self.q}}}"
 
 
-def _require_forest_domain(symbol: SchlafliSymbol) -> None:
+def forest_domain_reason(symbol: SchlafliSymbol) -> str | None:
+    """Why the level-count recursion does not apply to `symbol`, or None.
+
+    Every spherical symbol has p = 3 or q = 3, so it gets a reason too.
+    """
     if symbol.q == 3:
-        raise DegenerateForestError(
-            f"{symbol}: with q = 3 a level vertex keeps only one free edge toward "
+        return (
+            "with q = 3 a level vertex keeps only one free edge toward "
             "the next level, so no trees exist and the count recursion is undefined"
         )
     if symbol.p == 3:
-        raise DegenerateForestError(
-            f"{symbol}: with p = 3 no level produces roots besides the main one; "
+        return (
+            "with p = 3 no level produces roots besides the main one; "
             "the two-sequence recursion does not apply"
         )
+    return None
+
+
+def _require_forest_domain(symbol: SchlafliSymbol) -> None:
+    reason = forest_domain_reason(symbol)
+    if reason is not None:
+        raise DegenerateForestError(f"{symbol}: {reason}")
     if symbol.geometry is Geometry.SPHERICAL:
         raise SphericalSymbolError(f"{symbol} closes into a finite polyhedron")
 

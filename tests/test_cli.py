@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from mosaicforest import mosaic as mosaic_mod
 from mosaicforest.cli import main
+from mosaicforest.recurrence import SchlafliSymbol
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -161,6 +163,21 @@ class TestVerify:
         assert code == 1
         assert "FAIL {4,5} histogram" in out
         assert out.strip().endswith("verification FAILED")
+
+    def test_refused_symbol_builds_no_mosaic(self, capsys, monkeypatch):
+        built = []
+        real_build = mosaic_mod.build
+        monkeypatch.setattr(
+            mosaic_mod, "build", lambda s, *a, **k: built.append(s) or real_build(s, *a, **k)
+        )
+        code, out, _ = run(capsys, "verify", "--levels", "2", "--symbols", "7:3,4:5,3:7")
+        assert code == 1
+        assert built == [SchlafliSymbol(4, 5)]
+        lines = out.splitlines()
+        assert lines[0].startswith("FAIL {7,3}: with q = 3 ")
+        assert lines[-2].startswith("FAIL {3,7}: with p = 3 ")
+        assert "allow_triangles" not in out and out.count("{3,7}") == 1
+        assert lines[-1] == "verification FAILED"
 
     def test_bad_symbol_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -37,6 +37,7 @@ CASES["verify_L3.txt"] = ["verify", "--levels", "3"]
 CASES["verify_corrupt_L3.txt"] = ["verify", "--levels", "3", "--symbols", "4:5,4:4",
                                   "--inject-corruption"]
 CASES["verify_degenerate_3_7.txt"] = ["verify", "--levels", "3", "--symbols", "4:5,3:7"]
+CASES["verify_refused_7_3_3_4.txt"] = ["verify", "--levels", "2", "--symbols", "4:5,7:3,3:4"]
 for _p, _q, _levels in (("3", "7", "3"), ("4", "5", "2")):
     for _what in ("forest", "spanning", "mosaic-edges"):
         CASES[f"export_{_what}_{_p}_{_q}_L{_levels}.txt"] = [

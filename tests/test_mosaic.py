@@ -1,5 +1,3 @@
-import copy
-
 import pytest
 
 from mosaicforest.errors import SizeLimitError, SphericalSymbolError
@@ -46,6 +44,13 @@ def test_spherical_rejected():
 def test_vertex_cap():
     with pytest.raises(SizeLimitError):
         build(SchlafliSymbol(4, 5), 10, cap=1000)
+
+
+@pytest.mark.parametrize("belts,vertices", [(1, 11), (2, 51)])
+def test_vertex_cap_trips_at_the_same_count_in_every_belt(belts, vertices):
+    with pytest.raises(SizeLimitError, match=f"belt {belts}"):
+        build(SchlafliSymbol(4, 5), belts, cap=vertices - 1)
+    assert build(SchlafliSymbol(4, 5), belts, cap=vertices).vertex_count == vertices
 
 
 def test_determinism():
@@ -106,18 +111,121 @@ def test_cell_attachment_kinds():
                 assert len(shared) >= 2
 
 
-def test_corrupted_mosaic_fails_validation_naming_vertex():
+def _swap_rotation_entries(m):
+    r = m.rot[m.layers[1][0]]
+    r[0], r[1] = r[1], r[0]
+
+
+def _repeat_vertex_in_cell(m):
+    c = m.cells[7]
+    vs = list(c.vertices)
+    vs[2] = vs[0]
+    m.cells[7] = c._replace(vertices=tuple(vs))
+
+
+def _sever_interior_edge(m):
+    v = m.layers[1][0]
+    w = m.rot[v][0]
+    m.rot[v].remove(w)
+    m.rot[w].remove(v)
+    return {"interior-degree": (f"vertex {v}", f"vertex {w}")}
+
+
+def _swap_outer_vertices(m):
+    outer = m.layers[-1]
+    outer[0], outer[2] = outer[2], outer[0]
+
+
+def _drop_cell(m):
+    del m.cells[7]
+
+
+def _duplicate_neighbour(m):
+    v = m.layers[1][0]
+    m.rot[v].append(m.rot[v][0])
+
+
+def _reverse_cell(m):
+    c = m.cells[7]
+    m.cells[7] = c._replace(vertices=c.vertices[::-1])
+
+
+def _duplicate_cell(m):
+    m.cells.append(m.cells[7])
+
+
+def _rotate_rotation(m):
+    v = m.layers[1][0]
+    m.rot[v] = m.rot[v][1:] + m.rot[v][:1]
+
+
+def _one_sided_entry(m):
+    # v lists w, but w no longer lists v
+    v = m.layers[1][0]
+    w = m.rot[v][0]
+    m.rot[w].remove(v)
+    return {"rotation-faces": (f"dart ({v}, {w})",)}
+
+
+CHECKS = [
+    "cell-size",
+    "interior-degree",
+    "rotation-faces",
+    "boundary-cycle",
+    "edge-coverage",
+    "euler",
+]
+
+
+# corruption of build({4,5}, 3) -> the names of the checks it fails
+CORRUPTIONS = {
+    "swap-rotation-entries": (_swap_rotation_entries, ["rotation-faces"]),
+    "repeat-vertex-in-cell": (
+        _repeat_vertex_in_cell,
+        ["cell-size", "interior-degree", "rotation-faces", "edge-coverage"],
+    ),
+    "sever-interior-edge": (
+        _sever_interior_edge,
+        ["interior-degree", "rotation-faces", "edge-coverage", "euler"],
+    ),
+    "swap-outer-vertices": (_swap_outer_vertices, ["boundary-cycle", "edge-coverage"]),
+    "drop-cell": (_drop_cell, ["interior-degree", "rotation-faces", "edge-coverage", "euler"]),
+    "duplicate-neighbour": (_duplicate_neighbour, ["interior-degree", "rotation-faces"]),
+    "reverse-cell": (_reverse_cell, ["rotation-faces"]),
+    "duplicate-cell": (
+        _duplicate_cell,
+        ["interior-degree", "rotation-faces", "edge-coverage", "euler"],
+    ),
+    "rotate-rotation": (_rotate_rotation, []),
+    "one-sided-entry": (
+        _one_sided_entry,
+        ["interior-degree", "rotation-faces", "edge-coverage", "euler"],
+    ),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupted_mosaic_fails_validation_naming_vertex(corruption):
+    corrupt, failing = CORRUPTIONS[corruption]
     m = build(SchlafliSymbol(4, 5), 3)
-    broken = copy.deepcopy(m)
-    # sever one interior edge from both rotations
-    v = broken.layers[1][0]
-    w = broken.rot[v][0]
-    broken.rot[v].remove(w)
-    broken.rot[w].remove(v)
-    report = validate(broken)
-    assert not report.passed
-    degree_fail = [c for c in report.failures() if c.name == "interior-degree"]
-    assert degree_fail and (f"vertex {v}" in degree_fail[0].detail or f"vertex {w}" in degree_fail[0].detail)
+    named = corrupt(m) or {}
+    report = validate(m)
+    assert [c.name for c in report.checks] == CHECKS
+    assert [c.name for c in report.failures()] == failing, str(report)
+    details = {c.name: c.detail for c in report.checks}
+    for name, needles in named.items():
+        # the check names one of the corrupted vertices or darts
+        assert any(n in details[name] for n in needles), details[name]
+
+
+def test_edge_coverage_names_the_lowest_dart():
+    m = build(SchlafliSymbol(4, 5), 3)
+    seed, tip, _, next_tip = m.cells.pop(3).vertices
+    # both seed edges of the dropped cell lose a side; tip precedes next_tip
+    # in the seed's rotation, so (seed, tip) is the lower dart
+    assert m.rot[seed].index(tip) < m.rot[seed].index(next_tip)
+    failures = {c.name: c.detail for c in validate(m).failures()}
+    assert failures["edge-coverage"] == f"edge ({seed}, {tip}): 1 cells, expected 2"
 
 
 def test_edge_list_export():
