@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from mosaicforest import (
     SchlafliSymbol,
-    VertexClass,
     build,
     exact_distribution,
     grow,
@@ -52,6 +51,6 @@ print("\n".join(small.to_dot().split("\n")[:8]))
 print("  ...")
 
 tri = grow(build(SchlafliSymbol(3, 7), 4), allow_triangles=True)
-roots = [v for v in range(tri.mosaic.vertex_count) if tri.vclass[v] is VertexClass.B]
+roots = tri.roots()
 print(f"\n{{3,7}} in triangle mode: roots = {roots} (only the seed), "
       f"so the forest is already a single spanning tree")

@@ -15,7 +15,7 @@ from .errors import (
     UnsupportedSymbolError,
 )
 from .forest import Forest, VertexClass, grow
-from .mosaic import Cell, Mosaic, ValidationReport, build, validate
+from .mosaic import Mosaic, ValidationReport, build, validate
 from .probability import (
     DistributionErrorReport,
     DistributionKind,
@@ -46,7 +46,6 @@ from .verify import cross_check
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cell",
     "DegenerateForestError",
     "DistributionErrorReport",
     "DistributionKind",

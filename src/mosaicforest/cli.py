@@ -240,7 +240,7 @@ def _check_symbol(
 
 
 def _emit_verify(args: argparse.Namespace, out: _Output) -> int:
-    levels = _levels(args)
+    levels = _levels(args, least=1)
     all_ok = True
     for symbol in args.symbols:
         reason = forest_domain_reason(symbol)
@@ -263,7 +263,7 @@ def _emit_verify(args: argparse.Namespace, out: _Output) -> int:
 
 def _emit_export(args: argparse.Namespace, out: _Output) -> None:
     s = SchlafliSymbol(args.p, args.q)
-    levels = _levels(args)
+    levels = _levels(args, least=1)
     m = mosaic_mod.build(s, levels, cap=args.cap)
     if args.what == "mosaic-edges":
         out.write(m.edge_list_text().rstrip("\n"))

@@ -24,17 +24,22 @@ class VertexClass(Enum):
 
 @dataclass
 class Forest:
-    """Per-vertex parent/class/root data for the grown levels of a mosaic."""
+    """Per-vertex parent and root data for the grown levels of a mosaic."""
 
     mosaic: Mosaic
     levels: int
     parent: list[int | None]
-    vclass: list[VertexClass | None]
     root_of: list[int | None]
     root_level: list[int | None]
     level_counts: list[LayerCounts]
 
     MAIN_ROOT = 0
+
+    def vertex_class(self, v: int) -> VertexClass | None:
+        """B for a root (no parent), A otherwise; None above the grown levels."""
+        if self.mosaic.layer_of[v] > self.levels:
+            return None
+        return VertexClass.B if self.parent[v] is None else VertexClass.A
 
     def counts(self, i: int) -> tuple[int, int]:
         """Empirical (a_i, b_i) on level i."""
@@ -87,9 +92,7 @@ class Forest:
         """All roots of the grown region, the main root first."""
         out = [self.MAIN_ROOT]
         for i in range(1, self.levels + 1):
-            out.extend(
-                v for v in self.mosaic.layers[i] if self.vclass[v] is VertexClass.B
-            )
+            out.extend(v for v in self.mosaic.layers[i] if self.parent[v] is None)
         return out
 
     def spanning_tree(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -106,7 +109,7 @@ class Forest:
             m = len(layer)
             index = {v: k for k, v in enumerate(layer)}
             for v in layer:
-                if self.vclass[v] is VertexClass.B:
+                if self.parent[v] is None:
                     connectors.append((v, layer[(index[v] + 1) % m]))
         return self.tree_edges(), connectors
 
@@ -118,11 +121,11 @@ class Forest:
         lines.append("  node [fontsize=10];")
         for i in range(self.levels + 1):
             for v in sorted(self.mosaic.layers[i]):
-                cls = self.vclass[v].value
+                cls = self.vertex_class(v)
                 shape = "circle"
-                if self.vclass[v] is VertexClass.B:
+                if cls is VertexClass.B:
                     shape = "doublecircle" if v == self.MAIN_ROOT else "box"
-                lines.append(f'  v{v} [label="{v} L{i} {cls}" shape={shape}];')
+                lines.append(f'  v{v} [label="{v} L{i} {cls.value}" shape={shape}];')
         for u, v in self.tree_edges():
             lines.append(f"  v{u} -> v{v};")
         lines.append("}")
@@ -158,11 +161,9 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
 
     n = mosaic.vertex_count
     parent: list[int | None] = [None] * n
-    vclass: list[VertexClass | None] = [None] * n
     root_of: list[int | None] = [None] * n
     root_level: list[int | None] = [None] * n
 
-    vclass[0] = VertexClass.B
     root_of[0] = 0
     root_level[0] = 0
     rows = [LayerCounts(0, 0, 1)]
@@ -173,7 +174,6 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
         for v in mosaic.layers[i]:
             below = mosaic.down_neighbors(v)
             if not below:
-                vclass[v] = VertexClass.B
                 root_of[v] = v
                 root_level[v] = i
                 b += 1
@@ -190,7 +190,6 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
                 u = min(childless) if childless else min(below)
             child_count[u] += 1
             parent[v] = u
-            vclass[v] = VertexClass.A
             root_of[v] = root_of[u]
             root_level[v] = root_level[u]
             a += 1
@@ -200,7 +199,6 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
         mosaic=mosaic,
         levels=levels,
         parent=parent,
-        vclass=vclass,
         root_of=root_of,
         root_level=root_level,
         level_counts=rows,

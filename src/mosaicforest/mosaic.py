@@ -19,20 +19,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
 from .recurrence import Geometry, SchlafliSymbol
 
 DEFAULT_VERTEX_CAP = 10_000_000
-
-
-class Cell(NamedTuple):
-    """One p-gon: belt index, CCW vertex cycle, and how it met the previous belt."""
-
-    belt: int
-    vertices: tuple[int, ...]
-    attach: str  # "edge" or "vertex"
 
 
 class Mosaic:
@@ -44,7 +36,7 @@ class Mosaic:
         self.rot: list[list[int]] = rot  # CCW neighbour order per vertex
         self.layer_of: list[int] = layer_of
         self.layers: list[list[int]] = layers  # boundary cycle per layer
-        self.cells: list[Cell] = cells
+        self.cells: list[tuple[int, ...]] = cells  # CCW vertex cycles, belt by belt
         self.belt_sizes: list[int] = belt_sizes  # cells per belt, index 0 = belt 1
 
     @property
@@ -99,27 +91,12 @@ class _Builder:
         self.layer_of = [0]
         self.downs: list[list[int] | None] = [None]
         self.gap: list[list[int] | None] = [[]]  # radial tips, in fan order
-        self.prevv = [-1]
-        self.nextv = [-1]
         self.ncells = [0]
-        self.cells: list[Cell] = []
+        self.cells: list[tuple[int, ...]] = []
         self.layers: list[list[int]] = [[0]]
         self.belt_sizes: list[int] = []
         self.belt = 0  # the belt being built, and its outer boundary so far
         self.boundary: list[int] = []
-
-    def close_boundary(self) -> None:
-        boundary = self.boundary
-        m = len(boundary)
-        prevv, nextv = self.prevv, self.nextv
-        grow_to = len(self.layer_of) - len(prevv)
-        prevv.extend([-1] * grow_to)
-        nextv.extend([-1] * grow_to)
-        self.gap.extend(None for _ in range(len(self.layer_of) - len(self.gap)))
-        for idx, v in enumerate(boundary):
-            prevv[v] = boundary[idx - 1]
-            nextv[v] = boundary[(idx + 1) % m]
-        self.layers.append(boundary)
 
     def start_belt(self, belt: int) -> None:
         self.belt = belt
@@ -135,12 +112,13 @@ class _Builder:
             )
         self.layer_of.append(self.belt)
         self.downs.append(downs)
+        self.gap.append(None)
         self.ncells.append(0)
         self.boundary.append(vid)
         return vid
 
-    def add_cell(self, verts: list[int], attach: str) -> None:
-        self.cells.append(Cell(self.belt, tuple(verts), attach))
+    def add_cell(self, *verts: int) -> None:
+        self.cells.append(verts)
         self.belt_sizes[-1] += 1
         ncells = self.ncells
         for v in verts:
@@ -156,10 +134,10 @@ class _Builder:
         for j in range(q):
             arcs = [new_v(None) for _ in range(p - 3)]
             nxt = first_tip if j == q - 1 else new_v([0])
-            self.add_cell([0, tip, *arcs, nxt], "vertex")
+            self.add_cell(0, tip, *arcs, nxt)
             tip = nxt
         self.gap[0] = [v for v in self.boundary if self.downs[v]]
-        self.close_boundary()
+        self.layers.append(self.boundary)
 
     def next_belt(self, belt: int) -> None:
         p, q = self.p, self.q
@@ -200,7 +178,7 @@ class _Builder:
                     closing_tip = new_v([v])
                 else:
                     downs[closing_tip].append(v)
-                add_cell([v, carry, *arcs, closing_tip], "vertex")
+                add_cell(v, carry, *arcs, closing_tip)
                 gap[v].append(closing_tip)
                 carry = closing_tip
 
@@ -227,7 +205,7 @@ class _Builder:
                         raise StructureError("triangle ring closure lost its seam tip")
                 else:
                     downs[carry].insert(0, end)
-                add_cell([v, carry, end], "edge")
+                add_cell(v, carry, end)
             else:
                 n_arcs = p - len(inner) - 2
                 if n_arcs < 0:
@@ -236,24 +214,21 @@ class _Builder:
                     )
                 arcs = [new_v(None) for _ in range(n_arcs)]
                 tip = s0 if ring else new_v([end])
-                add_cell([v, carry, *arcs, tip, *reversed(inner[1:])], "edge")
+                add_cell(v, carry, *arcs, tip, *reversed(inner[1:]))
                 carry = tip
 
-        self.close_boundary()
+        self.layers.append(self.boundary)
 
     def finish(self, symbol: SchlafliSymbol, belts: int) -> Mosaic:
-        prevv, nextv, gap, downs = self.prevv, self.nextv, self.gap, self.downs
+        gap, downs = self.gap, self.downs
         rot: list[list[int]] = [list(gap[0])]
-        for v in range(1, len(self.layer_of)):
-            g = gap[v]
-            dn = downs[v]
-            order = [prevv[v]]
-            if g:
-                order.extend(g)
-            order.append(nextv[v])
-            if dn:
-                order.extend(dn)
-            rot.append(order)
+        # each layer holds the next run of vertex ids in order, so appending
+        # layer by layer indexes rot by vertex id; a boundary vertex turns from
+        # its previous neighbour through its tips to its next one and down
+        for layer in self.layers[1:]:
+            m = len(layer)
+            for k, v in enumerate(layer):
+                rot.append([layer[k - 1], *(gap[v] or ()), layer[k + 1 - m], *(downs[v] or ())])
         return Mosaic(
             symbol=symbol,
             belts=belts,
@@ -317,22 +292,43 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     face recovery (stored cells plus exactly one outer walk), outer boundary
     simplicity, per-edge cell coverage (interior 2, boundary 1) and Euler's
     formula.  They run over one dart numbering: dart (u, rot[u][i]) is
-    first[u] + i.  While every vertex id is in range, a malformed map (say,
-    a neighbour listed on one side only) fails a check; it never raises.
+    first[u] + i.  A malformed map (say, a neighbour listed on one side only,
+    or an id that names no vertex) fails a check; it never raises.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
+    n = len(rot)
+    heads = list(chain.from_iterable(rot))
     checks: list[CheckResult] = []
 
     def report(name: str, failure: str | None) -> None:
         checks.append(CheckResult(name, failure is None, failure or ""))
 
-    bad = next((c for c in cells if len(c.vertices) != p or len(set(c.vertices)) != p), None)
-    report("cell-size", None if bad is None else f"cell {bad.vertices} is not a {p}-gon")
+    def ids() -> Iterator[int]:
+        return chain(heads, outer, chain.from_iterable(cells))
 
-    cells_at = [0] * len(rot)
+    # an id that names no vertex reads as a vertex with no neighbours and no
+    # cells: at[v] is the rotation of v, () for such an id
+    if 0 <= min(ids(), default=0) and max(ids(), default=0) < n:
+        strangers: set[int] = set()
+        at, cells_at = rot, [0] * n
+    else:
+        strangers = {v for v in ids() if not 0 <= v < n}
+        at = dict(enumerate(rot)) | dict.fromkeys(strangers, ())
+        cells_at = dict.fromkeys(chain(range(n), strangers), 0)
+
+    misfits = (c for c in cells if len(c) != p or len(set(c)) != p or not strangers.isdisjoint(c))
+    bad = next(misfits, None)
+    if bad is None:
+        failure = None
+    elif strangers.isdisjoint(bad):
+        failure = f"cell {bad} is not a {p}-gon"
+    else:
+        failure = f"cell {bad} names {next(v for v in bad if v in strangers)}, outside 0..{n - 1}"
+    report("cell-size", failure)
+
     for c in cells:
-        for v in c.vertices:
+        for v in c:
             cells_at[v] += 1
     v = next(
         (
@@ -350,7 +346,6 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     )
 
     first = list(accumulate(map(len, rot), initial=0))
-    heads = list(chain.from_iterable(rot))
 
     def dart(d: int) -> tuple[int, int]:
         return bisect_right(first, d) - 1, heads[d]
@@ -358,7 +353,7 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     # rev[d] is the dart back along d, at the first entry of d's tail in the
     # head's rotation; -1 if the head does not list the tail
     rev = [
-        first[v] + rot[v].index(u) if u in rot[v] else -1
+        first[v] + at[v].index(u) if u in at[v] else -1
         for u, nbrs in enumerate(rot)
         for v in nbrs
     ]
@@ -371,34 +366,35 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     # successor map chains its sides in order and no other side shares them
     sides = [0] * len(rev)
     stray = bad = None
-    for c in cells:
-        vs = c.vertices
+    for vs in cells:
         ds = [
-            first[a] + rot[a].index(b) if b in rot[a] else -1
+            first[a] + at[a].index(b) if b in at[a] else -1
             for a, b in zip(vs, vs[1:] + vs[:1])
         ]
         if -1 in ds:
             k = ds.index(-1)
             stray = stray or tuple(sorted((vs[k], vs[(k + 1) % len(vs)])))
-            bad = bad or c
+            bad = bad or vs
             ds = [d for d in ds if d >= 0]
         elif bad is None and broken is None and [succ[d] for d in ds] != ds[1:] + ds[:1]:
-            bad = c
+            bad = vs
         for d in ds:
             sides[d] += 1
 
     if broken is not None:
         u, v = dart(broken)
         fault = f"{v} does not list {u}" if rev[broken] < 0 else f"{u} lists {v} twice"
+        if v in strangers:
+            fault = f"{v} is outside 0..{n - 1}"
         failure = f"dart ({u}, {v}): {fault}"
     elif bad is not None:
-        failure = f"cell {bad.vertices} is not a face of the rotation system"
+        failure = f"cell {bad} is not a face of the rotation system"
     elif max(sides, default=0) > 1:
-        d = next(d for d, n in enumerate(sides) if n > 1)
+        d = next(d for d, k in enumerate(sides) if k > 1)
         failure = f"dart {dart(d)} lies on {sides[d]} cells"
     else:
         # the darts on no cell must form one face: the outer one
-        free = [d for d, n in enumerate(sides) if not n]
+        free = [d for d, k in enumerate(sides) if not k]
         walk = free[:1]
         while walk and succ[walk[-1]] != walk[0]:
             walk.append(succ[walk[-1]])
@@ -407,13 +403,13 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     report("rotation-faces", failure)
 
     ring = list(zip(outer, outer[1:] + outer[:1]))
-    simple = len(outer) == len(set(outer)) and all(b in rot[a] for a, b in ring)
+    simple = len(outer) == len(set(outer)) and all(b in at[a] for a, b in ring)
     report("boundary-cycle", None if simple else "outer boundary is not a simple adjacent cycle")
 
     on_boundary = bytearray(len(rev))
     for a, b in ring:
-        if b in rot[a]:
-            on_boundary[first[a] + rot[a].index(b)] = 1
+        if b in at[a]:
+            on_boundary[first[a] + at[a].index(b)] = 1
     # an edge is a pair of darts that are each other's reverse; tails ascend
     # with the dart index, so d < rev[d] takes each edge once, from u < v
     edges = 0

@@ -1,9 +1,10 @@
 """Exact arithmetic in a real quadratic field Q[sqrt(d)].
 
 A value is a pair of rationals (x, y) meaning x + y*sqrt(d), with d a fixed
-positive non-square integer.  Comparisons, floors and decimal renderings are
-all exact integer arithmetic; no floating point enters anywhere, which is what
-makes assertions at the 1e-113 scale possible.
+square-free integer >= 2 (1 for a rational value), so equal values have equal
+parts.  Comparisons, floors and decimal renderings are all exact integer
+arithmetic; no floating point enters anywhere, which is what makes assertions
+at the 1e-113 scale possible.
 """
 
 from __future__ import annotations
@@ -15,17 +16,13 @@ from math import isqrt
 Rational = int | Fraction
 
 
-def is_perfect_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) * isqrt(n) == n
-
-
 @lru_cache(maxsize=None)
 def square_free_split(n: int) -> tuple[int, int]:
     """Write n = s*s*f with f square-free; return (s, f)."""
     if n <= 0:
         raise ValueError(f"positive integer required, got {n}")
     s, f, m, k = 1, 1, n, 2
-    while k * k <= m:
+    while k * k * k <= m:
         e = 0
         while m % k == 0:
             m //= k
@@ -34,7 +31,10 @@ def square_free_split(n: int) -> tuple[int, int]:
         if e % 2:
             f *= k
         k += 1
-    return s, f * m
+    # every prime factor of m exceeds its cube root, so m is 1, a prime, a
+    # product of two distinct primes or the square of a prime
+    r = isqrt(m)
+    return (s * r, f) if r * r == m else (s, f * m)
 
 
 def _sgn(x) -> int:
@@ -42,7 +42,7 @@ def _sgn(x) -> int:
 
 
 class QuadraticNumber:
-    """Immutable exact number x + y*sqrt(d)."""
+    """Immutable exact number x + y*sqrt(d); d is stored square-free."""
 
     __slots__ = ("x", "y", "d")
 
@@ -50,8 +50,12 @@ class QuadraticNumber:
         x = Fraction(x)
         y = Fraction(y)
         if y:
-            if d < 2 or is_perfect_square(d):
+            s, f = square_free_split(d) if d >= 2 else (1, 1)
+            if f == 1:
                 raise ValueError(f"radicand must be a non-square integer >= 2, got {d}")
+            if s > 1:  # sqrt(s*s*f) = s*sqrt(f)
+                y *= s
+            d = f
         else:
             d = 1
         object.__setattr__(self, "x", x)
@@ -76,19 +80,17 @@ class QuadraticNumber:
             raise ValueError(f"{self} has a nonzero irrational part")
         return self.x
 
-    def normalized(self) -> "QuadraticNumber":
-        """Equivalent value with a square-free radicand (e.g. sqrt(12) -> 2*sqrt(3))."""
-        if not self.y:
-            return QuadraticNumber(self.x)
-        s, f = square_free_split(self.d)
-        return QuadraticNumber(self.x, self.y * s, f)
-
     def conjugate(self) -> "QuadraticNumber":
         return QuadraticNumber(self.x, -self.y, self.d)
 
-    def _key(self):
-        n = self.normalized()
-        return (n.x, n.y, n.d)
+    def _integer_parts(self) -> tuple[int, int, int]:
+        """(a, b, m) with integers a, b and m > 0 and self = (a + b*sqrt(d)) / m."""
+        x, y = self.x, self.y
+        return (
+            x.numerator * y.denominator,
+            y.numerator * x.denominator,
+            x.denominator * y.denominator,
+        )
 
     # -- coercion ----------------------------------------------------------
 
@@ -206,7 +208,7 @@ class QuadraticNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._key() == o._key()
+        return (self.x, self.y, self.d) == (o.x, o.y, o.d)
 
     def __lt__(self, other):
         return self._cmp(other) < 0
@@ -223,19 +225,15 @@ class QuadraticNumber:
     def __hash__(self):
         if not self.y:
             return hash(self.x)
-        return hash(self._key())
+        return hash((self.x, self.y, self.d))
 
     # -- rendering -----------------------------------------------------------
 
     def __floor__(self) -> int:
-        x, y, d = self.x, self.y, self.d
-        if not y:
-            return x.numerator // x.denominator
-        # value = (a + b*sqrt(d)) / m with integers a, b and m > 0
-        m = x.denominator * y.denominator
-        a = x.numerator * y.denominator
-        b = y.numerator * x.denominator
-        s = isqrt(b * b * d)
+        if not self.y:
+            return self.x.numerator // self.x.denominator
+        a, b, m = self._integer_parts()
+        s = isqrt(b * b * self.d)
         n = (a + s) // m if b > 0 else (a - s - 1) // m
         # the isqrt bound can land one integer short; fix up exactly
         while self._cmp(n + 1) >= 0:
@@ -272,14 +270,14 @@ class QuadraticNumber:
         return f"QuadraticNumber({self.x}, {self.y}, {self.d})"
 
     def __str__(self) -> str:
-        n = self.normalized()
-        if not n.y:
-            return str(n.x)
-        root = f"sqrt({n.d})" if abs(n.y) == 1 else f"{abs(n.y)}*sqrt({n.d})"
-        if not n.x:
-            return root if n.y > 0 else f"-{root}"
-        op = "+" if n.y > 0 else "-"
-        return f"{n.x} {op} {root}"
+        x, y = self.x, self.y
+        if not y:
+            return str(x)
+        root = f"sqrt({self.d})" if abs(y) == 1 else f"{abs(y)}*sqrt({self.d})"
+        if not x:
+            return root if y > 0 else f"-{root}"
+        op = "+" if y > 0 else "-"
+        return f"{x} {op} {root}"
 
 
 # floor(log10(2) * 2**32): bits times this, shifted right by 32, estimate
@@ -298,11 +296,7 @@ def order_of_magnitude(value) -> int:
     v = abs(v)
     if not v:
         raise ValueError("zero has no order of magnitude")
-    # v = (a + b*sqrt(d)) / m with integers a, b and m > 0, as in __floor__
-    x, y = v.x, v.y
-    m = x.denominator * y.denominator
-    a = x.numerator * y.denominator
-    b = y.numerator * x.denominator
+    a, b, m = v._integer_parts()
     root = isqrt(b * b * v.d)  # |b|*sqrt(d) - 1 < root <= |b|*sqrt(d)
     if a >= 0 and b >= 0:
         num, den = a + root, m

@@ -151,7 +151,7 @@ class SpectralConstants:
 
     symbol: SchlafliSymbol
     trace: int
-    radicand: int
+    radicand: int  # trace**2 - 4; growth.d is its square-free part
     growth: QuadraticNumber  # dominant eigenvalue; the crystal-growing ratio
     decay: QuadraticNumber  # second eigenvalue; growth * decay == 1
     lead_coefficients: Mapping[Series, QuadraticNumber]
@@ -241,7 +241,7 @@ def spectral_constants(symbol: SchlafliSymbol, precision: int = 30) -> SpectralC
     return SpectralConstants(
         symbol=symbol,
         trace=symbol.trace,
-        radicand=growth.d,
+        radicand=symbol.trace**2 - 4,
         growth=growth,
         decay=decay,
         lead_coefficients=MappingProxyType(lead),

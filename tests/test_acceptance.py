@@ -222,7 +222,7 @@ def test_criterion_9_structural_invariants():
                         n_children = len(forest.children_of(v))
                         if v == forest.MAIN_ROOT:
                             assert n_children == q
-                        elif forest.vclass[v] is VertexClass.A:
+                        elif forest.vertex_class(v) is VertexClass.A:
                             assert n_children == q - 3
                         else:
                             assert n_children == q - 2

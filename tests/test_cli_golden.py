@@ -46,6 +46,9 @@ CASES["error_counts_3_7.txt"] = ["counts", "--p", "3", "--q", "7", "--levels", "
 CASES["error_counts_negative_levels.txt"] = ["counts", "--p", "4", "--q", "5", "--levels", "-1"]
 CASES["error_constants_4_4.txt"] = ["constants", "--p", "4", "--q", "4"]
 CASES["error_probs_level_0.txt"] = ["probs", "--p", "4", "--q", "5", "--levels", "0"]
+CASES["error_verify_level_0.txt"] = ["verify", "--levels", "0", "--symbols", "4:5"]
+CASES["error_export_level_0.txt"] = ["export", "--what", "forest", "--p", "4", "--q", "5",
+                                     "--levels", "0"]
 
 
 def run(argv):

@@ -104,7 +104,7 @@ def test_fanout_law(forest45):
             n_children = len(forest45.children_of(v))
             if v == forest45.MAIN_ROOT:
                 assert n_children == q
-            elif forest45.vclass[v] is VertexClass.A:
+            elif forest45.vertex_class(v) is VertexClass.A:
                 assert n_children == q - 3
             else:
                 assert n_children == q - 2
@@ -128,7 +128,7 @@ def test_root_chains_terminate_at_roots(forest45):
         u = v
         while f.parent[u] is not None:
             u = f.parent[u]
-        assert f.vclass[u] is VertexClass.B
+        assert f.vertex_class(u) is VertexClass.B
         assert f.root_of[v] == u
         assert f.root_level[v] == f.mosaic.layer_of[u]
 
@@ -146,7 +146,7 @@ def test_spanning_tree(p, q, levels):
     assert len(connectors) == sum(f.counts(i)[1] for i in range(1, levels + 1))
     assert tree == f.tree_edges()
     for r, nbr in connectors:
-        assert f.vclass[r] is VertexClass.B
+        assert f.vertex_class(r) is VertexClass.B
         assert f.mosaic.layer_of[r] == f.mosaic.layer_of[nbr]
         assert nbr in f.mosaic.rot[r]
 

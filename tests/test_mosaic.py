@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 
 from mosaicforest.errors import SizeLimitError, SphericalSymbolError
@@ -99,16 +101,18 @@ def test_belt_growth_approaches_spectral_ratio():
 
 
 def test_cell_attachment_kinds():
+    # belt_sizes slices the cells by belt; a belt-b cell meets layer b-1 at
+    # one vertex (inside a fan) or along an edge (closing a fan)
     m = build(SchlafliSymbol(4, 5), 3)
-    for cell in m.cells:
-        assert cell.attach in ("edge", "vertex")
-        if cell.belt >= 2:
-            prev_layer = set(m.layers[cell.belt - 1])
-            shared = [v for v in cell.vertices if v in prev_layer]
-            if cell.attach == "vertex":
-                assert len(shared) == 1
-            else:
-                assert len(shared) >= 2
+    starts = list(accumulate(m.belt_sizes, initial=0))
+    assert starts[-1] == len(m.cells)
+    for belt, (lo, hi) in enumerate(zip(starts, starts[1:]), start=1):
+        shared = set()
+        for cell in m.cells[lo:hi]:
+            layers = [m.layer_of[v] for v in cell]
+            assert set(layers) == {belt - 1, belt}
+            shared.add(layers.count(belt - 1))
+        assert shared == ({1} if belt == 1 else {1, 2})
 
 
 def _swap_rotation_entries(m):
@@ -117,10 +121,9 @@ def _swap_rotation_entries(m):
 
 
 def _repeat_vertex_in_cell(m):
-    c = m.cells[7]
-    vs = list(c.vertices)
+    vs = list(m.cells[7])
     vs[2] = vs[0]
-    m.cells[7] = c._replace(vertices=tuple(vs))
+    m.cells[7] = tuple(vs)
 
 
 def _sever_interior_edge(m):
@@ -146,8 +149,7 @@ def _duplicate_neighbour(m):
 
 
 def _reverse_cell(m):
-    c = m.cells[7]
-    m.cells[7] = c._replace(vertices=c.vertices[::-1])
+    m.cells[7] = m.cells[7][::-1]
 
 
 def _duplicate_cell(m):
@@ -165,6 +167,17 @@ def _one_sided_entry(m):
     w = m.rot[v][0]
     m.rot[w].remove(v)
     return {"rotation-faces": (f"dart ({v}, {w})",)}
+
+
+def _vertex_outside_rotation(m):
+    m.rot[5].append(10**6)
+    return {"rotation-faces": ("dart (5, 1000000)",)}
+
+
+def _vertex_outside_cell(m):
+    # a negative id must not be read as the last vertex
+    m.cells[7] = (-1, *m.cells[7][1:])
+    return {"cell-size": ("names -1",)}
 
 
 CHECKS = [
@@ -201,6 +214,14 @@ CORRUPTIONS = {
         _one_sided_entry,
         ["interior-degree", "rotation-faces", "edge-coverage", "euler"],
     ),
+    "vertex-outside-rotation": (
+        _vertex_outside_rotation,
+        ["interior-degree", "rotation-faces"],
+    ),
+    "vertex-outside-cell": (
+        _vertex_outside_cell,
+        ["cell-size", "interior-degree", "rotation-faces", "edge-coverage"],
+    ),
 }
 
 
@@ -220,7 +241,7 @@ def test_corrupted_mosaic_fails_validation_naming_vertex(corruption):
 
 def test_edge_coverage_names_the_lowest_dart():
     m = build(SchlafliSymbol(4, 5), 3)
-    seed, tip, _, next_tip = m.cells.pop(3).vertices
+    seed, tip, _, next_tip = m.cells.pop(3)
     # both seed edges of the dropped cell lose a side; tip precedes next_tip
     # in the seed's rotation, so (seed, tip) is the lower dart
     assert m.rot[seed].index(tip) < m.rot[seed].index(next_tip)

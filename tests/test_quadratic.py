@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mosaicforest.quadratic import (
     QuadraticNumber,
-    is_perfect_square,
     order_of_magnitude,
     square_free_split,
 )
@@ -61,10 +60,20 @@ def test_rational_collapse_and_equality():
 
 
 def test_normalized():
-    v = qn(2, Fraction(1, 2), 12).normalized()
+    # the radicand is stored square-free: 2 + 1/2*sqrt(12) is 2 + sqrt(3)
+    v = qn(2, Fraction(1, 2), 12)
     assert (v.x, v.y, v.d) == (Fraction(2), Fraction(1), 3)
+    assert (qn(0, 1, 45).y, qn(0, 1, 45).d) == (3, 5)
     assert str(qn(2, Fraction(1, 2), 12)) == "2 + sqrt(3)"
     assert str(qn(Fraction(5, 2), Fraction(-5, 6), 3)) == "5/2 - 5/6*sqrt(3)"
+
+
+def test_radicands_with_one_square_free_part_mix():
+    # sqrt(12) = 2*sqrt(3), so they add and compare within Q[sqrt(3)]
+    assert QuadraticNumber.sqrt(12) + QuadraticNumber.sqrt(3) == qn(0, 3, 3)
+    assert QuadraticNumber.sqrt(3) < QuadraticNumber.sqrt(12)
+    assert not QuadraticNumber.sqrt(12) < QuadraticNumber.sqrt(3)
+    assert QuadraticNumber.sqrt(12) * QuadraticNumber.sqrt(3) == 6
 
 
 def test_mixed_radicand_arithmetic_rejected():
@@ -204,14 +213,18 @@ def test_square_free_split():
     assert square_free_split(12) == (2, 3)
     assert square_free_split(9) == (3, 1)
     assert square_free_split(30) == (1, 30)
-    assert is_perfect_square(144)
-    assert not is_perfect_square(145)
+    assert square_free_split(144) == (12, 1)
+    assert square_free_split(145) == (1, 145)
+    # cofactors above the trial-division bound: a prime square, two primes
+    big, other = 1000003, 1000033
+    assert square_free_split(12 * big * big) == (2 * big, 3)
+    assert square_free_split(5 * big * other) == (1, 5 * big * other)
 
 
 def test_nonsquare_radicand_family():
     # trace**2 - 4 is strictly between (trace-1)**2 and trace**2 for trace >= 3
     for c in range(3, 200):
-        assert not is_perfect_square(c * c - 4)
+        assert square_free_split(c * c - 4)[1] != 1
 
 
 def test_comparisons_total_order():
