@@ -13,6 +13,7 @@ Subcommands and the options each accepts (any other option is rejected):
              --what --p --q --levels --cap --out
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
+p and q, from --p/--q or each --symbols entry, must be at most 10000.
 The default vertex cap is 10**7 and can be overridden with the
 MOSAICFOREST_CAP environment variable or --cap; either must be an integer
 >= 1.
@@ -42,6 +43,15 @@ from .verify import cross_check
 
 ENV_CAP = "MOSAICFOREST_CAP"
 DEFAULT_VERIFY_SYMBOLS = "4:5,5:4,4:6,6:4,5:5,4:4"
+# keeps the radicand c*c - 4, with c = (p-2)(q-2) - 2, below 10**16, which
+# square_free_split factors in well under a second
+MAX_PQ = 10_000
+
+
+def _symbol(p: int, q: int) -> SchlafliSymbol:
+    if max(p, q) > MAX_PQ:
+        raise UnsupportedSymbolError(f"p and q must be <= {MAX_PQ}, got {{{p},{q}}}")
+    return SchlafliSymbol(p, q)
 
 
 def _cap(text: str) -> int:
@@ -65,10 +75,10 @@ def _parse_symbols(text: str) -> tuple[SchlafliSymbol, ...]:
             continue
         try:
             p, q = chunk.split(":")
-            out.append(SchlafliSymbol(int(p), int(q)))
+            out.append(_symbol(int(p), int(q)))
         except (ValueError, TypeError) as exc:
             raise argparse.ArgumentTypeError(
-                f"bad symbol {chunk!r}: expected p:q with integers >= 3 ({exc})"
+                f"bad symbol {chunk!r}: expected p:q with integers in 3..{MAX_PQ} ({exc})"
             ) from None
     if not out:
         raise argparse.ArgumentTypeError("empty symbol list")
@@ -127,7 +137,7 @@ def _jsonl(out: _Output, records: Iterable[dict]) -> None:
 
 
 def _emit_counts(args: argparse.Namespace, out: _Output) -> None:
-    symbol = SchlafliSymbol(args.p, args.q)
+    symbol = _symbol(args.p, args.q)
     rows = [(r.level, r.a, r.b, r.total) for r in layer_counts(symbol, _levels(args))]
     if args.fmt == "jsonl":
         _jsonl(
@@ -141,10 +151,10 @@ def _emit_counts(args: argparse.Namespace, out: _Output) -> None:
 
 
 def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
-    symbol = SchlafliSymbol(args.p, args.q)
+    symbol = _symbol(args.p, args.q)
     if args.precision < 1:
         raise UnsupportedSymbolError(f"precision must be >= 1, got {args.precision}")
-    constants = spectral_constants(symbol, args.precision)
+    constants = spectral_constants(symbol)
     short, full = constants.decimals(6), constants.decimals(args.precision)
     named = constants.named()
     rows = [(name, str(value), short[name], full[name]) for name, value in named.items()]
@@ -165,7 +175,7 @@ def _decimal(value: Fraction | QuadraticNumber, digits: int) -> str:
 
 
 def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
-    symbol = SchlafliSymbol(args.p, args.q)
+    symbol = _symbol(args.p, args.q)
     level = _levels(args, least=1)
     dists = []
     if args.mode in ("asymptotic", "both"):
@@ -262,7 +272,7 @@ def _emit_verify(args: argparse.Namespace, out: _Output) -> int:
 
 
 def _emit_export(args: argparse.Namespace, out: _Output) -> None:
-    s = SchlafliSymbol(args.p, args.q)
+    s = _symbol(args.p, args.q)
     levels = _levels(args, least=1)
     m = mosaic_mod.build(s, levels, cap=args.cap)
     if args.what == "mosaic-edges":
@@ -291,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=summary)
         sp.set_defaults(emit=emit)
         if pq:
-            sp.add_argument("--p", type=int, required=True, help="gon size, >= 3")
-            sp.add_argument("--q", type=int, required=True, help="vertex degree, >= 3")
+            sp.add_argument("--p", type=int, required=True, help=f"gon size, 3..{MAX_PQ}")
+            sp.add_argument("--q", type=int, required=True, help=f"vertex degree, 3..{MAX_PQ}")
         if levels:
             sp.add_argument("--levels", type=int, default=6, help="levels/belts to use")
         if precision:

@@ -14,7 +14,6 @@ from enum import Enum
 
 from .errors import DegenerateForestError, StructureError
 from .mosaic import Mosaic
-from .recurrence import LayerCounts
 
 
 class VertexClass(Enum):
@@ -24,16 +23,19 @@ class VertexClass(Enum):
 
 @dataclass
 class Forest:
-    """Per-vertex parent and root data for the grown levels of a mosaic."""
+    """The grown levels of a mosaic: each vertex's parent and its root's level."""
 
     mosaic: Mosaic
     levels: int
     parent: list[int | None]
-    root_of: list[int | None]
     root_level: list[int | None]
-    level_counts: list[LayerCounts]
 
     MAIN_ROOT = 0
+
+    def _layer(self, i: int, least: int = 0) -> list[int]:
+        if not least <= i <= self.levels:
+            raise ValueError(f"level {i} outside grown range {least}..{self.levels}")
+        return self.mosaic.layers[i]
 
     def vertex_class(self, v: int) -> VertexClass | None:
         """B for a root (no parent), A otherwise; None above the grown levels."""
@@ -42,41 +44,26 @@ class Forest:
         return VertexClass.B if self.parent[v] is None else VertexClass.A
 
     def counts(self, i: int) -> tuple[int, int]:
-        """Empirical (a_i, b_i) on level i."""
-        if not 0 <= i <= self.levels:
-            raise ValueError(f"level {i} outside grown range 0..{self.levels}")
-        row = self.level_counts[i]
-        return (row.a, row.b)
-
-    def counts_table(self) -> list[LayerCounts]:
-        return list(self.level_counts)
+        """Empirical (a_i, b_i) on level i: b_i counts the vertices with no parent."""
+        layer = self._layer(i)
+        b = [self.parent[v] for v in layer].count(None)
+        return (len(layer) - b, b)
 
     def root_level_histogram(self, i: int) -> dict[int, int]:
         """How many level-i vertices have their root on each level j."""
-        if not 0 <= i <= self.levels:
-            raise ValueError(f"level {i} outside grown range 0..{self.levels}")
         hist: dict[int, int] = {}
-        for v in self.mosaic.layers[i]:
+        for v in self._layer(i):
             j = self.root_level[v]
             hist[j] = hist.get(j, 0) + 1
         return dict(sorted(hist.items()))
 
     def main_root_descendants(self, i: int) -> int:
-        """Number of level-i vertices whose tree root is the seed vertex."""
-        if not 1 <= i <= self.levels:
-            raise ValueError(f"level {i} outside grown range 1..{self.levels}")
-        return sum(1 for v in self.mosaic.layers[i] if self.root_of[v] == self.MAIN_ROOT)
+        """Number of level-i vertices whose tree root is the seed vertex.
 
-    def children_of(self, v: int) -> list[int]:
-        if not hasattr(self, "_children"):
-            index: dict[int, list[int]] = {}
-            for i in range(1, self.levels + 1):
-                for w in self.mosaic.layers[i]:
-                    u = self.parent[w]
-                    if u is not None:
-                        index.setdefault(u, []).append(w)
-            self._children = index
-        return self._children.get(v, [])
+        The seed is the only vertex on level 0, so these are the vertices
+        with root level 0.
+        """
+        return [self.root_level[v] for v in self._layer(i, least=1)].count(0)
 
     def tree_edges(self) -> list[tuple[int, int]]:
         """(parent, child) pairs for every non-root grown vertex, by child id."""
@@ -107,10 +94,9 @@ class Forest:
         for i in range(1, self.levels + 1):
             layer = self.mosaic.layers[i]
             m = len(layer)
-            index = {v: k for k, v in enumerate(layer)}
-            for v in layer:
+            for k, v in enumerate(layer):
                 if self.parent[v] is None:
-                    connectors.append((v, layer[(index[v] + 1) % m]))
+                    connectors.append((v, layer[(k + 1) % m]))
         return self.tree_edges(), connectors
 
     def to_dot(self, title: str | None = None) -> str:
@@ -120,7 +106,7 @@ class Forest:
         lines = [f'digraph "{name}" {{']
         lines.append("  node [fontsize=10];")
         for i in range(self.levels + 1):
-            for v in sorted(self.mosaic.layers[i]):
+            for v in self.mosaic.layers[i]:
                 cls = self.vertex_class(v)
                 shape = "circle"
                 if cls is VertexClass.B:
@@ -161,22 +147,15 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
 
     n = mosaic.vertex_count
     parent: list[int | None] = [None] * n
-    root_of: list[int | None] = [None] * n
     root_level: list[int | None] = [None] * n
-
-    root_of[0] = 0
     root_level[0] = 0
-    rows = [LayerCounts(0, 0, 1)]
 
     for i in range(1, levels + 1):
-        a = b = 0
-        child_count = dict.fromkeys(mosaic.layers[i - 1], 0)
+        adopted: set[int] = set()  # level i-1 vertices given a child so far
         for v in mosaic.layers[i]:
             below = mosaic.down_neighbors(v)
             if not below:
-                root_of[v] = v
                 root_level[v] = i
-                b += 1
                 continue
             u = below[0]
             if len(below) > 1:
@@ -186,20 +165,10 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
                         f"parenthood must be forced for p >= 4"
                     )
                 # p = 3: prefer a childless lower neighbour, then the smallest id
-                childless = [w for w in below if child_count[w] == 0]
+                childless = [w for w in below if w not in adopted]
                 u = min(childless) if childless else min(below)
-            child_count[u] += 1
+            adopted.add(u)
             parent[v] = u
-            root_of[v] = root_of[u]
             root_level[v] = root_level[u]
-            a += 1
-        rows.append(LayerCounts(i, a, b))
 
-    return Forest(
-        mosaic=mosaic,
-        levels=levels,
-        parent=parent,
-        root_of=root_of,
-        root_level=root_level,
-        level_counts=rows,
-    )
+    return Forest(mosaic=mosaic, levels=levels, parent=parent, root_level=root_level)

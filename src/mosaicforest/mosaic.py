@@ -421,7 +421,7 @@ def validate(mosaic: Mosaic) -> ValidationReport:
             if count != want and failure is None:
                 failure = f"edge {dart(d)}: {count} cells, expected {want}"
     if failure is None and stray is not None:
-        failure = f"edge {stray}: - cells, expected -"
+        failure = f"edge {stray}: a cell side with no rotation edge"
     report("edge-coverage", failure)
 
     v_, e_, f_ = mosaic.vertex_count, edges, len(cells) + 1

@@ -19,13 +19,14 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .errors import DegenerateForestError, RepeatedEigenvalueError
+from .errors import RepeatedEigenvalueError
 from .quadratic import QuadraticNumber, order_of_magnitude
 from .recurrence import (
     Geometry,
     LayerCounts,
     SchlafliSymbol,
     SpectralConstants,
+    _require_forest_domain,
     layer_counts,
 )
 
@@ -120,15 +121,7 @@ def exact_distribution(
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    if symbol.q == 3:
-        raise DegenerateForestError(
-            f"{symbol}: with q = 3 the fan-out (q-3) collapses and no trees exist"
-        )
-    if symbol.p == 3:
-        raise DegenerateForestError(
-            f"{symbol}: with p = 3 only the main root exists; the root-level "
-            "law is the point mass at level 0"
-        )
+    _require_forest_domain(symbol)
     if counts is None:
         counts = layer_counts(symbol, level)
     if len(counts) <= level:

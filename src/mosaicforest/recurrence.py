@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import DegenerateForestError, RepeatedEigenvalueError, SphericalSymbolError
+from .errors import DegenerateForestError, RepeatedEigenvalueError
 from .quadratic import QuadraticNumber
 
 
@@ -77,8 +77,6 @@ def _require_forest_domain(symbol: SchlafliSymbol) -> None:
     reason = forest_domain_reason(symbol)
     if reason is not None:
         raise DegenerateForestError(f"{symbol}: {reason}")
-    if symbol.geometry is Geometry.SPHERICAL:
-        raise SphericalSymbolError(f"{symbol} closes into a finite polyhedron")
 
 
 @dataclass(frozen=True)
@@ -146,7 +144,7 @@ class SpectralConstants:
     """Eigen data of the level recursion plus the derived limit constants.
 
     Everything lives exactly in Q[sqrt(radicand)]; `decimals` renders views
-    at any precision on demand.
+    to any number of digits on demand.
     """
 
     symbol: SchlafliSymbol
@@ -160,7 +158,6 @@ class SpectralConstants:
     root_nonroot_limit: QuadraticNumber  # lim b_i / a_i
     root_share: QuadraticNumber  # lim b_i / (a_i + b_i)
     step_share: QuadraticNumber  # per-level share in the root-level law
-    precision: int = 30
 
     def lead(self, series: Series) -> QuadraticNumber:
         return self.lead_coefficients[series]
@@ -184,8 +181,7 @@ class SpectralConstants:
             "step_share": self.step_share,
         }
 
-    def decimals(self, digits: int | None = None) -> dict[str, str]:
-        digits = self.precision if digits is None else digits
+    def decimals(self, digits: int) -> dict[str, str]:
         out = {}
         for name, value in self.named().items():
             if isinstance(value, Fraction):
@@ -207,15 +203,13 @@ def _eigenvalues(symbol: SchlafliSymbol) -> tuple[QuadraticNumber, QuadraticNumb
     return QuadraticNumber(Fraction(c, 2), half, d), QuadraticNumber(Fraction(c, 2), -half, d)
 
 
-def spectral_constants(symbol: SchlafliSymbol, precision: int = 30) -> SpectralConstants:
+def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     """Eigenvalues, closed-form coefficients and limit constants for `symbol`.
 
     Requires a hyperbolic symbol with p, q >= 4.  The Euclidean {4,4} has a
     repeated eigenvalue 1 and is served by `euclidean_counts` instead.
     """
     _require_forest_domain(symbol)
-    if precision < 1:
-        raise ValueError("precision must be >= 1")
     growth, decay = _eigenvalues(symbol)
     gap = growth - decay
 
@@ -250,7 +244,6 @@ def spectral_constants(symbol: SchlafliSymbol, precision: int = 30) -> SpectralC
         root_nonroot_limit=nonroot_limit,
         root_share=root_share,
         step_share=step_share,
-        precision=precision,
     )
 
 

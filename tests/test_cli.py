@@ -1,10 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 from mosaicforest import mosaic as mosaic_mod
-from mosaicforest.cli import main
+from mosaicforest.cli import MAX_PQ, main
 from mosaicforest.recurrence import SchlafliSymbol
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -293,6 +294,36 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    def test_huge_p_is_refused_quickly(self, capsys):
+        # the radicand of a p near 10**12 is too slow to factor; the bound
+        # refuses it before any arithmetic starts
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "probs", "--p", "1000000000065", "--q", "4", "--levels", "2",
+            "--mode", "asymptotic",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: p and q must be <= {MAX_PQ}, got {{1000000000065,4}}\n"
+
+    def test_q_above_the_bound(self, capsys):
+        code, _, err = run(capsys, "counts", "--p", "4", "--q", str(MAX_PQ + 1))
+        assert code == 2
+        assert err.startswith(f"error: p and q must be <= {MAX_PQ}")
+
+    def test_symbols_entry_above_the_bound(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--levels", "1", "--symbols", f"4:5,{MAX_PQ + 1}:4"])
+        assert exc.value.code == 2
+        assert f"p and q must be <= {MAX_PQ}" in capsys.readouterr().err
+
+    def test_symbol_at_the_bound(self, capsys):
+        code, out, _ = run(
+            capsys, "constants", "--p", str(MAX_PQ), "--q", str(MAX_PQ), "--format", "csv"
+        )
+        assert code == 0
+        assert out.startswith("name,exact,decimal\n")
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.txt"

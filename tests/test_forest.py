@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -53,7 +54,7 @@ def test_counts_match_recursion(p, q, levels):
     symbol = SchlafliSymbol(p, q)
     f = grow(build(symbol, levels))
     rows = layer_counts(symbol, levels)
-    assert f.counts_table() == rows
+    assert [f.counts(i) for i in range(levels + 1)] == [(r.a, r.b) for r in rows]
 
 
 def test_counts_out_of_range(forest45):
@@ -99,9 +100,10 @@ def test_main_root_descendants(forest45):
 
 def test_fanout_law(forest45):
     q = 5
+    children = Counter(forest45.parent)
     for i in range(7):
         for v in forest45.mosaic.layers[i]:
-            n_children = len(forest45.children_of(v))
+            n_children = children[v]
             if v == forest45.MAIN_ROOT:
                 assert n_children == q
             elif forest45.vertex_class(v) is VertexClass.A:
@@ -117,9 +119,10 @@ def test_no_same_layer_edges_and_parents_below(forest45):
 
 
 def test_no_leaves_below_final_layer(forest45):
+    children = Counter(forest45.parent)
     for i in range(7):
         for v in forest45.mosaic.layers[i]:
-            assert forest45.children_of(v)
+            assert children[v]
 
 
 def test_root_chains_terminate_at_roots(forest45):
@@ -129,7 +132,6 @@ def test_root_chains_terminate_at_roots(forest45):
         while f.parent[u] is not None:
             u = f.parent[u]
         assert f.vertex_class(u) is VertexClass.B
-        assert f.root_of[v] == u
         assert f.root_level[v] == f.mosaic.layer_of[u]
 
 
@@ -186,11 +188,15 @@ def test_p3_needs_opt_in():
     # a single tree: no roots beyond the main one, every vertex reaches it
     for i in range(1, 4):
         assert f.counts(i)[1] == 0
-    assert all(f.root_of[v] == 0 for v in range(m.vertex_count))
+    for v in range(m.vertex_count):
+        while f.parent[v] is not None:
+            v = f.parent[v]
+        assert v == 0
     # and nothing is left dangling on inner levels
+    children = Counter(f.parent)
     for i in range(3):
         for v in m.layers[i]:
-            assert f.children_of(v)
+            assert children[v]
 
 
 def test_p3_greedy_is_deterministic():

@@ -131,7 +131,10 @@ def _sever_interior_edge(m):
     w = m.rot[v][0]
     m.rot[v].remove(w)
     m.rot[w].remove(v)
-    return {"interior-degree": (f"vertex {v}", f"vertex {w}")}
+    return {
+        "interior-degree": (f"vertex {v}", f"vertex {w}"),
+        "edge-coverage": (f"edge {(min(v, w), max(v, w))}: a cell side with no rotation edge",),
+    }
 
 
 def _swap_outer_vertices(m):

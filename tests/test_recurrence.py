@@ -171,10 +171,6 @@ class TestSpectralConstants:
         with pytest.raises(RepeatedEigenvalueError, match="euclidean_counts"):
             spectral_constants(S44)
 
-    def test_bad_precision(self):
-        with pytest.raises(ValueError):
-            spectral_constants(S45, precision=0)
-
 
 class TestClosedForm:
     def test_reference_values(self):
