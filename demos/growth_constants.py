@@ -11,7 +11,7 @@ from fractions import Fraction
 from mosaicforest import (
     SchlafliSymbol,
     Series,
-    closed_form_counts,
+    closed_form_count,
     growth_ratio,
     layer_counts,
     spectral_constants,
@@ -29,7 +29,11 @@ for p, q in ((4, 5), (4, 6), (5, 5), (6, 7)):
     print(f"  eigenvalue identities: product = {c.growth * c.decay}, "
           f"sum = {c.growth + c.decay}")
     rows = layer_counts(symbol, 30)
-    agree = list(closed_form_counts(c, 30)) == [(r.a, r.b, r.total) for r in rows[1:]]
+    agree = all(
+        [closed_form_count(c, r.level, s) for s in (Series.A, Series.B, Series.ALL)]
+        == [r.a, r.b, r.total]
+        for r in rows[1:]
+    )
     print(f"  closed form == recursion for levels 1..30: {agree}\n")
 
 print("== deep convergence on {4,5} ==")

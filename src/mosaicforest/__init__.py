@@ -32,7 +32,6 @@ from .recurrence import (
     Series,
     SpectralConstants,
     closed_form_count,
-    closed_form_counts,
     cumulative_root_limit,
     cumulative_root_ratio,
     euclidean_counts,
@@ -68,7 +67,6 @@ __all__ = [
     "asymptotic_distribution",
     "build",
     "closed_form_count",
-    "closed_form_counts",
     "cross_check",
     "cumulative_root_limit",
     "cumulative_root_ratio",

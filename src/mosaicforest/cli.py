@@ -37,8 +37,14 @@ from .probability import (
     distribution_error_report,
     exact_distribution,
 )
-from .quadratic import QuadraticNumber
-from .recurrence import SchlafliSymbol, forest_domain_reason, layer_counts, spectral_constants
+from .quadratic import decimal
+from .recurrence import (
+    LayerCounts,
+    SchlafliSymbol,
+    forest_domain_reason,
+    layer_counts,
+    spectral_constants,
+)
 from .verify import cross_check
 
 ENV_CAP = "MOSAICFOREST_CAP"
@@ -46,6 +52,9 @@ DEFAULT_VERIFY_SYMBOLS = "4:5,5:4,4:6,6:4,5:5,4:4"
 # keeps the radicand c*c - 4, with c = (p-2)(q-2) - 2, below 10**16, which
 # square_free_split factors in well under a second
 MAX_PQ = 10_000
+# Python refuses to convert an int of more digits than this to a string
+# (sys.get_int_max_str_digits, which early 3.10 releases lack)
+MAX_DIGITS = 4300
 
 
 def _symbol(p: int, q: int) -> SchlafliSymbol:
@@ -89,6 +98,15 @@ def _levels(args: argparse.Namespace, least: int = 0) -> int:
     if args.levels < least:
         raise UnsupportedSymbolError(f"levels must be >= {least}, got {args.levels}")
     return args.levels
+
+
+def _require_printable(symbol: SchlafliSymbol, row: LayerCounts) -> None:
+    """Refuse a level whose total, which bounds every count printed for it, is too long."""
+    if row.total >= 10**MAX_DIGITS:
+        raise UnsupportedSymbolError(
+            f"level {row.level} of {symbol} has counts of more than {MAX_DIGITS} digits; "
+            "lower --levels"
+        )
 
 
 class _Output:
@@ -138,7 +156,9 @@ def _jsonl(out: _Output, records: Iterable[dict]) -> None:
 
 def _emit_counts(args: argparse.Namespace, out: _Output) -> None:
     symbol = _symbol(args.p, args.q)
-    rows = [(r.level, r.a, r.b, r.total) for r in layer_counts(symbol, _levels(args))]
+    counts = layer_counts(symbol, _levels(args))
+    _require_printable(symbol, counts[-1])
+    rows = [(r.level, r.a, r.b, r.total) for r in counts]
     if args.fmt == "jsonl":
         _jsonl(
             out,
@@ -154,6 +174,8 @@ def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
     symbol = _symbol(args.p, args.q)
     if args.precision < 1:
         raise UnsupportedSymbolError(f"precision must be >= 1, got {args.precision}")
+    if args.precision > MAX_DIGITS:
+        raise UnsupportedSymbolError(f"precision must be <= {MAX_DIGITS}, got {args.precision}")
     constants = spectral_constants(symbol)
     short, full = constants.decimals(6), constants.decimals(args.precision)
     named = constants.named()
@@ -170,28 +192,28 @@ def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
         _table(out, args.fmt, ("name", "exact", "decimal"), quoted)
 
 
-def _decimal(value: Fraction | QuadraticNumber, digits: int) -> str:
-    return (QuadraticNumber(value) if isinstance(value, Fraction) else value).decimal(digits)
-
-
 def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
     symbol = _symbol(args.p, args.q)
     level = _levels(args, least=1)
+    counts = layer_counts(symbol, level)
+    if args.fmt != "markdown" and args.mode != "asymptotic":
+        # exact csv and jsonl rows print integers up to the level's total
+        _require_printable(symbol, counts[level])
     dists = []
     if args.mode in ("asymptotic", "both"):
         dists.append(asymptotic_distribution(spectral_constants(symbol), level))
     if args.mode in ("exact", "both"):
-        dists.append(exact_distribution(symbol, level))
+        dists.append(exact_distribution(symbol, level, counts))
     js = range(level, -1, -1)
     if args.fmt == "markdown":
         for d in dists:
             out.write(f"{d.kind.value} root-level distribution for {symbol}, level {level}")
             masses = d.decimals(6)
-            rows = [(j, masses[j], _decimal(d.cumulative_below(j), 6)) for j in js]
+            rows = [(j, masses[j], decimal(d.cumulative_below(j), 6)) for j in js]
             _table(out, args.fmt, ("j", "mass", "cumulative_below"), rows)
     else:
         # exact rows also carry the unnormalised per-level vertex count
-        total = layer_counts(symbol, level)[level].total
+        total = counts[level].total
         rows = []
         for d in dists:
             masses = d.decimals(6)

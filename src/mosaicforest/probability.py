@@ -19,10 +19,8 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Sequence, Union
 
-from .errors import RepeatedEigenvalueError
-from .quadratic import QuadraticNumber, order_of_magnitude
+from .quadratic import QuadraticNumber, decimal, order_of_magnitude
 from .recurrence import (
-    Geometry,
     LayerCounts,
     SchlafliSymbol,
     SpectralConstants,
@@ -68,12 +66,7 @@ class RootDistribution:
         return self.cumulative_below(self.level)
 
     def decimals(self, digits: int = 6) -> list[str]:
-        out = []
-        for m in self.masses:
-            if isinstance(m, Fraction):
-                m = QuadraticNumber(m)
-            out.append(m.decimal(digits))
-        return out
+        return [decimal(m, digits) for m in self.masses]
 
 
 def asymptotic_distribution(constants: SpectralConstants, level: int) -> RootDistribution:
@@ -84,11 +77,6 @@ def asymptotic_distribution(constants: SpectralConstants, level: int) -> RootDis
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    if constants.symbol.geometry is not Geometry.HYPERBOLIC:
-        raise RepeatedEigenvalueError(
-            f"{constants.symbol}: the limiting law degenerates to zero mass "
-            "everywhere; use exact_distribution instead"
-        )
     share = constants.root_share
     step = constants.step_share
     rest = 1 - share

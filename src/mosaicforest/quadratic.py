@@ -168,14 +168,18 @@ class QuadraticNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadraticNumber(1, 0, self.d) if not self.y else QuadraticNumber(1)
-        base = self
+        # square and multiply (a + b*sqrt(d)) on integers; divide by m**n once
+        a, b, m = self._integer_parts()
+        d = self.d
+        ra, rb = 1, 0
+        scale = m**n
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                ra, rb = ra * a + rb * b * d, ra * b + rb * a
             n >>= 1
-        return result
+            if n:
+                a, b = a * a + b * b * d, 2 * a * b
+        return QuadraticNumber(Fraction(ra, scale), Fraction(rb, scale), d)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -278,6 +282,12 @@ class QuadraticNumber:
             return root if y > 0 else f"-{root}"
         op = "+" if y > 0 else "-"
         return f"{x} {op} {root}"
+
+
+def decimal(value: Rational | QuadraticNumber, digits: int) -> str:
+    """`value` as a fixed-point decimal string, round-half-even at `digits` places."""
+    v = value if isinstance(value, QuadraticNumber) else QuadraticNumber(value)
+    return v.decimal(digits)
 
 
 # floor(log10(2) * 2**32): bits times this, shifted right by 32, estimate

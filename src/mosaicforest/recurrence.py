@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import DegenerateForestError, RepeatedEigenvalueError
-from .quadratic import QuadraticNumber
+from .quadratic import QuadraticNumber, decimal
 
 
 class Geometry(Enum):
@@ -182,12 +182,7 @@ class SpectralConstants:
         }
 
     def decimals(self, digits: int) -> dict[str, str]:
-        out = {}
-        for name, value in self.named().items():
-            if isinstance(value, Fraction):
-                value = QuadraticNumber(value)
-            out[name] = value.decimal(digits)
-        return out
+        return {name: decimal(value, digits) for name, value in self.named().items()}
 
 
 def _eigenvalues(symbol: SchlafliSymbol) -> tuple[QuadraticNumber, QuadraticNumber]:
@@ -247,48 +242,19 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     )
 
 
-def _closed_form_value(
-    constants: SpectralConstants,
-    series: Series,
-    growth_power: QuadraticNumber,
-    decay_power: QuadraticNumber,
-    level: int,
-) -> int:
-    value = constants.lead(series) * growth_power + constants.sub(series) * decay_power
+def closed_form_count(constants: SpectralConstants, level: int, series: Series) -> int:
+    """Evaluate lead*growth**i + sub*decay**i exactly; the result is an integer.
+
+    decay is growth's conjugate, so decay**i is the conjugate of growth**i.
+    """
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    power = constants.growth**level
+    value = constants.lead(series) * power + constants.sub(series) * power.conjugate()
     fr = value.as_fraction()  # irrational parts cancel by construction
     if fr.denominator != 1:
         raise ArithmeticError(f"closed form produced non-integer {fr} at level {level}")
     return fr.numerator
-
-
-def closed_form_count(constants: SpectralConstants, level: int, series: Series) -> int:
-    """Evaluate lead*growth**i + sub*decay**i exactly; the result is an integer."""
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    return _closed_form_value(
-        constants, series, constants.growth**level, constants.decay**level, level
-    )
-
-
-def closed_form_counts(
-    constants: SpectralConstants, levels: int
-) -> Iterator[tuple[int, int, int]]:
-    """Yield the closed-form (a_i, b_i, a_i + b_i) for i = 1..levels.
-
-    Each series is evaluated from its own coefficients, as by
-    `closed_form_count`, but growth**i and decay**i are carried from one
-    level to the next with one multiplication each.
-    """
-    if levels < 0:
-        raise ValueError("levels must be >= 0")
-    growth_power, decay_power = constants.growth, constants.decay
-    for level in range(1, levels + 1):
-        yield tuple(
-            _closed_form_value(constants, series, growth_power, decay_power, level)
-            for series in (Series.A, Series.B, Series.ALL)
-        )
-        growth_power = growth_power * constants.growth
-        decay_power = decay_power * constants.decay
 
 
 def growth_ratio(symbol: SchlafliSymbol, level: int, series: Series) -> Fraction:

@@ -15,7 +15,8 @@ from .mosaic import CheckResult, ValidationReport
 from .probability import exact_distribution
 from .recurrence import (
     Geometry,
-    closed_form_counts,
+    Series,
+    closed_form_count,
     euclidean_counts,
     layer_counts,
     spectral_constants,
@@ -57,8 +58,9 @@ def cross_check(forest: Forest) -> ValidationReport:
     else:
         constants = spectral_constants(symbol)
         ok = all(
-            got == (rows[i].a, rows[i].b, rows[i].total)
-            for i, got in enumerate(closed_form_counts(constants, CLOSED_FORM_LEVELS), start=1)
+            [closed_form_count(constants, i, s) for s in (Series.A, Series.B, Series.ALL)]
+            == [rows[i].a, rows[i].b, rows[i].total]
+            for i in range(1, CLOSED_FORM_LEVELS + 1)
         )
         checks.append(
             CheckResult(

@@ -341,3 +341,48 @@ class TestRejectedInput:
         assert err.startswith("error:")
         assert list(tmp_path.iterdir()) == [target]
         assert list(target.iterdir()) == []
+
+
+class TestDigitLimit:
+    """Python refuses to print an int of more than 4300 digits; the CLI says why."""
+
+    def test_precision_bound(self, capsys):
+        code, _, _ = run(capsys, "constants", "--p", "4", "--q", "5", "--precision", "4300")
+        assert code == 0
+        code, out, err = run(capsys, "constants", "--p", "4", "--q", "5", "--precision", "4301")
+        assert (code, out) == (2, "")
+        assert err == "error: precision must be <= 4300, got 4301\n"
+
+    def test_counts_at_the_last_printable_level(self, capsys, tmp_path):
+        target = tmp_path / "counts.txt"
+        argv = ("counts", "--p", "4", "--q", "5", "--out", str(target))
+        code, _, err = run(capsys, *argv, "--levels", "7517")
+        assert (code, err) == (0, "")
+        assert target.read_text().endswith(" |\n")
+        code, out, err = run(capsys, *argv, "--levels", "7518")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: level 7518 of {4,5} has counts of more than 4300 digits; lower --levels\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("mode", ["exact", "both"])
+    def test_probs_exact_integers_refused(self, capsys, fmt, mode):
+        code, out, err = run(
+            capsys, "probs", "--p", "4", "--q", "5", "--levels", "7600",
+            "--mode", mode, "--format", fmt,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: level 7600 of {4,5} has counts of more than 4300 digits")
+
+    def test_probs_markdown_prints_no_integers(self, capsys, tmp_path):
+        # markdown shows only 6-digit decimals, so the level is not refused
+        target = tmp_path / "probs.md"
+        code, _, err = run(
+            capsys, "probs", "--p", "4", "--q", "5", "--levels", "7600", "--mode", "exact",
+            "--out", str(target),
+        )
+        assert (code, err) == (0, "")
+        assert target.read_text().startswith(
+            "exact root-level distribution for {4,5}, level 7600\n"
+        )

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mosaicforest.quadratic import (
     QuadraticNumber,
+    decimal,
     order_of_magnitude,
     square_free_split,
 )
@@ -101,6 +102,21 @@ def test_powers():
     assert z**2 == qn(7, 4, 3)
     assert z**-1 == qn(2, -1, 3)  # conjugate, since the norm is 1
     assert z**5 * z**-5 == 1
+    assert QuadraticNumber(0) ** 0 == 1
+    with pytest.raises(ZeroDivisionError):
+        QuadraticNumber(0) ** -1
+
+
+@given(rationals, rationals, radicands, st.integers(min_value=-6, max_value=30))
+def test_power_is_repeated_multiplication(x, y, d, n):
+    z = qn(x, y, d)
+    if n < 0 and not z:
+        return
+    factor = z if n >= 0 else z.inverse()
+    expected = QuadraticNumber(1)
+    for _ in range(abs(n)):
+        expected = expected * factor
+    assert z**n == expected
 
 
 def test_decimal_rendering():
@@ -112,6 +128,10 @@ def test_decimal_rendering():
     assert QuadraticNumber(Fraction(3, 4)).decimal(1) == "0.8"
     assert QuadraticNumber(Fraction(-1, 8)).decimal(2) == "-0.12"
     assert QuadraticNumber(0).decimal(4) == "0.0000"
+    # the module function renders ints and Fractions as well
+    assert decimal(2 + root3, 6) == "3.732051"
+    assert decimal(Fraction(1, 4), 1) == "0.2"
+    assert decimal(3, 2) == "3.00"
     # 150-digit rendering stays exact: check against a published-precision square root
     assert root3.decimal(30) == "1.732050807568877293527446341506"
 

@@ -11,7 +11,6 @@ from mosaicforest.recurrence import (
     SchlafliSymbol,
     Series,
     closed_form_count,
-    closed_form_counts,
     cumulative_root_limit,
     cumulative_root_ratio,
     euclidean_counts,
@@ -171,6 +170,15 @@ class TestSpectralConstants:
         with pytest.raises(RepeatedEigenvalueError, match="euclidean_counts"):
             spectral_constants(S44)
 
+    def test_decay_is_conjugate_of_growth(self):
+        # closed_form_count takes decay**i as the conjugate of growth**i
+        for p in range(4, 13):
+            for q in range(4, 13):
+                symbol = SchlafliSymbol(p, q)
+                if symbol.geometry is Geometry.HYPERBOLIC:
+                    c = spectral_constants(symbol)
+                    assert c.decay == c.growth.conjugate()
+
 
 class TestClosedForm:
     def test_reference_values(self):
@@ -205,19 +213,12 @@ class TestClosedFormSweep:
     def test_matches_recursion_to_level_200(self, p, q):
         symbol = SchlafliSymbol(p, q)
         rows = layer_counts(symbol, 200)
-        sweep = list(closed_form_counts(spectral_constants(symbol), 200))
+        c = spectral_constants(symbol)
+        sweep = [
+            tuple(closed_form_count(c, i, s) for s in (Series.A, Series.B, Series.ALL))
+            for i in range(1, 201)
+        ]
         assert sweep == [(r.a, r.b, r.total) for r in rows[1:]]
-
-    def test_euclidean_rejected_like_spectral_constants(self):
-        # the constants the sweep needs do not exist for {4,4}
-        with pytest.raises(RepeatedEigenvalueError):
-            list(closed_form_counts(spectral_constants(S44), 200))
-
-    def test_level_bounds(self):
-        c = spectral_constants(S45)
-        assert list(closed_form_counts(c, 0)) == []
-        with pytest.raises(ValueError):
-            list(closed_form_counts(c, -1))
 
 
 class TestGrowthRatio:
