@@ -39,8 +39,9 @@ from .probability import (
 )
 from .quadratic import decimal
 from .recurrence import (
-    LayerCounts,
+    Geometry,
     SchlafliSymbol,
+    first_level_reaching,
     forest_domain_reason,
     layer_counts,
     spectral_constants,
@@ -55,6 +56,9 @@ MAX_PQ = 10_000
 # Python refuses to convert an int of more digits than this to a string
 # (sys.get_int_max_str_digits, which early 3.10 releases lack)
 MAX_DIGITS = 4300
+# {4,4} totals are 8i and never reach MAX_DIGITS digits, so its rows are
+# capped by count instead
+MAX_EUCLIDEAN_LEVELS = 100_000
 
 
 def _symbol(p: int, q: int) -> SchlafliSymbol:
@@ -100,11 +104,19 @@ def _levels(args: argparse.Namespace, least: int = 0) -> int:
     return args.levels
 
 
-def _require_printable(symbol: SchlafliSymbol, row: LayerCounts) -> None:
-    """Refuse a level whose total, which bounds every count printed for it, is too long."""
-    if row.total >= 10**MAX_DIGITS:
+def _require_printable(symbol: SchlafliSymbol, level: int) -> None:
+    """Refuse a level whose total, which bounds every count printed for it, is too long.
+
+    It runs before any rows are built.  Totals grow with the level, so the
+    walk up the recursion stops at the first level that is too long.
+    """
+    if symbol.geometry is Geometry.EUCLIDEAN and level > MAX_EUCLIDEAN_LEVELS:
         raise UnsupportedSymbolError(
-            f"level {row.level} of {symbol} has counts of more than {MAX_DIGITS} digits; "
+            f"levels must be <= {MAX_EUCLIDEAN_LEVELS} for {symbol}, got {level}"
+        )
+    if first_level_reaching(symbol, 10**MAX_DIGITS, level) is not None:
+        raise UnsupportedSymbolError(
+            f"level {level} of {symbol} has counts of more than {MAX_DIGITS} digits; "
             "lower --levels"
         )
 
@@ -156,9 +168,9 @@ def _jsonl(out: _Output, records: Iterable[dict]) -> None:
 
 def _emit_counts(args: argparse.Namespace, out: _Output) -> None:
     symbol = _symbol(args.p, args.q)
-    counts = layer_counts(symbol, _levels(args))
-    _require_printable(symbol, counts[-1])
-    rows = [(r.level, r.a, r.b, r.total) for r in counts]
+    level = _levels(args)
+    _require_printable(symbol, level)
+    rows = [(r.level, r.a, r.b, r.total) for r in layer_counts(symbol, level)]
     if args.fmt == "jsonl":
         _jsonl(
             out,
@@ -195,10 +207,10 @@ def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
 def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
     symbol = _symbol(args.p, args.q)
     level = _levels(args, least=1)
-    counts = layer_counts(symbol, level)
     if args.fmt != "markdown" and args.mode != "asymptotic":
         # exact csv and jsonl rows print integers up to the level's total
-        _require_printable(symbol, counts[level])
+        _require_printable(symbol, level)
+    counts = layer_counts(symbol, level)
     dists = []
     if args.mode in ("asymptotic", "both"):
         dists.append(asymptotic_distribution(spectral_constants(symbol), level))

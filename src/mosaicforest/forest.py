@@ -145,20 +145,30 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
     if not 0 <= levels <= mosaic.belts:
         raise ValueError(f"levels must be in 0..{mosaic.belts}, got {levels}")
 
+    rot, layer_of = mosaic.rot, mosaic.layer_of
     n = mosaic.vertex_count
     parent: list[int | None] = [None] * n
     root_level: list[int | None] = [None] * n
     root_level[0] = 0
 
     for i in range(1, levels + 1):
+        lower = i - 1
         adopted: set[int] = set()  # level i-1 vertices given a child so far
         for v in mosaic.layers[i]:
-            below = mosaic.down_neighbors(v)
-            if not below:
+            # scan for the lower neighbours without building a list per vertex
+            u = None  # the first, as down_neighbors(v) lists them
+            more = False
+            for w in rot[v]:
+                if layer_of[w] == lower:
+                    if u is None:
+                        u = w
+                    else:
+                        more = True
+            if u is None:
                 root_level[v] = i
                 continue
-            u = below[0]
-            if len(below) > 1:
+            if more:
+                below = [w for w in rot[v] if layer_of[w] == lower]
                 if symbol.p >= 4:
                     raise StructureError(
                         f"vertex {v} on level {i} has {len(below)} lower neighbours; "

@@ -33,7 +33,7 @@ class Mosaic:
     def __init__(self, symbol, belts, rot, layer_of, layers, cells, belt_sizes):
         self.symbol: SchlafliSymbol = symbol
         self.belts: int = belts
-        self.rot: list[list[int]] = rot  # CCW neighbour order per vertex
+        self.rot: list[tuple[int, ...]] = rot  # CCW neighbour order per vertex
         self.layer_of: list[int] = layer_of
         self.layers: list[list[int]] = layers  # boundary cycle per layer
         self.cells: list[tuple[int, ...]] = cells  # CCW vertex cycles, belt by belt
@@ -87,100 +87,95 @@ class _Builder:
         self.p = p
         self.q = q
         self.cap = cap
-        # vertex 0 is the seed; per-vertex arrays grow in creation order
-        self.layer_of = [0]
-        self.downs: list[list[int] | None] = [None]
-        self.gap: list[list[int] | None] = [[]]  # radial tips, in fan order
+        # vertex 0 is the seed; per-vertex ints grow in creation order, which
+        # is layer by layer, so layer i holds the next run of ids
+        self.down = [-1]  # the lower neighbour of a tip, -1 for none
+        self.down2: dict[int, int] = {}  # p = 3: a tip's lower neighbour after `down`
         self.ncells = [0]
+        self.rot: list[tuple[int, ...]] = []  # each written once, when final
         self.cells: list[tuple[int, ...]] = []
         self.layers: list[list[int]] = [[0]]
         self.belt_sizes: list[int] = []
-        self.belt = 0  # the belt being built, and its outer boundary so far
-        self.boundary: list[int] = []
+        self.belt = 0  # the belt being built
 
-    def start_belt(self, belt: int) -> None:
-        self.belt = belt
-        self.boundary = []
-        self.belt_sizes.append(0)
-
-    def new_vertex(self, downs: list[int] | None) -> int:
-        """A vertex on the current belt's boundary; refuses vertex id `cap`."""
-        vid = len(self.layer_of)
-        if vid >= self.cap:
+    def new_vertices(self, count: int) -> range:
+        """`count` new vertices of the current belt; refuses vertex id `cap`."""
+        first = len(self.ncells)
+        if first + count > self.cap:
             raise SizeLimitError(
                 f"vertex cap {self.cap} exceeded while building belt {self.belt}"
             )
-        self.layer_of.append(self.belt)
-        self.downs.append(downs)
-        self.gap.append(None)
-        self.ncells.append(0)
-        self.boundary.append(vid)
-        return vid
+        self.down += [-1] * count
+        self.ncells += [0] * count
+        return range(first, first + count)
 
     def add_cell(self, *verts: int) -> None:
         self.cells.append(verts)
-        self.belt_sizes[-1] += 1
         ncells = self.ncells
         for v in verts:
             ncells[v] += 1
 
+    def close_belt(self) -> None:
+        """Record the belt's cell count and its outer layer: the ids it created."""
+        self.belt_sizes.append(len(self.cells) - sum(self.belt_sizes))
+        self.layers.append(list(range(self.layers[-1][-1] + 1, len(self.ncells))))
+
     def first_belt(self) -> None:
         """q cells around the seed; the seed's rotation is its q spokes."""
         p, q = self.p, self.q
-        self.start_belt(1)
-        new_v = self.new_vertex
-        first_tip = new_v([0])
-        tip = first_tip
-        for j in range(q):
-            arcs = [new_v(None) for _ in range(p - 3)]
-            nxt = first_tip if j == q - 1 else new_v([0])
-            self.add_cell(0, tip, *arcs, nxt)
-            tip = nxt
-        self.gap[0] = [v for v in self.boundary if self.downs[v]]
-        self.layers.append(self.boundary)
+        self.belt = 1
+        n = p - 2  # new vertices per cell: a spoke's tip, then p - 3 arcs
+        ring = self.new_vertices(q * n)
+        spokes = ring[::n]
+        for j, tip in enumerate(spokes):
+            self.down[tip] = 0
+            self.add_cell(0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q])
+        self.rot.append(tuple(spokes))
+        self.close_belt()
 
     def next_belt(self, belt: int) -> None:
         p, q = self.p, self.q
-        self.start_belt(belt)
+        self.belt = belt
         old = self.layers[-1]
-        downs, ncells, gap = self.downs, self.ncells, self.gap
-        new_v, add_cell = self.new_vertex, self.add_cell
+        rot, down, down2, ncells = self.rot, self.down, self.down2, self.ncells
+        new_vertices, add_cell = self.new_vertices, self.add_cell
 
         # start the sweep at a vertex that will own at least one radial tip
         start = next(i for i, v in enumerate(old) if ncells[v] <= q - 2)
         walk = old[start:] + old[:start]
         m = len(walk)
+        # old's rotations are final once its fans close; rot[v] is written then
+        rot += [()] * m
 
         v0 = walk[0]
-        s0 = new_v([v0])  # tip shared by v0's first own cell and the closing cell
-        gap[v0] = [s0]
+        s0 = new_vertices(1)[0]  # tip shared by v0's first own cell and the closing cell
+        down[s0] = v0
         carry = s0
 
         for k in range(m):
             v = walk[k]
+            d = down[v]
+            below = () if d < 0 else (d, down2[v]) if v in down2 else (d,)
             missing = q - ncells[v] - (1 if k == 0 else 0)
             if missing <= 0:
-                continue  # already completed by a run cell sweeping past it
-            if k > 0:
-                g = gap[v]
-                if g is None:
-                    gap[v] = [carry]
-                else:
-                    g.append(carry)
+                # already completed by a run cell sweeping past it: no tips
+                rot[v] = (walk[k - 1], walk[k + 1 - m], *below)
+                continue
+            tips = [carry]  # v's radial tips, in fan order
 
             # inner fan cells: share only the vertex v with the old boundary
             for t in range(missing - 1):
-                closing_tip = None
                 if p == 3 and k == m - 1 and t == missing - 2:
-                    closing_tip = s0  # the ring's merged tip already exists
-                arcs = [new_v(None) for _ in range(p - 3)]
-                if closing_tip is None:
-                    closing_tip = new_v([v])
+                    tip = s0  # the ring's merged tip already exists
+                    down2[tip] = v
+                    add_cell(v, carry, tip)
                 else:
-                    downs[closing_tip].append(v)
-                add_cell(v, carry, *arcs, closing_tip)
-                gap[v].append(closing_tip)
-                carry = closing_tip
+                    path = new_vertices(p - 2)  # the cell's arcs, then its tip
+                    tip = path[-1]
+                    down[tip] = v
+                    add_cell(v, carry, *path)
+                tips.append(tip)
+                carry = tip
 
             # the closing cell of the fan: shares the boundary edge(s) ahead
             inner = [v]
@@ -204,7 +199,8 @@ class _Builder:
                     if carry != s0:
                         raise StructureError("triangle ring closure lost its seam tip")
                 else:
-                    downs[carry].insert(0, end)
+                    down2[carry] = down[carry]
+                    down[carry] = end
                 add_cell(v, carry, end)
             else:
                 n_arcs = p - len(inner) - 2
@@ -212,28 +208,35 @@ class _Builder:
                     raise StructureError(
                         f"belt {belt}: cell run longer than a {p}-gon can cover"
                     )
-                arcs = [new_v(None) for _ in range(n_arcs)]
-                tip = s0 if ring else new_v([end])
-                add_cell(v, carry, *arcs, tip, *reversed(inner[1:]))
-                carry = tip
+                if ring:
+                    add_cell(v, carry, *new_vertices(n_arcs), s0, *reversed(inner[1:]))
+                    carry = s0
+                else:
+                    path = new_vertices(n_arcs + 1)  # the cell's arcs, then its tip
+                    down[path[-1]] = end
+                    add_cell(v, carry, *path, *reversed(inner[1:]))
+                    carry = path[-1]
 
-        self.layers.append(self.boundary)
+            # v turns from its previous neighbour through its tips to its next one and down
+            rot[v] = (walk[k - 1], *tips, walk[k + 1 - m], *below)
+
+        self.close_belt()
 
     def finish(self, symbol: SchlafliSymbol, belts: int) -> Mosaic:
-        gap, downs = self.gap, self.downs
-        rot: list[list[int]] = [list(gap[0])]
-        # each layer holds the next run of vertex ids in order, so appending
-        # layer by layer indexes rot by vertex id; a boundary vertex turns from
-        # its previous neighbour through its tips to its next one and down
-        for layer in self.layers[1:]:
-            m = len(layer)
-            for k, v in enumerate(layer):
-                rot.append([layer[k - 1], *(gap[v] or ()), layer[k + 1 - m], *(downs[v] or ())])
+        down2, outer = self.down2, self.layers[-1]
+        # the outer layer, the last run of ids, has no tips: each vertex turns
+        # from its previous neighbour to its next one and down
+        self.rot += [
+            (u, w) if d < 0 else (u, w, d, down2[v]) if v in down2 else (u, w, d)
+            for u, v, w, d in zip(
+                outer[-1:] + outer[:-1], outer, outer[1:] + outer[:1], self.down[outer[0] :]
+            )
+        ]
         return Mosaic(
             symbol=symbol,
             belts=belts,
-            rot=rot,
-            layer_of=self.layer_of,
+            rot=self.rot,
+            layer_of=[i for i, layer in enumerate(self.layers) for _ in layer],
             layers=self.layers,
             cells=self.cells,
             belt_sizes=self.belt_sizes,

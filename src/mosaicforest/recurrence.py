@@ -13,8 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import count, islice
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DegenerateForestError, RepeatedEigenvalueError
 from .quadratic import QuadraticNumber, decimal
@@ -100,6 +101,18 @@ class Series(Enum):
     ALL = "ab"
 
 
+def _rows(symbol: SchlafliSymbol) -> Iterator[LayerCounts]:
+    """The rows of `layer_counts` for i = 0, 1, 2, ... without end."""
+    yield LayerCounts(0, 0, 1)
+    p, q = symbol.p, symbol.q
+    a, b = q, q * (p - 3)
+    m00, m01 = q - 3, q - 2
+    m10, m11 = (q - 3) * (p - 3) - 1, (q - 2) * (p - 3) - 1
+    for i in count(1):
+        yield LayerCounts(i, a, b)
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+
+
 def layer_counts(symbol: SchlafliSymbol, levels: int) -> list[LayerCounts]:
     """Exact (a_i, b_i) for i = 0..levels.
 
@@ -110,18 +123,17 @@ def layer_counts(symbol: SchlafliSymbol, levels: int) -> list[LayerCounts]:
     _require_forest_domain(symbol)
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    rows = [LayerCounts(0, 0, 1)]
-    if levels == 0:
-        return rows
-    p, q = symbol.p, symbol.q
-    a, b = q, q * (p - 3)
-    rows.append(LayerCounts(1, a, b))
-    m00, m01 = q - 3, q - 2
-    m10, m11 = (q - 3) * (p - 3) - 1, (q - 2) * (p - 3) - 1
-    for i in range(2, levels + 1):
-        a, b = m00 * a + m01 * b, m10 * a + m11 * b
-        rows.append(LayerCounts(i, a, b))
-    return rows
+    return list(islice(_rows(symbol), levels + 1))
+
+
+def first_level_reaching(symbol: SchlafliSymbol, total: int, levels: int) -> int | None:
+    """The first level in 0..levels whose a_i + b_i is at least `total`, or None.
+
+    It walks the recursion of `layer_counts` one row at a time and keeps
+    none, so it stops at that level with the memory of two counts.
+    """
+    _require_forest_domain(symbol)
+    return next((r.level for r in islice(_rows(symbol), levels + 1) if r.total >= total), None)
 
 
 def euclidean_counts(level: int) -> LayerCounts:

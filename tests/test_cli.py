@@ -1,14 +1,19 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from mosaicforest import mosaic as mosaic_mod
-from mosaicforest.cli import MAX_PQ, main
+from mosaicforest.cli import MAX_EUCLIDEAN_LEVELS, MAX_PQ, main
 from mosaicforest.recurrence import SchlafliSymbol
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(__file__).parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -364,6 +369,36 @@ class TestDigitLimit:
         assert err == (
             "error: level 7518 of {4,5} has counts of more than 4300 digits; lower --levels\n"
         )
+
+    @pytest.mark.parametrize(
+        "q,levels,err",
+        [
+            ("5", "300000", "level 300000 of {4,5} has counts of more than 4300 digits"),
+            ("4", "50000000", f"levels must be <= {MAX_EUCLIDEAN_LEVELS} for {{4,4}}"),
+        ],
+    )
+    def test_counts_refused_before_rows_are_built(self, q, levels, err):
+        # with every row built first, either command dies of a MemoryError
+        # under this 1 GB address-space limit
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        argv = ["counts", "--p", "4", "--q", q, "--levels", levels]
+        path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        done = subprocess.run(
+            [sys.executable, "-m", "mosaicforest", *argv],
+            env={**os.environ, "PYTHONPATH": path},
+            preexec_fn=limit_memory,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (after.ru_utime + after.ru_stime) - (before.ru_utime + before.ru_stime)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith(f"error: {err}")
+        assert cpu < 1
 
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("mode", ["exact", "both"])

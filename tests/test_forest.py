@@ -175,7 +175,7 @@ def test_double_lower_neighbour_is_hard_error():
     m = build(SchlafliSymbol(4, 5), 2)
     v = next(w for w in m.layers[2] if len(m.down_neighbors(w)) == 1)
     other = next(u for u in m.layers[1] if u != m.down_neighbors(v)[0])
-    m.rot[v].append(other)
+    m.rot[v] = (*m.rot[v], other)
     with pytest.raises(StructureError, match=f"vertex {v}"):
         grow(m)
 

@@ -115,9 +115,16 @@ def test_cell_attachment_kinds():
         assert shared == ({1} if belt == 1 else {1, 2})
 
 
+def _without(rotation, w):
+    """`rotation` less its first entry w, as list.remove would leave it."""
+    i = rotation.index(w)
+    return rotation[:i] + rotation[i + 1 :]
+
+
 def _swap_rotation_entries(m):
-    r = m.rot[m.layers[1][0]]
-    r[0], r[1] = r[1], r[0]
+    v = m.layers[1][0]
+    r = m.rot[v]
+    m.rot[v] = (r[1], r[0], *r[2:])
 
 
 def _repeat_vertex_in_cell(m):
@@ -129,8 +136,8 @@ def _repeat_vertex_in_cell(m):
 def _sever_interior_edge(m):
     v = m.layers[1][0]
     w = m.rot[v][0]
-    m.rot[v].remove(w)
-    m.rot[w].remove(v)
+    m.rot[v] = _without(m.rot[v], w)
+    m.rot[w] = _without(m.rot[w], v)
     return {
         "interior-degree": (f"vertex {v}", f"vertex {w}"),
         "edge-coverage": (f"edge {(min(v, w), max(v, w))}: a cell side with no rotation edge",),
@@ -148,7 +155,7 @@ def _drop_cell(m):
 
 def _duplicate_neighbour(m):
     v = m.layers[1][0]
-    m.rot[v].append(m.rot[v][0])
+    m.rot[v] = (*m.rot[v], m.rot[v][0])
 
 
 def _reverse_cell(m):
@@ -168,12 +175,12 @@ def _one_sided_entry(m):
     # v lists w, but w no longer lists v
     v = m.layers[1][0]
     w = m.rot[v][0]
-    m.rot[w].remove(v)
+    m.rot[w] = _without(m.rot[w], v)
     return {"rotation-faces": (f"dart ({v}, {w})",)}
 
 
 def _vertex_outside_rotation(m):
-    m.rot[5].append(10**6)
+    m.rot[5] = (*m.rot[5], 10**6)
     return {"rotation-faces": ("dart (5, 1000000)",)}
 
 
