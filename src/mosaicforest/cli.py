@@ -207,14 +207,14 @@ def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
 def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
     symbol = _symbol(args.p, args.q)
     level = _levels(args, least=1)
-    if args.fmt != "markdown" and args.mode != "asymptotic":
-        # exact csv and jsonl rows print integers up to the level's total
-        _require_printable(symbol, level)
-    counts = layer_counts(symbol, level)
+    _require_printable(symbol, level)
     dists = []
     if args.mode in ("asymptotic", "both"):
         dists.append(asymptotic_distribution(spectral_constants(symbol), level))
     if args.mode in ("exact", "both"):
+        counts = layer_counts(symbol, level)
+        # exact csv and jsonl rows also carry the unnormalised per-level vertex count
+        total = counts[level].total
         dists.append(exact_distribution(symbol, level, counts))
     js = range(level, -1, -1)
     if args.fmt == "markdown":
@@ -224,8 +224,6 @@ def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
             rows = [(j, masses[j], decimal(d.cumulative_below(j), 6)) for j in js]
             _table(out, args.fmt, ("j", "mass", "cumulative_below"), rows)
     else:
-        # exact rows also carry the unnormalised per-level vertex count
-        total = counts[level].total
         rows = []
         for d in dists:
             masses = d.decimals(6)

@@ -116,19 +116,17 @@ def exact_distribution(
         raise ValueError(f"counts must cover levels 0..{level}")
     q = symbol.q
     denom = counts[level].total
-    masses: list[Mass] = [None] * (level + 1)  # type: ignore[list-item]
-    masses[0] = Fraction(q * (q - 3) ** (level - 1), denom)
-    for j in range(1, level):
-        masses[j] = Fraction(counts[j].b * (q - 2) * (q - 3) ** (level - j - 1), denom)
-    masses[level] = Fraction(counts[level].b, denom)
-    total = sum(masses)
-    if total != 1:
-        raise ArithmeticError(f"exact masses summed to {total}, not 1")
+    numerators = [q * (q - 3) ** (level - 1)]
+    numerators += [counts[j].b * (q - 2) * (q - 3) ** (level - j - 1) for j in range(1, level)]
+    numerators.append(counts[level].b)
+    total = sum(numerators)
+    if total != denom:
+        raise ArithmeticError(f"exact masses summed to {Fraction(total, denom)}, not 1")
     return RootDistribution(
         symbol=symbol,
         level=level,
         kind=DistributionKind.EXACT,
-        masses=tuple(masses),
+        masses=tuple(Fraction(n, denom) for n in numerators),
     )
 
 

@@ -190,17 +190,13 @@ class QuadraticNumber:
     # -- exact ordering ------------------------------------------------------
 
     def sign(self) -> int:
-        sx, sy = _sgn(self.x), _sgn(self.y)
-        if sy == 0:
-            return sx
-        if sx == 0 or sx == sy:
-            return sy
-        # opposite signs: |x| vs |y|*sqrt(d) decided by squaring
-        lhs = self.x * self.x
-        rhs = self.y * self.y * self.d
-        if lhs == rhs:  # impossible for non-square d
-            raise ArithmeticError(f"degenerate radicand {self.d}")
-        return sx if lhs > rhs else sy
+        a, b, _ = self._integer_parts()
+        sa, sb = _sgn(a), _sgn(b)
+        if sa * sb >= 0:
+            return sa or sb
+        # opposite signs: the larger of |a| and |b|*sqrt(d) wins, and the two
+        # are never equal, since d is not a square
+        return sa if a * a > b * b * self.d else sb
 
     def _cmp(self, other) -> int:
         o = self._coerce(other)
@@ -233,37 +229,35 @@ class QuadraticNumber:
 
     # -- rendering -----------------------------------------------------------
 
-    def __floor__(self) -> int:
-        if not self.y:
-            return self.x.numerator // self.x.denominator
+    def _floor_scaled(self, num: int, den: int) -> int:
+        """floor(self * num / den) for integers num and den > 0, exactly.
+
+        With self * num / den = (A + B*sqrt(d)) / M and M > 0, B*sqrt(d) is
+        irrational unless B = 0, so its floor is isqrt(B*B*d) for B >= 0 and
+        -isqrt(B*B*d) - 1 for B < 0; and floor(z / M) = floor(floor(z) / M)
+        for an integer M > 0 (Concrete Mathematics, section 3.2).
+        """
         a, b, m = self._integer_parts()
-        s = isqrt(b * b * self.d)
-        n = (a + s) // m if b > 0 else (a - s - 1) // m
-        # the isqrt bound can land one integer short; fix up exactly
-        while self._cmp(n + 1) >= 0:
-            n += 1
-        while self._cmp(n) < 0:
-            n -= 1
-        return n
+        a, b, m = a * num, b * num, m * den
+        root = isqrt(b * b * self.d)
+        return (a + root) // m if b >= 0 else (a - root - 1) // m
+
+    def __floor__(self) -> int:
+        return self._floor_scaled(1, 1)
 
     def decimal(self, digits: int) -> str:
         """Fixed-point decimal string, round-half-even at `digits` places."""
         if digits < 0:
             raise ValueError("digits must be >= 0")
-        negative = self.sign() < 0
-        mag = -self if negative else self
         scale = 10**digits
-        scaled = mag * scale
-        n = scaled.__floor__()
-        c = scaled._cmp(Fraction(2 * n + 1, 2))
-        if c > 0 or (c == 0 and n % 2 == 1):
-            n += 1
-        if digits == 0:
-            body = str(n)
+        if self.y:
+            # an irrational value is never halfway, so floor(v + 1/2) is nearest
+            n = (self._floor_scaled(2 * scale, 1) + 1) // 2
         else:
-            whole, frac = divmod(n, scale)
-            body = f"{whole}.{frac:0{digits}d}"
-        return "-" + body if negative and n > 0 else body
+            n = round(self.x * scale)  # Fraction rounds half to even
+        whole, frac = divmod(abs(n), scale)
+        body = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+        return "-" + body if n < 0 else body
 
     def __float__(self) -> float:
         return float(self.x) + float(self.y) * (self.d**0.5)
@@ -299,8 +293,8 @@ def order_of_magnitude(value) -> int:
     """Exponent e with 10**e <= |value| < 10**(e+1), computed exactly.
 
     Bit lengths of an integer quotient near |value| estimate e to within
-    one; exact comparisons with 10**e and 10**(e+1) then settle it, so the
-    cost does not grow with |e|.
+    one; one exact floor of |value| / 10**e then settles it, so the cost
+    does not grow with |e|.
     """
     v = value if isinstance(value, QuadraticNumber) else QuadraticNumber(value)
     v = abs(v)
@@ -317,9 +311,7 @@ def order_of_magnitude(value) -> int:
     # num/den is within a factor 2 of v, so log2(v) lies within 2 of bits
     bits = num.bit_length() - den.bit_length()
     e = (bits * _LOG10_2_Q32) >> 32
-    ten = Fraction(10)
-    while v._cmp(ten**e) < 0:
-        e -= 1
-    while v._cmp(ten ** (e + 1)) >= 0:
-        e += 1
-    return e
+    n = v._floor_scaled(10**-e, 1) if e < 0 else v._floor_scaled(1, 10**e)
+    # e is within one of the exponent, so n is 0 (e is one too high), lies in
+    # 1..9 (e is right) or in 10..99 (e is one too low)
+    return e - (n == 0) + (n >= 10)

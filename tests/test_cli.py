@@ -370,20 +370,13 @@ class TestDigitLimit:
             "error: level 7518 of {4,5} has counts of more than 4300 digits; lower --levels\n"
         )
 
-    @pytest.mark.parametrize(
-        "q,levels,err",
-        [
-            ("5", "300000", "level 300000 of {4,5} has counts of more than 4300 digits"),
-            ("4", "50000000", f"levels must be <= {MAX_EUCLIDEAN_LEVELS} for {{4,4}}"),
-        ],
-    )
-    def test_counts_refused_before_rows_are_built(self, q, levels, err):
-        # with every row built first, either command dies of a MemoryError
-        # under this 1 GB address-space limit
+    @staticmethod
+    def assert_refused_under_1gb(argv, err):
+        # with every row built first, the command dies of a MemoryError under
+        # this 1 GB address-space limit
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
 
-        argv = ["counts", "--p", "4", "--q", q, "--levels", levels]
         path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
         before = resource.getrusage(resource.RUSAGE_CHILDREN)
         done = subprocess.run(
@@ -400,8 +393,25 @@ class TestDigitLimit:
         assert done.stderr.startswith(f"error: {err}")
         assert cpu < 1
 
-    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
-    @pytest.mark.parametrize("mode", ["exact", "both"])
+    @pytest.mark.parametrize(
+        "q,levels,err",
+        [
+            ("5", "300000", "level 300000 of {4,5} has counts of more than 4300 digits"),
+            ("4", "50000000", f"levels must be <= {MAX_EUCLIDEAN_LEVELS} for {{4,4}}"),
+        ],
+    )
+    def test_counts_refused_before_rows_are_built(self, q, levels, err):
+        argv = ["counts", "--p", "4", "--q", q, "--levels", levels]
+        self.assert_refused_under_1gb(argv, err)
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "exact"])
+    def test_probs_refused_before_rows_are_built(self, mode):
+        argv = ["probs", "--p", "4", "--q", "5", "--levels", "300000", "--mode", mode]
+        err = "level 300000 of {4,5} has counts of more than 4300 digits"
+        self.assert_refused_under_1gb(argv, err)
+
+    @pytest.mark.parametrize("fmt", ["markdown", "csv", "jsonl"])
+    @pytest.mark.parametrize("mode", ["asymptotic", "exact", "both"])
     def test_probs_exact_integers_refused(self, capsys, fmt, mode):
         code, out, err = run(
             capsys, "probs", "--p", "4", "--q", "5", "--levels", "7600",
@@ -410,14 +420,12 @@ class TestDigitLimit:
         assert (code, out) == (2, "")
         assert err.startswith("error: level 7600 of {4,5} has counts of more than 4300 digits")
 
-    def test_probs_markdown_prints_no_integers(self, capsys, tmp_path):
-        # markdown shows only 6-digit decimals, so the level is not refused
-        target = tmp_path / "probs.md"
-        code, _, err = run(
-            capsys, "probs", "--p", "4", "--q", "5", "--levels", "7600", "--mode", "exact",
-            "--out", str(target),
+    def test_probs_markdown_prints_no_integers(self, capsys):
+        # markdown shows only 6-digit decimals, but one bound serves every format
+        code, out, err = run(
+            capsys, "probs", "--p", "4", "--q", "5", "--levels", "7518", "--mode", "exact"
         )
-        assert (code, err) == (0, "")
-        assert target.read_text().startswith(
-            "exact root-level distribution for {4,5}, level 7600\n"
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: level 7518 of {4,5} has counts of more than 4300 digits; lower --levels\n"
         )

@@ -42,14 +42,6 @@ def test_sign_agrees_with_float(x, y, d):
         assert v.sign() == (1 if approx > 0 else -1)
 
 
-@given(rationals, rationals, radicands)
-def test_floor(x, y, d):
-    v = qn(x, y, d)
-    n = math.floor(v)
-    assert v >= n
-    assert v < n + 1
-
-
 def test_rational_collapse_and_equality():
     assert qn(3, 0, 12) == Fraction(3)
     assert qn(Fraction(1, 2), 0, 7) == Fraction(1, 2)
@@ -211,6 +203,68 @@ nonzero_values = st.one_of(
     powers_of_ten_and_neighbours(),
     near_cancelling(),
 ).filter(bool)
+
+
+# small values (zero among them) and every kind of nonzero_values, all as QuadraticNumbers
+values = st.one_of(st.builds(qn, rationals, rationals, radicands), nonzero_values).map(
+    lambda v: v if isinstance(v, QuadraticNumber) else QuadraticNumber(v)
+)
+
+
+@given(values, st.booleans())
+@example(QuadraticNumber(-1393, 985, 2), False)  # 985*sqrt(2) ~ 1393
+@example(QuadraticNumber(0, Fraction(-1, 10**9), 2), False)
+@example(QuadraticNumber(3, -1, 3), False)  # 1.27: flooring the sqrt part up gives 2
+def test_floor(v, negate):
+    if negate:
+        v = -v
+    n = math.floor(v)
+    assert v >= n
+    assert v < n + 1
+
+
+@given(values, st.booleans(), st.integers(min_value=0, max_value=30))
+@example(QuadraticNumber(Fraction(1, 4)), False, 1)
+@example(QuadraticNumber(Fraction(3, 4)), False, 1)
+@example(QuadraticNumber(Fraction(-1, 8)), False, 2)
+@example(QuadraticNumber(Fraction(5, 2)), True, 0)
+@example(QuadraticNumber(0, Fraction(-1, 10**9), 2), False, 3)
+@example(QuadraticNumber(-1393, 985, 2), False, 3)
+@example(QuadraticNumber(3, -1, 3), False, 0)  # 1.27 rounds to 1, not 2
+def test_decimal_is_nearest_and_ties_go_to_even(v, negate, digits):
+    if negate:
+        v = -v
+    text = v.decimal(digits)
+    assert len(text.partition(".")[2]) == digits
+    printed = Fraction(text)
+    c = abs(v - printed)._cmp(Fraction(1, 2 * 10**digits))
+    assert c <= 0
+    if c == 0:  # a tie, which only a rational value can make
+        assert v.is_rational
+        assert int(text[-1]) % 2 == 0
+    assert not (printed == 0 and text.startswith("-"))
+
+
+def sign_on_fractions(v: QuadraticNumber) -> int:
+    """The original sign: compare x*x with y*y*d as Fractions."""
+    sx, sy = (v.x > 0) - (v.x < 0), (v.y > 0) - (v.y < 0)
+    if sy == 0:
+        return sx
+    if sx == 0 or sx == sy:
+        return sy
+    lhs = v.x * v.x
+    rhs = v.y * v.y * v.d
+    assert lhs != rhs  # impossible for non-square d
+    return sx if lhs > rhs else sy
+
+
+@given(values, st.booleans())
+@example(QuadraticNumber(-1393, 985, 2), False)
+@example(QuadraticNumber(0), False)
+def test_sign_matches_fraction_sign(v, negate):
+    if negate:
+        v = -v
+    assert v.sign() == sign_on_fractions(v)
 
 
 @given(nonzero_values, st.booleans())
