@@ -25,14 +25,15 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Sequence
-from fractions import Fraction
+from collections.abc import Iterable, Iterator, Sequence
 
 from . import forest as forest_mod
 from . import mosaic as mosaic_mod
 from .errors import SizeLimitError, StructureError, UnsupportedSymbolError
 from .mosaic import ValidationReport
 from .probability import (
+    DistributionKind,
+    RootDistribution,
     asymptotic_distribution,
     distribution_error_report,
     exact_distribution,
@@ -204,6 +205,16 @@ def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
         _table(out, args.fmt, ("name", "exact", "decimal"), quoted)
 
 
+def _prob_rows(d: RootDistribution, js: range) -> Iterator[tuple]:
+    """(kind, j, mass, numerator, denominator, count); the limiting law has the last three empty."""
+    masses = d.decimals(6)
+    exact = d.kind is DistributionKind.EXACT
+    for j in js:
+        m = d.point_mass(j)
+        tail = (str(m.numerator), str(m.denominator), str(d.weights[j])) if exact else ("",) * 3
+        yield (d.kind.value, j, masses[j], *tail)
+
+
 def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
     symbol = _symbol(args.p, args.q)
     level = _levels(args, least=1)
@@ -212,10 +223,7 @@ def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
     if args.mode in ("asymptotic", "both"):
         dists.append(asymptotic_distribution(spectral_constants(symbol), level))
     if args.mode in ("exact", "both"):
-        counts = layer_counts(symbol, level)
-        # exact csv and jsonl rows also carry the unnormalised per-level vertex count
-        total = counts[level].total
-        dists.append(exact_distribution(symbol, level, counts))
+        dists.append(exact_distribution(symbol, level))
     js = range(level, -1, -1)
     if args.fmt == "markdown":
         for d in dists:
@@ -224,32 +232,16 @@ def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
             rows = [(j, masses[j], decimal(d.cumulative_below(j), 6)) for j in js]
             _table(out, args.fmt, ("j", "mass", "cumulative_below"), rows)
     else:
-        rows = []
-        for d in dists:
-            masses = d.decimals(6)
-            rows += [(d.kind.value, j, masses[j], d.point_mass(j)) for j in js]
+        rows = [row for d in dists for row in _prob_rows(d, js)]
         if args.fmt == "csv":
-            _table(
-                out,
-                args.fmt,
-                ("kind", "j", "mass", "numerator", "denominator", "count"),
-                (
-                    (kind, j, mass, m.numerator, m.denominator, m * total)
-                    if isinstance(m, Fraction)
-                    else (kind, j, mass, "", "", "")
-                    for kind, j, mass, m in rows
-                ),
-            )
+            header = ("kind", "j", "mass", "numerator", "denominator", "count")
+            _table(out, args.fmt, header, rows)
         else:
             records = []
-            for kind, j, mass, m in rows:
+            for kind, j, mass, num, den, count in rows:
                 rec: dict = {"kind": kind, "j": j, "mass": mass}
-                if isinstance(m, Fraction):
-                    rec["exact"] = {
-                        "numerator": str(m.numerator),
-                        "denominator": str(m.denominator),
-                    }
-                    rec["count"] = str(m * total)
+                if kind == DistributionKind.EXACT.value:
+                    rec.update(exact={"numerator": num, "denominator": den}, count=count)
                 records.append(rec)
             _jsonl(out, records)
     if args.mode == "both":

@@ -3,9 +3,9 @@
 Pick a vertex uniformly among the a_i + b_i vertices of level i and ask on
 which level the root of its tree sits.  Two models are provided:
 
-* the exact finite-i distribution, with rational masses derived from the
-  forced tree fan-outs (the main root has q children, other roots q-2,
-  A vertices q-3), and
+* the exact finite-i distribution, whose weights are the level's vertex
+  counts per root level, derived from the forced tree fan-outs (the main
+  root has q children, other roots q-2, A vertices q-3), and
 * the limiting model driven by the constants K = root_share and
   M = step_share, whose masses telescope to 1 identically.
 """
@@ -17,7 +17,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .quadratic import QuadraticNumber, decimal, order_of_magnitude
 from .recurrence import (
@@ -38,12 +38,22 @@ class DistributionKind(Enum):
 
 @dataclass(frozen=True)
 class RootDistribution:
-    """Point masses over root levels j = 0..level for one (symbol, level)."""
+    """Point masses over root levels j = 0..level for one (symbol, level).
+
+    Mass j is weights[j] / total: for the exact law, integer vertex counts
+    over a_i + b_i; for the limiting law, masses in Q[sqrt d] over 1.
+    """
 
     symbol: SchlafliSymbol
     level: int
     kind: DistributionKind
-    masses: tuple[Mass, ...]
+    weights: tuple[Union[int, QuadraticNumber], ...]
+    total: int = 1
+
+    # cached_property writes to the instance __dict__, left writable when frozen
+    @cached_property
+    def masses(self) -> tuple[Mass, ...]:
+        return self._over_total(self.weights)
 
     def point_mass(self, j: int) -> Mass:
         if not 0 <= j <= self.level:
@@ -58,9 +68,13 @@ class RootDistribution:
 
     @cached_property
     def _cumulative(self) -> tuple[Mass, ...]:
-        # prefix sums, computed on first use; cached_property writes to the
-        # instance __dict__, which the frozen dataclass leaves writable
-        return tuple(accumulate(self.masses))
+        # prefix sums of the weights, so the exact law adds integers
+        return self._over_total(accumulate(self.weights))
+
+    def _over_total(self, weights: Iterable) -> tuple[Mass, ...]:
+        if self.kind is DistributionKind.ASYMPTOTIC:
+            return tuple(weights)
+        return tuple(Fraction(w, self.total) for w in weights)
 
     def total_mass(self) -> Mass:
         return self.cumulative_below(self.level)
@@ -92,7 +106,7 @@ def asymptotic_distribution(constants: SpectralConstants, level: int) -> RootDis
         symbol=constants.symbol,
         level=level,
         kind=DistributionKind.ASYMPTOTIC,
-        masses=tuple(masses),
+        weights=tuple(masses),
     )
 
 
@@ -105,7 +119,7 @@ def exact_distribution(
 
     The main root keeps q(q-3)**(i-1) descendants on level i; a root born on
     level j keeps b_j*(q-2)*(q-3)**(i-j-1); the level's own roots are their
-    own roots.  Dividing by a_i + b_i gives rational masses that sum to 1.
+    own roots.  These counts are the weights, and they sum to a_i + b_i.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
@@ -126,7 +140,8 @@ def exact_distribution(
         symbol=symbol,
         level=level,
         kind=DistributionKind.EXACT,
-        masses=tuple(Fraction(n, denom) for n in numerators),
+        weights=tuple(numerators),
+        total=denom,
     )
 
 

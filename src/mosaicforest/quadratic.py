@@ -75,11 +75,6 @@ class QuadraticNumber:
     def is_rational(self) -> bool:
         return not self.y
 
-    def as_fraction(self) -> Fraction:
-        if self.y:
-            raise ValueError(f"{self} has a nonzero irrational part")
-        return self.x
-
     def conjugate(self) -> "QuadraticNumber":
         return QuadraticNumber(self.x, -self.y, self.d)
 

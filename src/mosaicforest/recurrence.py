@@ -231,6 +231,8 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     for series, (r1, r2) in firsts.items():
         lead[series] = (r2 - decay * r1) / (growth * gap)
         sub[series] = (growth * r1 - r2) / (decay * gap)
+        if sub[series] != lead[series].conjugate():
+            raise ArithmeticError(f"{symbol}: sub_{series.value} is not lead's conjugate")
 
     q = symbol.q
     fanout = Fraction(q - 2, q - 3)
@@ -257,13 +259,12 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
 def closed_form_count(constants: SpectralConstants, level: int, series: Series) -> int:
     """Evaluate lead*growth**i + sub*decay**i exactly; the result is an integer.
 
-    decay is growth's conjugate, so decay**i is the conjugate of growth**i.
+    sub and decay are the conjugates of lead and growth, so the sum is twice
+    the rational part of lead*growth**i.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    power = constants.growth**level
-    value = constants.lead(series) * power + constants.sub(series) * power.conjugate()
-    fr = value.as_fraction()  # irrational parts cancel by construction
+    fr = 2 * (constants.lead(series) * constants.growth**level).x
     if fr.denominator != 1:
         raise ArithmeticError(f"closed form produced non-integer {fr} at level {level}")
     return fr.numerator

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -7,6 +9,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mosaicforest import mosaic as mosaic_mod
 from mosaicforest.cli import MAX_EUCLIDEAN_LEVELS, MAX_PQ, main
@@ -429,3 +433,74 @@ class TestDigitLimit:
         assert err == (
             "error: level 7518 of {4,5} has counts of more than 4300 digits; lower --levels\n"
         )
+
+
+def _mostly(good: st.SearchStrategy, bad: st.SearchStrategy) -> st.SearchStrategy:
+    """Mostly `good`, now and then `bad`."""
+    return st.integers(0, 7).flatmap(lambda k: bad if k == 7 else good)
+
+
+PQ = st.one_of(st.integers(4, 8), st.integers(-3, MAX_PQ + 1)).map(str)
+PQ_TEXT = _mostly(PQ, st.sampled_from(["x", "", "4.5", "1e3"]))
+SYMBOLS = _mostly(
+    st.lists(st.builds("{}:{}".format, PQ, PQ), min_size=1, max_size=3).map(",".join),
+    st.sampled_from([",", "", "4:5:6", "a:b", "4:5, 5 : 4", "4"]),
+)
+OWN_OPTIONS = {
+    "counts": ("--p", "--q", "--levels", "--format", "--out"),
+    "constants": ("--p", "--q", "--precision", "--format", "--out"),
+    "probs": ("--p", "--q", "--levels", "--mode", "--format", "--out"),
+    "verify": ("--symbols", "--levels", "--cap", "--out"),
+    "export": ("--what", "--p", "--q", "--levels", "--cap", "--out"),
+}
+
+
+@st.composite
+def cli_argv(draw, out_dir: Path) -> list[str]:
+    """A command line over every subcommand and option, with good values and bad."""
+    values = {
+        "--p": PQ_TEXT,
+        "--q": PQ_TEXT,
+        # legal deep levels are slow; 7518 and 100001 are refused before any work
+        "--levels": _mostly(
+            st.one_of(st.integers(1, 6), st.integers(1, 60)).map(str),
+            st.sampled_from(["-2", "0", "7518", "100001", "x"]),
+        ),
+        "--precision": _mostly(st.integers(1, 4300).map(str), st.sampled_from(["0", "4301", "x"])),
+        "--format": _mostly(st.sampled_from(["markdown", "csv", "jsonl"]), st.just("xml")),
+        "--mode": _mostly(st.sampled_from(["asymptotic", "exact", "both"]), st.just("fast")),
+        "--what": _mostly(st.sampled_from(["forest", "spanning", "mosaic-edges"]), st.just("png")),
+        # every build stays within 3000 vertices
+        "--cap": _mostly(st.integers(1, 3000).map(str), st.sampled_from(["-1", "0", "x"])),
+        "--symbols": SYMBOLS,
+        "--out": _mostly(
+            st.sampled_from(["-", str(out_dir / "out.txt")]),
+            st.just(str(out_dir / "missing" / "out.txt")),
+        ),
+    }
+    command = draw(_mostly(st.sampled_from(list(OWN_OPTIONS)), st.just("plot")))
+    own = OWN_OPTIONS.get(command, ())
+    names = [n for n in own if n == "--cap" or draw(st.integers(0, 9)) != 9]
+    if draw(st.integers(0, 7)) == 7:  # an option the command may not take
+        names.append(draw(st.sampled_from(sorted(values))))
+    argv = [command]
+    for name in draw(st.permutations(names)):
+        argv += [name, draw(values[name])]
+    if command == "verify" and draw(st.booleans()):
+        argv.append("--inject-corruption")
+    return argv
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_command_line_exits_cleanly(self, tmp_path_factory, data):
+        argv = data.draw(cli_argv(tmp_path_factory.getbasetemp()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosaicforest import build, grow
 from mosaicforest.errors import DegenerateForestError, RepeatedEigenvalueError
 from mosaicforest.probability import (
     DistributionKind,
@@ -12,6 +13,7 @@ from mosaicforest.probability import (
     distribution_error_report,
     exact_distribution,
 )
+from mosaicforest.quadratic import QuadraticNumber, decimal
 from mosaicforest.recurrence import (
     SchlafliSymbol,
     layer_counts,
@@ -164,6 +166,44 @@ class TestExact:
             exact_distribution(SchlafliSymbol(7, 3), 3)
         with pytest.raises(DegenerateForestError, match="p = 3"):
             exact_distribution(SchlafliSymbol(3, 7), 3)
+
+
+class TestWeights:
+    @pytest.mark.parametrize(
+        "symbol,levels",
+        [(S45, 6), (SchlafliSymbol(5, 4), 5), (SchlafliSymbol(4, 6), 5), (S44, 8)],
+    )
+    def test_exact_weights_are_the_grown_histogram(self, symbol, levels):
+        forest = grow(build(symbol, levels))
+        rows = layer_counts(symbol, levels)
+        for i in range(1, levels + 1):
+            d = exact_distribution(symbol, i, rows)
+            hist = forest.root_level_histogram(i)
+            assert set(hist) <= set(range(i + 1))
+            assert d.weights == tuple(hist.get(j, 0) for j in range(i + 1))
+            assert all(type(w) is int for w in d.weights)
+            assert d.total == rows[i].total
+
+    def test_exact_cumulative_is_an_integer_prefix_over_total(self):
+        d = exact_distribution(S45, 40)
+        for j in range(41):
+            assert d.cumulative_below(j) == Fraction(sum(d.weights[: j + 1]), d.total)
+
+    def test_limiting_law_has_total_one(self):
+        d = asymptotic_distribution(spectral_constants(S45), 12)
+        assert d.total == 1
+        assert d.masses == d.weights
+
+    def test_public_reads_keep_their_types(self):
+        exact = exact_distribution(S45, 9)
+        asym = asymptotic_distribution(spectral_constants(S45), 9)
+        for d, mass_type in ((exact, Fraction), (asym, QuadraticNumber)):
+            reads = [d.total_mass(), *d.masses]
+            reads += [d.point_mass(j) for j in range(10)]
+            reads += [d.cumulative_below(j) for j in range(10)]
+            assert all(type(m) is mass_type for m in reads)
+            assert d.decimals(6) == [decimal(m, 6) for m in d.masses]
+        assert exact.masses == tuple(Fraction(w, exact.total) for w in exact.weights)
 
 
 class TestCumulativeBelow:

@@ -1,9 +1,12 @@
+import inspect
+import textwrap
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mosaicforest import recurrence
 from mosaicforest.errors import DegenerateForestError, RepeatedEigenvalueError
 from mosaicforest.quadratic import QuadraticNumber
 from mosaicforest.recurrence import (
@@ -171,13 +174,26 @@ class TestSpectralConstants:
             spectral_constants(S44)
 
     def test_decay_is_conjugate_of_growth(self):
-        # closed_form_count takes decay**i as the conjugate of growth**i
+        # closed_form_count relies on decay**i being the conjugate of growth**i
         for p in range(4, 13):
             for q in range(4, 13):
                 symbol = SchlafliSymbol(p, q)
                 if symbol.geometry is Geometry.HYPERBOLIC:
                     c = spectral_constants(symbol)
                     assert c.decay == c.growth.conjugate()
+
+    def test_sub_with_growth_and_decay_swapped_is_caught(self):
+        # spectral_constants derives sub on its own and checks it against
+        # lead's conjugate; a mutant formula must not get through
+        source = textwrap.dedent(inspect.getsource(recurrence.spectral_constants))
+        formula = "(growth * r1 - r2) / (decay * gap)"
+        assert formula in source
+        mutant = source.replace(formula, "(decay * r1 - r2) / (growth * gap)")
+        namespace = dict(vars(recurrence))
+        exec(compile(mutant, recurrence.__file__, "exec"), namespace)
+        for symbol in (S45, SchlafliSymbol(5, 4), SchlafliSymbol(7, 7)):
+            with pytest.raises(ArithmeticError, match="conjugate"):
+                namespace["spectral_constants"](symbol)
 
 
 class TestClosedForm:

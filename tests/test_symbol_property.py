@@ -1,14 +1,16 @@
 """A property over random hyperbolic {p,q} with p, q <= 12.
 
 Each symbol is built to the most belts that stay within 20,000 vertices.
-The mosaic must validate, and for p, q >= 4 the grown forest must agree
-with the count recursion and with the exact root-level law.
+The mosaic must validate, and its layer sizes must follow the trace
+recursion L[i+1] = c*L[i] - L[i-1], c = (p-2)(q-2) - 2, from level 2 on,
+p = 3 and q = 3 included.  For p, q >= 4 the grown forest must agree with
+the count recursion and with the exact root-level law.
 """
 
 from fractions import Fraction
 from itertools import count
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mosaicforest import SchlafliSymbol, build, grow, layer_counts, validate
@@ -35,11 +37,16 @@ def _largest_build(symbol):
 
 
 @given(hyperbolic)
+@example(SchlafliSymbol(3, 7))
+@example(SchlafliSymbol(7, 3))
 @settings(max_examples=30, deadline=None)
 def test_random_hyperbolic_symbol(symbol):
     mosaic = _largest_build(symbol)
     report = validate(mosaic)
     assert report.passed, str(report)
+    sizes, c = mosaic.layer_sizes, symbol.trace
+    for i in range(2, mosaic.belts):  # level 1 does not follow it
+        assert sizes[i + 1] == c * sizes[i] - sizes[i - 1], (symbol, i)
     if min(symbol.p, symbol.q) < 4:
         return  # the count recursion covers p, q >= 4 only
     levels = mosaic.belts
