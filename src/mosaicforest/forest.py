@@ -9,6 +9,7 @@ neighbour become roots of new trees.  The seed vertex is the main root.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,30 +33,31 @@ class Forest:
 
     MAIN_ROOT = 0
 
-    def _layer(self, i: int, least: int = 0) -> list[int]:
+    def _layer(self, i: int, least: int = 0) -> range:
         if not least <= i <= self.levels:
             raise ValueError(f"level {i} outside grown range {least}..{self.levels}")
         return self.mosaic.layers[i]
 
+    def _grown(self) -> int:
+        """The ids below this, layers 0..levels, are the grown vertices."""
+        return self.mosaic.layers[self.levels].stop
+
     def vertex_class(self, v: int) -> VertexClass | None:
         """B for a root (no parent), A otherwise; None above the grown levels."""
-        if self.mosaic.layer_of[v] > self.levels:
+        if v >= self._grown():
             return None
         return VertexClass.B if self.parent[v] is None else VertexClass.A
 
     def counts(self, i: int) -> tuple[int, int]:
         """Empirical (a_i, b_i) on level i: b_i counts the vertices with no parent."""
         layer = self._layer(i)
-        b = [self.parent[v] for v in layer].count(None)
+        b = self.parent[layer.start : layer.stop].count(None)
         return (len(layer) - b, b)
 
     def root_level_histogram(self, i: int) -> dict[int, int]:
         """How many level-i vertices have their root on each level j."""
-        hist: dict[int, int] = {}
-        for v in self._layer(i):
-            j = self.root_level[v]
-            hist[j] = hist.get(j, 0) + 1
-        return dict(sorted(hist.items()))
+        layer = self._layer(i)
+        return dict(sorted(Counter(self.root_level[layer.start : layer.stop]).items()))
 
     def main_root_descendants(self, i: int) -> int:
         """Number of level-i vertices whose tree root is the seed vertex.
@@ -63,24 +65,17 @@ class Forest:
         The seed is the only vertex on level 0, so these are the vertices
         with root level 0.
         """
-        return [self.root_level[v] for v in self._layer(i, least=1)].count(0)
+        layer = self._layer(i, least=1)
+        return self.root_level[layer.start : layer.stop].count(0)
 
     def tree_edges(self) -> list[tuple[int, int]]:
         """(parent, child) pairs for every non-root grown vertex, by child id."""
-        out = []
-        for i in range(1, self.levels + 1):
-            for v in self.mosaic.layers[i]:
-                u = self.parent[v]
-                if u is not None:
-                    out.append((u, v))
-        return out
+        grown = self.parent[: self._grown()]
+        return [(u, v) for v, u in enumerate(grown) if u is not None]
 
     def roots(self) -> list[int]:
         """All roots of the grown region, the main root first."""
-        out = [self.MAIN_ROOT]
-        for i in range(1, self.levels + 1):
-            out.extend(v for v in self.mosaic.layers[i] if self.parent[v] is None)
-        return out
+        return [v for v, u in enumerate(self.parent[: self._grown()]) if u is None]
 
     def spanning_tree(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Forest edges plus one connector per non-main root.
@@ -105,13 +100,14 @@ class Forest:
         name = title or f"forest_{s.p}_{s.q}_{self.levels}"
         lines = [f'digraph "{name}" {{']
         lines.append("  node [fontsize=10];")
+        parent = self.parent
         for i in range(self.levels + 1):
             for v in self.mosaic.layers[i]:
-                cls = self.vertex_class(v)
-                shape = "circle"
-                if cls is VertexClass.B:
-                    shape = "doublecircle" if v == self.MAIN_ROOT else "box"
-                lines.append(f'  v{v} [label="{v} L{i} {cls.value}" shape={shape}];')
+                if parent[v] is not None:
+                    label, shape = "A", "circle"
+                else:
+                    label, shape = "B", "doublecircle" if v == self.MAIN_ROOT else "box"
+                lines.append(f'  v{v} [label="{v} L{i} {label}" shape={shape}];')
         for u, v in self.tree_edges():
             lines.append(f"  v{u} -> v{v};")
         lines.append("}")
@@ -145,21 +141,22 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
     if not 0 <= levels <= mosaic.belts:
         raise ValueError(f"levels must be in 0..{mosaic.belts}, got {levels}")
 
-    rot, layer_of = mosaic.rot, mosaic.layer_of
+    rot = mosaic.rot
     n = mosaic.vertex_count
     parent: list[int | None] = [None] * n
     root_level: list[int | None] = [None] * n
     root_level[0] = 0
 
     for i in range(1, levels + 1):
-        lower = i - 1
+        lower = mosaic.layers[i - 1]
+        lo, hi = lower.start, lower.stop
         adopted: set[int] = set()  # level i-1 vertices given a child so far
         for v in mosaic.layers[i]:
             # scan for the lower neighbours without building a list per vertex
             u = None  # the first, as down_neighbors(v) lists them
             more = False
             for w in rot[v]:
-                if layer_of[w] == lower:
+                if lo <= w < hi:
                     if u is None:
                         u = w
                     else:
@@ -168,7 +165,7 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
                 root_level[v] = i
                 continue
             if more:
-                below = [w for w in rot[v] if layer_of[w] == lower]
+                below = [w for w in rot[v] if lo <= w < hi]
                 if symbol.p >= 4:
                     raise StructureError(
                         f"vertex {v} on level {i} has {len(below)} lower neighbours; "

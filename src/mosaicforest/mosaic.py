@@ -28,14 +28,13 @@ DEFAULT_VERTEX_CAP = 10_000_000
 
 
 class Mosaic:
-    """A built tiling patch: rotation system, layer annotations, cells."""
+    """A built tiling patch: rotation system, layer id runs, cells."""
 
-    def __init__(self, symbol, belts, rot, layer_of, layers, cells, belt_sizes):
+    def __init__(self, symbol, belts, rot, layers, cells, belt_sizes):
         self.symbol: SchlafliSymbol = symbol
         self.belts: int = belts
         self.rot: list[tuple[int, ...]] = rot  # CCW neighbour order per vertex
-        self.layer_of: list[int] = layer_of
-        self.layers: list[list[int]] = layers  # boundary cycle per layer
+        self.layers: list[range] = layers  # layer i's ids, its boundary cycle in CCW order
         self.cells: list[tuple[int, ...]] = cells  # CCW vertex cycles, belt by belt
         self.belt_sizes: list[int] = belt_sizes  # cells per belt, index 0 = belt 1
 
@@ -47,25 +46,15 @@ class Mosaic:
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
-    def layer(self, i: int) -> list[int]:
-        """Layer-i boundary cycle in counter-clockwise order (layer 0 = the seed)."""
-        if not 0 <= i <= self.belts:
-            raise ValueError(f"layer {i} outside built range 0..{self.belts}")
-        return list(self.layers[i])
-
-    def neighbors(self, v: int) -> list[int]:
-        return list(self.rot[v])
-
-    def degree(self, v: int) -> int:
-        return len(self.rot[v])
+    def layer_of(self, v: int) -> int:
+        """The layer holding vertex v."""
+        return bisect_right(self.layers, v, key=lambda layer: layer.start) - 1
 
     def down_neighbors(self, v: int) -> list[int]:
         """Neighbours of v on the previous layer, in rotation order."""
-        below = self.layer_of[v] - 1
-        return [w for w in self.rot[v] if self.layer_of[w] == below]
-
-    def is_interior(self, v: int) -> bool:
-        return self.layer_of[v] < self.belts
+        i = self.layer_of(v)
+        below = self.layers[i - 1] if i else range(0)
+        return [w for w in self.rot[v] if w in below]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Undirected edges as ordered (u, v) pairs with u < v, ascending."""
@@ -88,13 +77,13 @@ class _Builder:
         self.q = q
         self.cap = cap
         # vertex 0 is the seed; per-vertex ints grow in creation order, which
-        # is layer by layer, so layer i holds the next run of ids
+        # is layer by layer, so layer i is the next run of ids
         self.down = [-1]  # the lower neighbour of a tip, -1 for none
         self.down2: dict[int, int] = {}  # p = 3: a tip's lower neighbour after `down`
         self.ncells = [0]
         self.rot: list[tuple[int, ...]] = []  # each written once, when final
         self.cells: list[tuple[int, ...]] = []
-        self.layers: list[list[int]] = [[0]]
+        self.layers: list[range] = [range(1)]
         self.belt_sizes: list[int] = []
         self.belt = 0  # the belt being built
 
@@ -118,7 +107,7 @@ class _Builder:
     def close_belt(self) -> None:
         """Record the belt's cell count and its outer layer: the ids it created."""
         self.belt_sizes.append(len(self.cells) - sum(self.belt_sizes))
-        self.layers.append(list(range(self.layers[-1][-1] + 1, len(self.ncells))))
+        self.layers.append(range(self.layers[-1].stop, len(self.ncells)))
 
     def first_belt(self) -> None:
         """q cells around the seed; the seed's rotation is its q spokes."""
@@ -142,7 +131,7 @@ class _Builder:
 
         # start the sweep at a vertex that will own at least one radial tip
         start = next(i for i, v in enumerate(old) if ncells[v] <= q - 2)
-        walk = old[start:] + old[:start]
+        walk = [*old[start:], *old[:start]]
         m = len(walk)
         # old's rotations are final once its fans close; rot[v] is written then
         rot += [()] * m
@@ -223,9 +212,11 @@ class _Builder:
         self.close_belt()
 
     def finish(self, symbol: SchlafliSymbol, belts: int) -> Mosaic:
-        down2, outer = self.down2, self.layers[-1]
+        down2 = self.down2
         # the outer layer, the last run of ids, has no tips: each vertex turns
-        # from its previous neighbour to its next one and down
+        # from its previous neighbour to its next one and down; its ids are
+        # made once, so the three views below share their int objects
+        outer = list(self.layers[-1])
         self.rot += [
             (u, w) if d < 0 else (u, w, d, down2[v]) if v in down2 else (u, w, d)
             for u, v, w, d in zip(
@@ -236,7 +227,6 @@ class _Builder:
             symbol=symbol,
             belts=belts,
             rot=self.rot,
-            layer_of=[i for i, layer in enumerate(self.layers) for _ in layer],
             layers=self.layers,
             cells=self.cells,
             belt_sizes=self.belt_sizes,
@@ -333,11 +323,12 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     for c in cells:
         for v in c:
             cells_at[v] += 1
+    # the interior is every layer below the outer one: the ids before it
     v = next(
         (
             v
-            for v, nbrs in enumerate(rot)
-            if mosaic.is_interior(v) and (len(nbrs) != q or cells_at[v] != q)
+            for v, nbrs in enumerate(rot[: n - len(outer)])
+            if len(nbrs) != q or cells_at[v] != q
         ),
         None,
     )
@@ -405,12 +396,12 @@ def validate(mosaic: Mosaic) -> ValidationReport:
         failure = None if face else f"the {len(free)} darts on no cell are not the outer face"
     report("rotation-faces", failure)
 
-    ring = list(zip(outer, outer[1:] + outer[:1]))
-    simple = len(outer) == len(set(outer)) and all(b in at[a] for a, b in ring)
+    ahead = [*outer[1:], *outer[:1]]  # each outer vertex's successor on the cycle
+    simple = len(outer) == len(set(outer)) and all(b in at[a] for a, b in zip(outer, ahead))
     report("boundary-cycle", None if simple else "outer boundary is not a simple adjacent cycle")
 
     on_boundary = bytearray(len(rev))
-    for a, b in ring:
+    for a, b in zip(outer, ahead):
         if b in at[a]:
             on_boundary[first[a] + at[a].index(b)] = 1
     # an edge is a pair of darts that are each other's reverse; tails ascend

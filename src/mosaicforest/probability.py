@@ -130,9 +130,14 @@ def exact_distribution(
         raise ValueError(f"counts must cover levels 0..{level}")
     q = symbol.q
     denom = counts[level].total
-    numerators = [q * (q - 3) ** (level - 1)]
-    numerators += [counts[j].b * (q - 2) * (q - 3) ** (level - j - 1) for j in range(1, level)]
-    numerators.append(counts[level].b)
+    # from j = level - 1 down, each weight carries one more factor q - 3
+    numerators = [counts[level].b]
+    power = 1  # (q - 3) ** (level - j - 1)
+    for j in range(level - 1, 0, -1):
+        numerators.append(counts[j].b * (q - 2) * power)
+        power *= q - 3
+    numerators.append(q * power)
+    numerators.reverse()
     total = sum(numerators)
     if total != denom:
         raise ArithmeticError(f"exact masses summed to {Fraction(total, denom)}, not 1")
@@ -159,19 +164,6 @@ class DistributionErrorReport:
     symbol: SchlafliSymbol
     level: int
     rows: tuple[ErrorRow, ...]
-
-    def difference(self, j: int) -> QuadraticNumber:
-        return self.rows[j].difference
-
-    def order(self, j: int) -> int | None:
-        return self.rows[j].order
-
-    def max_difference(self) -> QuadraticNumber:
-        worst = self.rows[0].difference
-        for row in self.rows[1:]:
-            if row.difference > worst:
-                worst = row.difference
-        return worst
 
     def decimals(self, digits: int = 12) -> list[str]:
         return [row.difference.decimal(digits) for row in self.rows]

@@ -240,6 +240,16 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     root_share = nonroot_limit / (1 + nonroot_limit)
     scaled = fanout * nonroot_limit
     step_share = scaled / (1 + scaled)
+    # the dominant eigenvector gives each limit in growth alone
+    excess = growth - q + 3
+    forms = {
+        "root_nonroot_limit": (nonroot_limit, excess / (q - 2)),
+        "root_share": (root_share, excess / (growth + 1)),
+        "step_share": (step_share, excess / growth),
+    }
+    for name, (value, form) in forms.items():
+        if value != form:
+            raise ArithmeticError(f"{symbol}: {name} is not its eigenvector form")
 
     return SpectralConstants(
         symbol=symbol,

@@ -128,9 +128,9 @@ def test_criterion_5_exact_vs_asymptotic_gaps():
         assert e10.point_mass(0) == Fraction(2560, 1513160)
         r7 = distribution_error_report(asymptotic_distribution(c, 7), e7)
         r10 = distribution_error_report(asymptotic_distribution(c, 10), e10)
-        assert r7.difference(7) < Fraction(1, 10**6)
-        assert r7.order(0) == -3
-        assert r10.order(0) == -4
+        assert r7.rows[7].difference < Fraction(1, 10**6)
+        assert r7.rows[0].order == -3
+        assert r10.rows[0].order == -4
 
 
 def test_criterion_6_three_way_oracle_equivalence():
@@ -217,7 +217,7 @@ def test_criterion_9_structural_invariants():
                     for v in mosaic.layers[i]:
                         assert len(mosaic.down_neighbors(v)) <= 1  # forced parenthood
                 for u, v in forest.tree_edges():
-                    assert mosaic.layer_of[v] == mosaic.layer_of[u] + 1  # never same-layer
+                    assert mosaic.layer_of(v) == mosaic.layer_of(u) + 1  # never same-layer
                 children = Counter(forest.parent)
                 for i in range(levels):
                     for v in mosaic.layers[i]:

@@ -115,7 +115,7 @@ def test_fanout_law(forest45):
 def test_no_same_layer_edges_and_parents_below(forest45):
     m = forest45.mosaic
     for u, v in forest45.tree_edges():
-        assert m.layer_of[v] == m.layer_of[u] + 1
+        assert m.layer_of(v) == m.layer_of(u) + 1
 
 
 def test_no_leaves_below_final_layer(forest45):
@@ -132,7 +132,7 @@ def test_root_chains_terminate_at_roots(forest45):
         while f.parent[u] is not None:
             u = f.parent[u]
         assert f.vertex_class(u) is VertexClass.B
-        assert f.root_level[v] == f.mosaic.layer_of[u]
+        assert f.root_level[v] == f.mosaic.layer_of(u)
 
 
 @pytest.mark.parametrize("p,q,levels", [(4, 5, 3), (4, 5, 5), (5, 4, 4), (4, 4, 4)])
@@ -149,7 +149,7 @@ def test_spanning_tree(p, q, levels):
     assert tree == f.tree_edges()
     for r, nbr in connectors:
         assert f.vertex_class(r) is VertexClass.B
-        assert f.mosaic.layer_of[r] == f.mosaic.layer_of[nbr]
+        assert f.mosaic.layer_of(r) == f.mosaic.layer_of(nbr)
         assert nbr in f.mosaic.rot[r]
 
 

@@ -10,9 +10,9 @@ from mosaicforest.recurrence import SchlafliSymbol, layer_counts, spectral_const
 def test_belt1_45():
     m = build(SchlafliSymbol(4, 5), 1)
     assert m.belt_sizes == [5]
-    assert len(m.layer(1)) == 10
-    assert m.layer(0) == [0]
-    assert m.degree(0) == 5
+    assert len(m.layers[1]) == 10
+    assert m.layers[0] == range(1)
+    assert len(m.rot[0]) == 5
 
 
 def test_44_layer_sizes():
@@ -65,29 +65,28 @@ def test_determinism():
 
 def test_layer_out_of_range():
     m = build(SchlafliSymbol(4, 5), 2)
-    with pytest.raises(ValueError):
-        m.layer(3)
+    with pytest.raises(IndexError):
+        m.layers[3]
 
 
 def test_interior_degrees():
     m = build(SchlafliSymbol(4, 6), 3)
-    for v in range(m.vertex_count):
-        if m.is_interior(v):
-            assert m.degree(v) == 6
+    for nbrs in m.rot[: m.layers[-1].start]:  # every layer below the outer one
+        assert len(nbrs) == 6
 
 
 def test_triangle_tiling_has_parents_everywhere():
     # p = 3: every vertex above the seed touches the previous layer
     m = build(SchlafliSymbol(3, 7), 2)
     for i in (1, 2):
-        for v in m.layer(i):
+        for v in m.layers[i]:
             assert len(m.down_neighbors(v)) >= 1
 
 
 def test_down_neighbors_unique_for_p_ge_4():
     m = build(SchlafliSymbol(5, 5), 3)
     for v in range(m.vertex_count):
-        if m.layer_of[v] >= 1:
+        if m.layer_of(v) >= 1:
             assert len(m.down_neighbors(v)) <= 1
 
 
@@ -109,7 +108,7 @@ def test_cell_attachment_kinds():
     for belt, (lo, hi) in enumerate(zip(starts, starts[1:]), start=1):
         shared = set()
         for cell in m.cells[lo:hi]:
-            layers = [m.layer_of[v] for v in cell]
+            layers = [m.layer_of(v) for v in cell]
             assert set(layers) == {belt - 1, belt}
             shared.add(layers.count(belt - 1))
         assert shared == ({1} if belt == 1 else {1, 2})
@@ -145,8 +144,9 @@ def _sever_interior_edge(m):
 
 
 def _swap_outer_vertices(m):
-    outer = m.layers[-1]
+    outer = list(m.layers[-1])
     outer[0], outer[2] = outer[2], outer[0]
+    m.layers[-1] = outer
 
 
 def _drop_cell(m):

@@ -236,12 +236,12 @@ class TestErrorReport:
         r7 = distribution_error_report(
             asymptotic_distribution(c, 7), exact_distribution(S45, 7)
         )
-        assert r7.difference(7) < Fraction(1, 10**6)
+        assert r7.rows[7].difference < Fraction(1, 10**6)
         r10 = distribution_error_report(
             asymptotic_distribution(c, 10), exact_distribution(S45, 10)
         )
         # |K - b_10/(a_10+b_10)|
-        assert r10.difference(10) < Fraction(1, 10**10)
+        assert r10.rows[10].difference < Fraction(1, 10**10)
 
     def test_orders_at_main_root(self):
         c = spectral_constants(S45)
@@ -249,7 +249,7 @@ class TestErrorReport:
             rep = distribution_error_report(
                 asymptotic_distribution(c, level), exact_distribution(S45, level)
             )
-            assert rep.order(0) == want
+            assert rep.rows[0].order == want
 
     def test_monotone_improvement_toward_top(self):
         c = spectral_constants(S45)
@@ -257,7 +257,7 @@ class TestErrorReport:
             rep = distribution_error_report(
                 asymptotic_distribution(c, level), exact_distribution(S45, level)
             )
-            diffs = [rep.difference(j) for j in range(1, level + 1)]
+            diffs = [row.difference for row in rep.rows[1:]]
             assert all(diffs[k + 1] <= diffs[k] for k in range(len(diffs) - 1))
 
     def test_mismatched_inputs_rejected(self):
@@ -276,4 +276,3 @@ class TestErrorReport:
             asymptotic_distribution(c, 5), exact_distribution(S45, 5)
         )
         assert [row.root_level for row in rep.rows] == list(range(6))
-        assert rep.max_difference() == max(row.difference for row in rep.rows)

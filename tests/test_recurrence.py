@@ -195,6 +195,19 @@ class TestSpectralConstants:
             with pytest.raises(ArithmeticError, match="conjugate"):
                 namespace["spectral_constants"](symbol)
 
+    def test_step_share_off_its_eigenvector_form_is_caught(self):
+        # the limit constants are checked against their eigenvector forms;
+        # a mutant that passes verify today must not get through
+        source = textwrap.dedent(inspect.getsource(recurrence.spectral_constants))
+        formula = "step_share = scaled / (1 + scaled)"
+        assert formula in source
+        mutant = source.replace(formula, "step_share = scaled / (2 + scaled)")
+        namespace = dict(vars(recurrence))
+        exec(compile(mutant, recurrence.__file__, "exec"), namespace)
+        for symbol in (S45, SchlafliSymbol(5, 4), SchlafliSymbol(7, 7)):
+            with pytest.raises(ArithmeticError, match="step_share"):
+                namespace["spectral_constants"](symbol)
+
 
 class TestClosedForm:
     def test_reference_values(self):

@@ -1,10 +1,14 @@
-"""A property over random hyperbolic {p,q} with p, q <= 12.
+"""Properties over random hyperbolic {p,q} with p, q <= 12.
 
 Each symbol is built to the most belts that stay within 20,000 vertices.
 The mosaic must validate, and its layer sizes must follow the trace
 recursion L[i+1] = c*L[i] - L[i-1], c = (p-2)(q-2) - 2, from level 2 on,
 p = 3 and q = 3 included.  For p, q >= 4 the grown forest must agree with
 the count recursion and with the exact root-level law.
+
+The layers, Euclidean {4,4} included, are consecutive runs of vertex ids
+that cover every vertex, and each edge joins a layer to itself or to a
+neighbouring layer.
 """
 
 from fractions import Fraction
@@ -26,12 +30,12 @@ hyperbolic = (
 )
 
 
-def _largest_build(symbol):
-    """The mosaic with the most belts that stays within VERTEX_BUDGET vertices."""
-    mosaic = build(symbol, 1, VERTEX_BUDGET)  # belt 1 holds at most 12 * 10 vertices
+def _largest_build(symbol, budget=VERTEX_BUDGET):
+    """The mosaic with the most belts that stays within `budget` vertices."""
+    mosaic = build(symbol, 1, budget)  # belt 1 holds at most 12 * 10 vertices
     for belts in count(2):
         try:
-            mosaic = build(symbol, belts, VERTEX_BUDGET)
+            mosaic = build(symbol, belts, budget)
         except SizeLimitError:
             return mosaic
 
@@ -59,3 +63,27 @@ def test_random_hyperbolic_symbol(symbol):
         assert set(hist) <= set(range(i + 1))
         for j in range(i + 1):
             assert Fraction(hist.get(j, 0), rows[i].total) == law.point_mass(j)
+
+
+@given(
+    st.tuples(st.integers(3, 12), st.integers(3, 12))
+    .filter(lambda pq: (pq[0] - 2) * (pq[1] - 2) >= 4)
+    .map(lambda pq: SchlafliSymbol(*pq))
+)
+@example(SchlafliSymbol(3, 7))
+@example(SchlafliSymbol(7, 3))
+@example(SchlafliSymbol(3, 12))
+@example(SchlafliSymbol(12, 3))
+@example(SchlafliSymbol(4, 4))
+@settings(max_examples=30, deadline=None)
+def test_layers_are_consecutive_id_runs(symbol):
+    mosaic = _largest_build(symbol, 3_000)
+    layers = mosaic.layers
+    assert layers[0] == range(1)
+    assert all(a.stop == b.start for a, b in zip(layers, layers[1:]))
+    assert layers[-1].stop == mosaic.vertex_count
+    last = len(layers) - 1
+    for i, layer in enumerate(layers):
+        near = range(layers[max(i - 1, 0)].start, layers[min(i + 1, last)].stop)
+        for v in layer:
+            assert all(w in near for w in mosaic.rot[v]), (symbol, i, v)
