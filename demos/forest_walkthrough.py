@@ -19,7 +19,7 @@ from mosaicforest import (
 
 symbol = SchlafliSymbol(4, 5)
 levels = 6
-forest = grow(build(symbol, levels), levels)
+forest = grow(build(symbol, levels))
 rows = layer_counts(symbol, levels)
 
 print(f"== {symbol}, {levels} levels ==")
@@ -45,7 +45,7 @@ n = forest.mosaic.vertex_count
 print(f"\nspanning tree: {len(tree)} parent edges + {len(connectors)} connectors "
       f"= {len(tree) + len(connectors)} = |V|-1 = {n - 1}")
 
-small = grow(build(symbol, 2), 2)
+small = grow(build(symbol, 2))
 print("\nDOT export of a 2-level forest (head):")
 print("\n".join(small.to_dot().split("\n")[:8]))
 print("  ...")

@@ -18,7 +18,7 @@ t0 = time.perf_counter()
 for p, q in SYMBOLS:
     symbol = SchlafliSymbol(p, q)
     mosaic = build(symbol, LEVELS)
-    report = cross_check(grow(mosaic, LEVELS))
+    report = cross_check(grow(mosaic))
     checks = " ".join(f"{c.name}={c.passed}" for c in report.checks)
     print(f"{symbol}: {checks} ({mosaic.vertex_count} vertices)")
 

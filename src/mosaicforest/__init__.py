@@ -14,7 +14,7 @@ from .errors import (
     StructureError,
     UnsupportedSymbolError,
 )
-from .forest import Forest, VertexClass, grow
+from .forest import Forest, grow
 from .mosaic import Mosaic, ValidationReport, build, validate
 from .probability import (
     DistributionErrorReport,
@@ -63,7 +63,6 @@ __all__ = [
     "StructureError",
     "UnsupportedSymbolError",
     "ValidationReport",
-    "VertexClass",
     "asymptotic_distribution",
     "build",
     "closed_form_count",

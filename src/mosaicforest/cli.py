@@ -266,7 +266,7 @@ def _check_symbol(
     the caller builds the next symbol.
     """
     m = mosaic_mod.build(symbol, levels, cap=cap)
-    f = forest_mod.grow(m, levels)
+    f = forest_mod.grow(m)
     if inject_corruption:
         victim = m.layers[levels][0]
         f.root_level[victim] = (f.root_level[victim] + 1) % (levels + 1)
@@ -302,7 +302,7 @@ def _emit_export(args: argparse.Namespace, out: _Output) -> None:
     if args.what == "mosaic-edges":
         out.write(m.edge_list_text().rstrip("\n"))
         return
-    f = forest_mod.grow(m, levels, allow_triangles=(s.p == 3))
+    f = forest_mod.grow(m, allow_triangles=(s.p == 3))
     if args.what == "forest":
         out.write(f.to_dot().rstrip("\n"))
         return

@@ -11,42 +11,32 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 
 from .errors import DegenerateForestError, StructureError
 from .mosaic import Mosaic
 
 
-class VertexClass(Enum):
-    A = "A"  # extends a tree: one parent on the previous level
-    B = "B"  # root of a new tree
-
-
 @dataclass
 class Forest:
-    """The grown levels of a mosaic: each vertex's parent and its root's level."""
+    """A forest over every level of a mosaic: each vertex's parent and its root's level.
+
+    A vertex is a root exactly when its parent is None.
+    """
 
     mosaic: Mosaic
-    levels: int
     parent: list[int | None]
-    root_level: list[int | None]
+    root_level: list[int]
 
     MAIN_ROOT = 0
+
+    @property
+    def levels(self) -> int:
+        return self.mosaic.belts
 
     def _layer(self, i: int, least: int = 0) -> range:
         if not least <= i <= self.levels:
             raise ValueError(f"level {i} outside grown range {least}..{self.levels}")
         return self.mosaic.layers[i]
-
-    def _grown(self) -> int:
-        """The ids below this, layers 0..levels, are the grown vertices."""
-        return self.mosaic.layers[self.levels].stop
-
-    def vertex_class(self, v: int) -> VertexClass | None:
-        """B for a root (no parent), A otherwise; None above the grown levels."""
-        if v >= self._grown():
-            return None
-        return VertexClass.B if self.parent[v] is None else VertexClass.A
 
     def counts(self, i: int) -> tuple[int, int]:
         """Empirical (a_i, b_i) on level i: b_i counts the vertices with no parent."""
@@ -69,20 +59,19 @@ class Forest:
         return self.root_level[layer.start : layer.stop].count(0)
 
     def tree_edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs for every non-root grown vertex, by child id."""
-        grown = self.parent[: self._grown()]
-        return [(u, v) for v, u in enumerate(grown) if u is not None]
+        """(parent, child) pairs for every non-root vertex, by child id."""
+        return [(u, v) for v, u in enumerate(self.parent) if u is not None]
 
     def roots(self) -> list[int]:
-        """All roots of the grown region, the main root first."""
-        return [v for v, u in enumerate(self.parent[: self._grown()]) if u is None]
+        """All roots, the main root first."""
+        return [v for v, u in enumerate(self.parent) if u is None]
 
     def spanning_tree(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Forest edges plus one connector per non-main root.
 
         Each non-main root is joined to its counter-clockwise neighbour on
         its own boundary cycle, stitching every tree onto the main one.
-        Returns (tree_edges, connector_edges); their union spans all grown
+        Returns (tree_edges, connector_edges); their union spans all
         vertices with |E| = |V| - 1.
         """
         connectors = []
@@ -94,15 +83,14 @@ class Forest:
                     connectors.append((v, layer[(k + 1) % m]))
         return self.tree_edges(), connectors
 
-    def to_dot(self, title: str | None = None) -> str:
+    def to_dot(self) -> str:
         """Deterministic DOT text: layers annotated, roots boxed, main root doubled."""
         s = self.mosaic.symbol
-        name = title or f"forest_{s.p}_{s.q}_{self.levels}"
-        lines = [f'digraph "{name}" {{']
+        lines = [f'digraph "forest_{s.p}_{s.q}_{self.levels}" {{']
         lines.append("  node [fontsize=10];")
         parent = self.parent
-        for i in range(self.levels + 1):
-            for v in self.mosaic.layers[i]:
+        for i, layer in enumerate(self.mosaic.layers):
+            for v in layer:
                 if parent[v] is not None:
                     label, shape = "A", "circle"
                 else:
@@ -114,8 +102,8 @@ class Forest:
         return "\n".join(lines) + "\n"
 
 
-def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = False) -> Forest:
-    """Grow the layered forest on `mosaic` up to `levels` (default: all belts).
+def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
+    """Grow the layered forest on every level of `mosaic`.
 
     q = 3 is rejected (a level vertex has no spare edge toward the next
     level).  p = 3 needs `allow_triangles=True`: there every vertex above
@@ -136,24 +124,18 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
             f"{symbol}: with p = 3 parents are not forced and no roots appear "
             "beyond the main one; pass allow_triangles=True to grow anyway"
         )
-    if levels is None:
-        levels = mosaic.belts
-    if not 0 <= levels <= mosaic.belts:
-        raise ValueError(f"levels must be in 0..{mosaic.belts}, got {levels}")
-
     rot = mosaic.rot
     n = mosaic.vertex_count
     parent: list[int | None] = [None] * n
-    root_level: list[int | None] = [None] * n
-    root_level[0] = 0
+    root_level = [0] * n
 
-    for i in range(1, levels + 1):
+    for i in range(1, len(mosaic.layers)):
         lower = mosaic.layers[i - 1]
         lo, hi = lower.start, lower.stop
         adopted: set[int] = set()  # level i-1 vertices given a child so far
         for v in mosaic.layers[i]:
             # scan for the lower neighbours without building a list per vertex
-            u = None  # the first, as down_neighbors(v) lists them
+            u = None  # the first in rotation order
             more = False
             for w in rot[v]:
                 if lo <= w < hi:
@@ -178,4 +160,4 @@ def grow(mosaic: Mosaic, levels: int | None = None, allow_triangles: bool = Fals
             parent[v] = u
             root_level[v] = root_level[u]
 
-    return Forest(mosaic=mosaic, levels=levels, parent=parent, root_level=root_level)
+    return Forest(mosaic=mosaic, parent=parent, root_level=root_level)

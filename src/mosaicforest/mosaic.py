@@ -30,13 +30,16 @@ DEFAULT_VERTEX_CAP = 10_000_000
 class Mosaic:
     """A built tiling patch: rotation system, layer id runs, cells."""
 
-    def __init__(self, symbol, belts, rot, layers, cells, belt_sizes):
+    def __init__(self, symbol, rot, layers, cells, belt_sizes):
         self.symbol: SchlafliSymbol = symbol
-        self.belts: int = belts
         self.rot: list[tuple[int, ...]] = rot  # CCW neighbour order per vertex
         self.layers: list[range] = layers  # layer i's ids, its boundary cycle in CCW order
         self.cells: list[tuple[int, ...]] = cells  # CCW vertex cycles, belt by belt
         self.belt_sizes: list[int] = belt_sizes  # cells per belt, index 0 = belt 1
+
+    @property
+    def belts(self) -> int:
+        return len(self.layers) - 1
 
     @property
     def vertex_count(self) -> int:
@@ -45,16 +48,6 @@ class Mosaic:
     @property
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
-
-    def layer_of(self, v: int) -> int:
-        """The layer holding vertex v."""
-        return bisect_right(self.layers, v, key=lambda layer: layer.start) - 1
-
-    def down_neighbors(self, v: int) -> list[int]:
-        """Neighbours of v on the previous layer, in rotation order."""
-        i = self.layer_of(v)
-        below = self.layers[i - 1] if i else range(0)
-        return [w for w in self.rot[v] if w in below]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Undirected edges as ordered (u, v) pairs with u < v, ascending."""
@@ -211,7 +204,7 @@ class _Builder:
 
         self.close_belt()
 
-    def finish(self, symbol: SchlafliSymbol, belts: int) -> Mosaic:
+    def finish(self, symbol: SchlafliSymbol) -> Mosaic:
         down2 = self.down2
         # the outer layer, the last run of ids, has no tips: each vertex turns
         # from its previous neighbour to its next one and down; its ids are
@@ -225,7 +218,6 @@ class _Builder:
         ]
         return Mosaic(
             symbol=symbol,
-            belts=belts,
             rot=self.rot,
             layers=self.layers,
             cells=self.cells,
@@ -250,7 +242,7 @@ def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> 
     b.first_belt()
     for i in range(2, belts + 1):
         b.next_belt(i)
-    return b.finish(symbol, belts)
+    return b.finish(symbol)
 
 
 @dataclass(frozen=True)

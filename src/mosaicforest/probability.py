@@ -165,9 +165,6 @@ class DistributionErrorReport:
     level: int
     rows: tuple[ErrorRow, ...]
 
-    def decimals(self, digits: int = 12) -> list[str]:
-        return [row.difference.decimal(digits) for row in self.rows]
-
 
 def distribution_error_report(
     asym: RootDistribution, exact: RootDistribution

@@ -9,7 +9,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 
-from mosaicforest.forest import VertexClass, grow
+from mosaicforest.forest import grow
 from mosaicforest.mosaic import build
 from mosaicforest.probability import (
     asymptotic_distribution,
@@ -142,7 +142,7 @@ def test_criterion_6_three_way_oracle_equivalence():
             rows = layer_counts(symbol, 200)
             mosaic = build(symbol, 6)
             total_vertices += mosaic.vertex_count
-            forest = grow(mosaic, 6)
+            forest = grow(mosaic)
             # (a) mosaic layer sizes = recursion totals
             assert mosaic.layer_sizes == [rows[i].total for i in range(7)]
             # (b) forest empirical counts = recursion
@@ -189,7 +189,7 @@ def test_criterion_8_euclidean_case():
             d = exact_distribution(s44, i, rows)
             for j in range(1, i):
                 assert d.cumulative_below(j) == Fraction(8 * j + 4, 8 * i)
-        forest = grow(build(s44, 6), 6)
+        forest = grow(build(s44, 6))
         assert all(forest.counts(i) == (rows[i].a, rows[i].b) for i in range(7))
 
 
@@ -211,20 +211,21 @@ def test_criterion_9_structural_invariants():
             for q in range(4, 9):
                 symbol = SchlafliSymbol(p, q)
                 levels = _capped_levels(symbol)
-                forest = grow(build(symbol, levels), levels)
+                forest = grow(build(symbol, levels))
                 mosaic = forest.mosaic
                 for i in range(1, levels + 1):
+                    below = mosaic.layers[i - 1]
                     for v in mosaic.layers[i]:
-                        assert len(mosaic.down_neighbors(v)) <= 1  # forced parenthood
-                for u, v in forest.tree_edges():
-                    assert mosaic.layer_of(v) == mosaic.layer_of(u) + 1  # never same-layer
+                        assert sum(w in below for w in mosaic.rot[v]) <= 1  # forced parenthood
+                        u = forest.parent[v]
+                        assert u is None or u in below  # never same-layer
                 children = Counter(forest.parent)
                 for i in range(levels):
                     for v in mosaic.layers[i]:
                         n_children = children[v]
                         if v == forest.MAIN_ROOT:
                             assert n_children == q
-                        elif forest.vertex_class(v) is VertexClass.A:
+                        elif forest.parent[v] is not None:
                             assert n_children == q - 3
                         else:
                             assert n_children == q - 2
@@ -236,7 +237,7 @@ def test_criterion_9_structural_invariants():
 def test_criterion_10_spanning_tree():
     with criterion(10, "forest plus connectors spans: connected, acyclic, |E| = |V|-1"):
         for p, q, levels in ((4, 5, 5), (5, 4, 5), (4, 6, 4), (6, 4, 4), (5, 5, 4), (4, 4, 6)):
-            forest = grow(build(SchlafliSymbol(p, q), levels), levels)
+            forest = grow(build(SchlafliSymbol(p, q), levels))
             tree, connectors = forest.spanning_tree()
             edges = tree + connectors
             n = forest.mosaic.vertex_count

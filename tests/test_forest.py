@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from mosaicforest.errors import DegenerateForestError
-from mosaicforest.forest import VertexClass, grow
+from mosaicforest.forest import grow
 from mosaicforest.mosaic import build
 from mosaicforest.probability import exact_distribution
 from mosaicforest.recurrence import SchlafliSymbol, layer_counts
@@ -106,16 +106,17 @@ def test_fanout_law(forest45):
             n_children = children[v]
             if v == forest45.MAIN_ROOT:
                 assert n_children == q
-            elif forest45.vertex_class(v) is VertexClass.A:
+            elif forest45.parent[v] is not None:
                 assert n_children == q - 3
             else:
                 assert n_children == q - 2
 
 
 def test_no_same_layer_edges_and_parents_below(forest45):
-    m = forest45.mosaic
+    layers = forest45.mosaic.layers
     for u, v in forest45.tree_edges():
-        assert m.layer_of(v) == m.layer_of(u) + 1
+        i = next(i for i, layer in enumerate(layers) if v in layer)
+        assert u in layers[i - 1]
 
 
 def test_no_leaves_below_final_layer(forest45):
@@ -131,8 +132,7 @@ def test_root_chains_terminate_at_roots(forest45):
         u = v
         while f.parent[u] is not None:
             u = f.parent[u]
-        assert f.vertex_class(u) is VertexClass.B
-        assert f.root_level[v] == f.mosaic.layer_of(u)
+        assert u in f.mosaic.layers[f.root_level[v]]
 
 
 @pytest.mark.parametrize("p,q,levels", [(4, 5, 3), (4, 5, 5), (5, 4, 4), (4, 4, 4)])
@@ -148,17 +148,18 @@ def test_spanning_tree(p, q, levels):
     assert len(connectors) == sum(f.counts(i)[1] for i in range(1, levels + 1))
     assert tree == f.tree_edges()
     for r, nbr in connectors:
-        assert f.vertex_class(r) is VertexClass.B
-        assert f.mosaic.layer_of(r) == f.mosaic.layer_of(nbr)
+        assert f.parent[r] is None
+        assert any(r in layer and nbr in layer for layer in f.mosaic.layers)
         assert nbr in f.mosaic.rot[r]
 
 
 def test_levels_validation():
-    m = build(SchlafliSymbol(4, 5), 2)
-    with pytest.raises(ValueError):
-        grow(m, 3)
-    f0 = grow(m, 0)
-    assert f0.counts(0) == (0, 1)
+    f = grow(build(SchlafliSymbol(4, 5), 2))
+    for i in (-1, 3):
+        with pytest.raises(ValueError, match=f"level {i} outside"):
+            f.counts(i)
+    assert f.counts(0) == (0, 1)
+    assert f.counts(2) == (25, 15)
 
 
 def test_q3_rejected():
@@ -173,8 +174,12 @@ def test_double_lower_neighbour_is_hard_error():
     from mosaicforest.errors import StructureError
 
     m = build(SchlafliSymbol(4, 5), 2)
-    v = next(w for w in m.layers[2] if len(m.down_neighbors(w)) == 1)
-    other = next(u for u in m.layers[1] if u != m.down_neighbors(v)[0])
+
+    def below(w):
+        return [u for u in m.rot[w] if u in m.layers[1]]
+
+    v = next(w for w in m.layers[2] if len(below(w)) == 1)
+    other = next(u for u in m.layers[1] if u != below(v)[0])
     m.rot[v] = (*m.rot[v], other)
     with pytest.raises(StructureError, match=f"vertex {v}"):
         grow(m)
@@ -199,6 +204,14 @@ def test_p3_needs_opt_in():
             assert children[v]
 
 
+def test_allow_triangles_is_keyword_only():
+    # a leftover positional level count must not switch triangle mode on
+    with pytest.raises(TypeError):
+        grow(build(SchlafliSymbol(4, 5), 2), 2)
+    f = grow(build(SchlafliSymbol(3, 7), 2), allow_triangles=True)
+    assert f.counts(2) == (len(f.mosaic.layers[2]), 0)
+
+
 def test_p3_greedy_is_deterministic():
     m = build(SchlafliSymbol(3, 7), 3)
     f1 = grow(m, allow_triangles=True)
@@ -211,16 +224,12 @@ class TestDotExport:
         return (GOLDEN / name).read_text()
 
     def test_45_three_levels(self):
-        f = grow(build(SchlafliSymbol(4, 5), 3), 3)
+        f = grow(build(SchlafliSymbol(4, 5), 3))
         assert f.to_dot() == self._golden("forest_4_5_L3.dot")
 
     def test_44_three_levels(self):
-        f = grow(build(SchlafliSymbol(4, 4), 3), 3)
+        f = grow(build(SchlafliSymbol(4, 4), 3))
         assert f.to_dot() == self._golden("forest_4_4_L3.dot")
-
-    def test_seed_only(self):
-        f = grow(build(SchlafliSymbol(4, 5), 1), 0)
-        assert f.to_dot() == self._golden("forest_seed_only.dot")
 
     def test_deterministic(self):
         a = grow(build(SchlafliSymbol(5, 4), 3)).to_dot()

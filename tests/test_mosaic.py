@@ -80,14 +80,14 @@ def test_triangle_tiling_has_parents_everywhere():
     m = build(SchlafliSymbol(3, 7), 2)
     for i in (1, 2):
         for v in m.layers[i]:
-            assert len(m.down_neighbors(v)) >= 1
+            assert any(w in m.layers[i - 1] for w in m.rot[v])
 
 
-def test_down_neighbors_unique_for_p_ge_4():
+def test_lower_neighbour_unique_for_p_ge_4():
     m = build(SchlafliSymbol(5, 5), 3)
-    for v in range(m.vertex_count):
-        if m.layer_of(v) >= 1:
-            assert len(m.down_neighbors(v)) <= 1
+    for i in range(1, len(m.layers)):
+        for v in m.layers[i]:
+            assert sum(w in m.layers[i - 1] for w in m.rot[v]) <= 1
 
 
 def test_belt_growth_approaches_spectral_ratio():
@@ -108,7 +108,7 @@ def test_cell_attachment_kinds():
     for belt, (lo, hi) in enumerate(zip(starts, starts[1:]), start=1):
         shared = set()
         for cell in m.cells[lo:hi]:
-            layers = [m.layer_of(v) for v in cell]
+            layers = [next(i for i, layer in enumerate(m.layers) if v in layer) for v in cell]
             assert set(layers) == {belt - 1, belt}
             shared.add(layers.count(belt - 1))
         assert shared == ({1} if belt == 1 else {1, 2})

@@ -17,6 +17,7 @@ from mosaicforest.recurrence import (
     cumulative_root_limit,
     cumulative_root_ratio,
     euclidean_counts,
+    first_level_reaching,
     growth_ratio,
     growth_ratio_error,
     layer_counts,
@@ -207,6 +208,27 @@ class TestSpectralConstants:
         for symbol in (S45, SchlafliSymbol(5, 4), SchlafliSymbol(7, 7)):
             with pytest.raises(ArithmeticError, match="step_share"):
                 namespace["spectral_constants"](symbol)
+
+
+class TestFirstLevelReaching:
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(4, 9) for q in range(4, 9)])
+    def test_first_row_at_or_above(self, p, q):
+        symbol, levels = SchlafliSymbol(p, q), 6
+        rows = layer_counts(symbol, levels)
+        # 1, every level's total and one past it; the last one past is reached by none
+        thresholds = {1} | {r.total for r in rows} | {r.total + 1 for r in rows}
+        for t in sorted(thresholds):
+            want = next((r.level for r in rows if r.total >= t), None)
+            assert first_level_reaching(symbol, t, levels) == want, t
+        assert first_level_reaching(symbol, 1, levels) == 0
+        assert first_level_reaching(symbol, rows[3].total, levels) == 3
+        assert first_level_reaching(symbol, rows[3].total + 1, levels) == 4
+        assert first_level_reaching(symbol, rows[levels].total + 1, levels) is None
+
+    @pytest.mark.parametrize("p,q", [(3, 7), (3, 6), (7, 3), (6, 3)])
+    def test_degenerate_forest_rejected(self, p, q):
+        with pytest.raises(DegenerateForestError):
+            first_level_reaching(SchlafliSymbol(p, q), 1, 3)
 
 
 class TestClosedForm:

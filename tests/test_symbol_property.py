@@ -9,6 +9,10 @@ the count recursion and with the exact root-level law.
 The layers, Euclidean {4,4} included, are consecutive runs of vertex ids
 that cover every vertex, and each edge joins a layer to itself or to a
 neighbouring layer.
+
+A forest grows on every level of its mosaic, and a build with fewer belts
+is a prefix of one with more: cut to the ids of its first j+1 layers, the
+forest on k belts is the forest on j belts, p = 3 included.
 """
 
 from fractions import Fraction
@@ -30,13 +34,15 @@ hyperbolic = (
 )
 
 
-def _largest_build(symbol, budget=VERTEX_BUDGET):
-    """The mosaic with the most belts that stays within `budget` vertices."""
+def _largest_build(symbol, budget=VERTEX_BUDGET, most=None):
+    """The mosaic with the most belts, up to `most`, that stays within `budget` vertices."""
     mosaic = build(symbol, 1, budget)  # belt 1 holds at most 12 * 10 vertices
     for belts in count(2):
         try:
             mosaic = build(symbol, belts, budget)
         except SizeLimitError:
+            return mosaic
+        if belts == most:
             return mosaic
 
 
@@ -87,3 +93,27 @@ def test_layers_are_consecutive_id_runs(symbol):
         near = range(layers[max(i - 1, 0)].start, layers[min(i + 1, last)].stop)
         for v in layer:
             assert all(w in near for w in mosaic.rot[v]), (symbol, i, v)
+
+
+@given(
+    st.tuples(st.integers(3, 12), st.integers(4, 12))
+    .filter(lambda pq: (pq[0] - 2) * (pq[1] - 2) >= 4)
+    .map(lambda pq: SchlafliSymbol(*pq)),
+    st.integers(0, 10**6),
+)
+@example(SchlafliSymbol(3, 7), 0)
+@example(SchlafliSymbol(3, 8), 1)
+@example(SchlafliSymbol(3, 12), 0)
+@example(SchlafliSymbol(4, 4), 5)
+@settings(max_examples=30, deadline=None)
+def test_fewer_belts_grow_a_prefix(symbol, cut):
+    big = _largest_build(symbol, most=12)  # Euclidean belts grow slowly: stop at 12
+    k = big.belts
+    j = 1 + cut % (k - 1)  # any belt count in 1..k-1
+    triangles = symbol.p == 3
+    small = grow(build(symbol, j), allow_triangles=triangles)
+    whole = grow(big, allow_triangles=triangles)
+    assert big.layers[: j + 1] == small.mosaic.layers, (symbol, j, k)
+    stop = big.layers[j].stop
+    assert whole.parent[:stop] == small.parent, (symbol, j, k)
+    assert whole.root_level[:stop] == small.root_level, (symbol, j, k)

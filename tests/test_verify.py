@@ -6,7 +6,7 @@ NAMES = ["layer-sizes", "forest-counts", "closed-form", "histogram"]
 
 
 def grown(p, q, levels):
-    return grow(build(SchlafliSymbol(p, q), levels), levels)
+    return grow(build(SchlafliSymbol(p, q), levels))
 
 
 @pytest.mark.parametrize("p,q", [(4, 5), (4, 4)])
