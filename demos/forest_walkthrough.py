@@ -37,7 +37,7 @@ for j, count in hist.items():
     print(f"  j={j}: {count:>6}   {mass} == {dist.point_mass(j)}: {mass == dist.point_mass(j)}")
 
 print(f"\nmain-root descendants by level: "
-      f"{[forest.main_root_descendants(i) for i in range(1, levels + 1)]}")
+      f"{[forest.root_level_histogram(i).get(0, 0) for i in range(1, levels + 1)]}")
 print(f"fan-outs: the main root has q children, other roots q-2, A vertices q-3")
 
 tree, connectors = forest.spanning_tree()

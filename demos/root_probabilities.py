@@ -29,8 +29,8 @@ for level in (7, 10):
         row = report.rows[j]
         order = f"1e{row.order}" if row.order is not None else "0"
         print(f"{j:>3} {a6[j]:>10} {e6[j]:>10} {row.difference.decimal(12):>14} {order:>6}")
-    print(f"  exact masses sum to {exact.total_mass()}, "
-          f"limiting masses sum to {asym.total_mass()}\n")
+    print(f"  exact masses sum to {exact.cumulative_below(level)}, "
+          f"limiting masses sum to {asym.cumulative_below(level)}\n")
 
 print("main-root mass p_{i,0} = q(q-3)^(i-1) / (a_i+b_i):")
 for level in (7, 10, 100):

@@ -27,15 +27,13 @@ class Forest:
     parent: list[int | None]
     root_level: list[int]
 
-    MAIN_ROOT = 0
-
     @property
     def levels(self) -> int:
         return self.mosaic.belts
 
-    def _layer(self, i: int, least: int = 0) -> range:
-        if not least <= i <= self.levels:
-            raise ValueError(f"level {i} outside grown range {least}..{self.levels}")
+    def _layer(self, i: int) -> range:
+        if not 0 <= i <= self.levels:
+            raise ValueError(f"level {i} outside grown range 0..{self.levels}")
         return self.mosaic.layers[i]
 
     def counts(self, i: int) -> tuple[int, int]:
@@ -48,15 +46,6 @@ class Forest:
         """How many level-i vertices have their root on each level j."""
         layer = self._layer(i)
         return dict(sorted(Counter(self.root_level[layer.start : layer.stop]).items()))
-
-    def main_root_descendants(self, i: int) -> int:
-        """Number of level-i vertices whose tree root is the seed vertex.
-
-        The seed is the only vertex on level 0, so these are the vertices
-        with root level 0.
-        """
-        layer = self._layer(i, least=1)
-        return self.root_level[layer.start : layer.stop].count(0)
 
     def tree_edges(self) -> list[tuple[int, int]]:
         """(parent, child) pairs for every non-root vertex, by child id."""
@@ -94,7 +83,7 @@ class Forest:
                 if parent[v] is not None:
                     label, shape = "A", "circle"
                 else:
-                    label, shape = "B", "doublecircle" if v == self.MAIN_ROOT else "box"
+                    label, shape = "B", "doublecircle" if i == 0 else "box"
                 lines.append(f'  v{v} [label="{v} L{i} {label}" shape={shape}];')
         for u, v in self.tree_edges():
             lines.append(f"  v{u} -> v{v};")

@@ -76,9 +76,6 @@ class RootDistribution:
             return tuple(weights)
         return tuple(Fraction(w, self.total) for w in weights)
 
-    def total_mass(self) -> Mass:
-        return self.cumulative_below(self.level)
-
     def decimals(self, digits: int = 6) -> list[str]:
         return [decimal(m, digits) for m in self.masses]
 
@@ -161,7 +158,6 @@ class ErrorRow:
 class DistributionErrorReport:
     """Per-level absolute gaps between the limiting and the exact law."""
 
-    symbol: SchlafliSymbol
     level: int
     rows: tuple[ErrorRow, ...]
 
@@ -186,4 +182,4 @@ def distribution_error_report(
                 order=order_of_magnitude(diff) if diff else None,
             )
         )
-    return DistributionErrorReport(symbol=asym.symbol, level=asym.level, rows=tuple(rows))
+    return DistributionErrorReport(level=asym.level, rows=tuple(rows))

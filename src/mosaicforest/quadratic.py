@@ -71,10 +71,6 @@ class QuadraticNumber:
 
     # -- structure ---------------------------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return not self.y
-
     def conjugate(self) -> "QuadraticNumber":
         return QuadraticNumber(self.x, -self.y, self.d)
 

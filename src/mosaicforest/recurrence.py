@@ -171,22 +171,12 @@ class SpectralConstants:
     root_share: QuadraticNumber  # lim b_i / (a_i + b_i)
     step_share: QuadraticNumber  # per-level share in the root-level law
 
-    def lead(self, series: Series) -> QuadraticNumber:
-        return self.lead_coefficients[series]
-
-    def sub(self, series: Series) -> QuadraticNumber:
-        return self.sub_coefficients[series]
-
     def named(self) -> dict[str, QuadraticNumber | Fraction]:
         return {
             "growth": self.growth,
             "decay": self.decay,
-            "lead_a": self.lead(Series.A),
-            "lead_b": self.lead(Series.B),
-            "lead_ab": self.lead(Series.ALL),
-            "sub_a": self.sub(Series.A),
-            "sub_b": self.sub(Series.B),
-            "sub_ab": self.sub(Series.ALL),
+            **{f"lead_{series.value}": self.lead_coefficients[series] for series in Series},
+            **{f"sub_{series.value}": self.sub_coefficients[series] for series in Series},
             "fanout_ratio": self.fanout_ratio,
             "root_nonroot_limit": self.root_nonroot_limit,
             "root_share": self.root_share,
@@ -221,14 +211,10 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     gap = growth - decay
 
     rows = layer_counts(symbol, 2)
-    firsts = {
-        Series.A: (rows[1].a, rows[2].a),
-        Series.B: (rows[1].b, rows[2].b),
-        Series.ALL: (rows[1].total, rows[2].total),
-    }
     lead = {}
     sub = {}
-    for series, (r1, r2) in firsts.items():
+    for series in Series:
+        r1, r2 = _series_value(rows[1], series), _series_value(rows[2], series)
         lead[series] = (r2 - decay * r1) / (growth * gap)
         sub[series] = (growth * r1 - r2) / (decay * gap)
         if sub[series] != lead[series].conjugate():
@@ -274,7 +260,7 @@ def closed_form_count(constants: SpectralConstants, level: int, series: Series) 
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    fr = 2 * (constants.lead(series) * constants.growth**level).x
+    fr = 2 * (constants.lead_coefficients[series] * constants.growth**level).x
     if fr.denominator != 1:
         raise ArithmeticError(f"closed form produced non-integer {fr} at level {level}")
     return fr.numerator

@@ -79,18 +79,18 @@ def test_criterion_2_spectral_constants():
         tol = 5e-7
         for value, want in (
             (c.growth, 3.732051),
-            (c.lead(Series.A), 1.830127),
-            (c.lead(Series.B), 1.056624),
-            (c.lead(Series.ALL), 2.886751),
+            (c.lead_coefficients[Series.A], 1.830127),
+            (c.lead_coefficients[Series.B], 1.056624),
+            (c.lead_coefficients[Series.ALL], 2.886751),
             (c.root_nonroot_limit, 0.577350),
             (c.root_share, 0.366025),
             (c.step_share, 0.464102),
         ):
             assert abs(float(value) - want) <= tol
         assert c.growth == QuadraticNumber(2, 1, 3)
-        assert c.lead(Series.A) == QuadraticNumber(Fraction(-5, 2), Fraction(5, 2), 3)
-        assert c.lead(Series.B) == QuadraticNumber(Fraction(5, 2), Fraction(-5, 6), 3)
-        assert c.lead(Series.ALL) == QuadraticNumber(0, Fraction(5, 3), 3)
+        assert c.lead_coefficients[Series.A] == QuadraticNumber(Fraction(-5, 2), Fraction(5, 2), 3)
+        assert c.lead_coefficients[Series.B] == QuadraticNumber(Fraction(5, 2), Fraction(-5, 6), 3)
+        assert c.lead_coefficients[Series.ALL] == QuadraticNumber(0, Fraction(5, 3), 3)
         assert c.root_nonroot_limit == QuadraticNumber(0, Fraction(1, 3), 3)
         assert c.root_share == QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 3)
         assert c.step_share == QuadraticNumber(-3, 2, 3)
@@ -168,12 +168,12 @@ def test_criterion_7_normalization():
         for p, q in ((4, 5), (5, 4), (4, 6), (6, 5), (7, 7), (4, 4)):
             symbol = SchlafliSymbol(p, q)
             for level in (1, 2, 5, 11, 23, 40):
-                assert exact_distribution(symbol, level).total_mass() == 1
+                assert exact_distribution(symbol, level).cumulative_below(level) == 1
             if symbol.geometry is Geometry.HYPERBOLIC:
                 c = spectral_constants(symbol)
                 for level in (1, 2, 5, 11, 23, 40):
                     d = asymptotic_distribution(c, level)
-                    assert d.total_mass() == 1
+                    assert d.cumulative_below(level) == 1
                     rendered = sum(Fraction(text) for text in d.decimals(14))
                     assert abs(rendered - 1) < Fraction(1, 10**12)
 
@@ -223,7 +223,7 @@ def test_criterion_9_structural_invariants():
                 for i in range(levels):
                     for v in mosaic.layers[i]:
                         n_children = children[v]
-                        if v == forest.MAIN_ROOT:
+                        if v == 0:  # the main root
                             assert n_children == q
                         elif forest.parent[v] is not None:
                             assert n_children == q - 3
@@ -231,7 +231,7 @@ def test_criterion_9_structural_invariants():
                             assert n_children == q - 2
                         assert n_children >= 1  # no leaves below the final layer
                 for i in range(1, levels + 1):
-                    assert forest.main_root_descendants(i) == q * (q - 3) ** (i - 1)
+                    assert forest.root_level_histogram(i)[0] == q * (q - 3) ** (i - 1)
 
 
 def test_criterion_10_spanning_tree():

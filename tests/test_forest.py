@@ -92,10 +92,10 @@ def test_histogram_matches_exact_distribution():
 
 
 def test_main_root_descendants(forest45):
-    assert forest45.main_root_descendants(1) == 5
-    assert forest45.main_root_descendants(7) == 320
+    assert forest45.root_level_histogram(1)[0] == 5
+    assert forest45.root_level_histogram(7)[0] == 320
     f46 = grow(build(SchlafliSymbol(4, 6), 4))
-    assert f46.main_root_descendants(4) == 6 * 3**3  # enumeration agrees with q(q-3)^(i-1)
+    assert f46.root_level_histogram(4)[0] == 6 * 3**3  # enumeration agrees with q(q-3)^(i-1)
 
 
 def test_fanout_law(forest45):
@@ -104,7 +104,7 @@ def test_fanout_law(forest45):
     for i in range(7):
         for v in forest45.mosaic.layers[i]:
             n_children = children[v]
-            if v == forest45.MAIN_ROOT:
+            if v == 0:  # the main root
                 assert n_children == q
             elif forest45.parent[v] is not None:
                 assert n_children == q - 3

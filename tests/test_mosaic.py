@@ -171,6 +171,12 @@ def _rotate_rotation(m):
     m.rot[v] = m.rot[v][1:] + m.rot[v][:1]
 
 
+def _reverse_every_7th_rotation(m):
+    # same neighbours, wrong cyclic order
+    for v in range(0, m.vertex_count, 7):
+        m.rot[v] = m.rot[v][::-1]
+
+
 def _one_sided_entry(m):
     # v lists w, but w no longer lists v
     v = m.layers[1][0]
@@ -220,6 +226,7 @@ CORRUPTIONS = {
         ["interior-degree", "rotation-faces", "edge-coverage", "euler"],
     ),
     "rotate-rotation": (_rotate_rotation, []),
+    "reverse-every-7th-rotation": (_reverse_every_7th_rotation, ["rotation-faces"]),
     "one-sided-entry": (
         _one_sided_entry,
         ["interior-degree", "rotation-faces", "edge-coverage", "euler"],

@@ -72,7 +72,7 @@ class TestAsymptotic:
         d = asymptotic_distribution(c, 1)
         assert d.point_mass(1) == c.root_share
         assert d.point_mass(0) == 1 - c.root_share
-        assert d.total_mass() == 1
+        assert d.cumulative_below(d.level) == 1
 
     @given(symbols_grid, st.integers(min_value=1, max_value=25))
     @settings(max_examples=40, deadline=None)
@@ -82,7 +82,7 @@ class TestAsymptotic:
         except RepeatedEigenvalueError:
             return
         d = asymptotic_distribution(c, level)
-        assert d.total_mass() == 1
+        assert d.cumulative_below(d.level) == 1
 
     def test_cumulative_closed_form(self):
         # cumulative_below(j) telescopes to (1-K)(1-M)**(i-j-1)
@@ -124,7 +124,7 @@ class TestExact:
             Fraction(45, 150),
             Fraction(55, 150),
         )
-        assert d.total_mass() == 1
+        assert d.cumulative_below(d.level) == 1
 
     def test_top_mass_is_root_share_of_level(self):
         rows = layer_counts(S45, 9)
@@ -135,7 +135,7 @@ class TestExact:
     @settings(max_examples=40, deadline=None)
     def test_sums_to_one_exactly(self, symbol, level):
         d = exact_distribution(symbol, level)
-        assert d.total_mass() == 1
+        assert d.cumulative_below(d.level) == 1
         assert all(0 < m <= 1 for m in d.masses)
 
     def test_counts_identity(self):
@@ -198,7 +198,7 @@ class TestWeights:
         exact = exact_distribution(S45, 9)
         asym = asymptotic_distribution(spectral_constants(S45), 9)
         for d, mass_type in ((exact, Fraction), (asym, QuadraticNumber)):
-            reads = [d.total_mass(), *d.masses]
+            reads = list(d.masses)
             reads += [d.point_mass(j) for j in range(10)]
             reads += [d.cumulative_below(j) for j in range(10)]
             assert all(type(m) is mass_type for m in reads)
@@ -216,7 +216,7 @@ class TestCumulativeBelow:
         for d in laws:
             prefix = list(accumulate(d.masses))
             assert [d.cumulative_below(j) for j in range(201)] == prefix
-            assert prefix[-1] == d.total_mass() == 1
+            assert prefix[-1] == d.cumulative_below(d.level) == 1
 
     def test_euclidean_case_at_level_200(self):
         d = exact_distribution(S44, 200)

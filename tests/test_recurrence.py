@@ -133,9 +133,9 @@ class TestSpectralConstants:
         assert c.trace == 4 and c.radicand == 12
         assert c.growth == QuadraticNumber(2, 1, 3)
         assert c.decay == QuadraticNumber(2, -1, 3)
-        assert c.lead(Series.A) == QuadraticNumber(Fraction(-5, 2), Fraction(5, 2), 3)
-        assert c.lead(Series.B) == QuadraticNumber(Fraction(5, 2), Fraction(-5, 6), 3)
-        assert c.lead(Series.ALL) == QuadraticNumber(0, Fraction(5, 3), 3)
+        assert c.lead_coefficients[Series.A] == QuadraticNumber(Fraction(-5, 2), Fraction(5, 2), 3)
+        assert c.lead_coefficients[Series.B] == QuadraticNumber(Fraction(5, 2), Fraction(-5, 6), 3)
+        assert c.lead_coefficients[Series.ALL] == QuadraticNumber(0, Fraction(5, 3), 3)
         assert c.root_nonroot_limit == QuadraticNumber(0, Fraction(1, 3), 3)
         assert c.root_share == QuadraticNumber(Fraction(-1, 2), Fraction(1, 2), 3)
         assert c.step_share == QuadraticNumber(-3, 2, 3)

@@ -16,7 +16,6 @@ forest on k belts is the forest on j belts, p = 3 included.
 """
 
 from fractions import Fraction
-from itertools import count
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,15 +34,27 @@ hyperbolic = (
 
 
 def _largest_build(symbol, budget=VERTEX_BUDGET, most=None):
-    """The mosaic with the most belts, up to `most`, that stays within `budget` vertices."""
-    mosaic = build(symbol, 1, budget)  # belt 1 holds at most 12 * 10 vertices
-    for belts in count(2):
-        try:
-            mosaic = build(symbol, belts, budget)
-        except SizeLimitError:
-            return mosaic
-        if belts == most:
-            return mosaic
+    """The mosaic with the most belts, up to `most`, that stays within `budget` vertices.
+
+    A 2-belt build gives the first layer sizes, and the trace recursion
+    (from level 2 on) extends them to the deepest level within the budget,
+    so the mosaic is built once more at that depth rather than once per belt.
+    The tests assert the recursion on the real build.
+    """
+    try:
+        mosaic = build(symbol, 2, budget)
+    except SizeLimitError:
+        return build(symbol, 1, budget)  # belt 1 holds at most 12 * 10 vertices
+    sizes, c = mosaic.layer_sizes, symbol.trace
+    total = sum(sizes)
+    while len(sizes) - 1 != most:
+        size = c * sizes[-1] - sizes[-2]
+        if total + size > budget:
+            break
+        sizes.append(size)
+        total += size
+    belts = len(sizes) - 1
+    return mosaic if belts == 2 else build(symbol, belts, budget)
 
 
 @given(hyperbolic)
