@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DegenerateForestError, StructureError
-from .mosaic import Mosaic
+from .mosaic import _TEXT_BLOCK, Mosaic
 
 
 @dataclass
@@ -73,22 +73,29 @@ class Forest:
         return self.tree_edges(), connectors
 
     def to_dot(self) -> str:
-        """Deterministic DOT text: layers annotated, roots boxed, main root doubled."""
+        """Deterministic DOT text: layers annotated, roots boxed, main root doubled.
+
+        Each vertex, then each tree edge, is one line; the lines are joined a
+        block of vertices at a time.
+        """
         s = self.mosaic.symbol
-        lines = [f'digraph "forest_{s.p}_{s.q}_{self.levels}" {{']
-        lines.append("  node [fontsize=10];")
+        text = [f'digraph "forest_{s.p}_{s.q}_{self.levels}" {{\n  node [fontsize=10];\n']
         parent = self.parent
         for i, layer in enumerate(self.mosaic.layers):
-            for v in layer:
-                if parent[v] is not None:
-                    label, shape = "A", "circle"
-                else:
-                    label, shape = "B", "doublecircle" if i == 0 else "box"
-                lines.append(f'  v{v} [label="{v} L{i} {label}" shape={shape}];')
-        for u, v in self.tree_edges():
-            lines.append(f"  v{u} -> v{v};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            root = "doublecircle" if i == 0 else "box"
+            for lo in range(0, len(layer), _TEXT_BLOCK):
+                lines = [
+                    f'  v{v} [label="{v} L{i} A" shape=circle];\n'
+                    if parent[v] is not None
+                    else f'  v{v} [label="{v} L{i} B" shape={root}];\n'
+                    for v in layer[lo : lo + _TEXT_BLOCK]
+                ]
+                text.append("".join(lines))
+        for lo in range(0, len(parent), _TEXT_BLOCK):
+            block = enumerate(parent[lo : lo + _TEXT_BLOCK], lo)
+            text.append("".join([f"  v{u} -> v{v};\n" for v, u in block if u is not None]))
+        text.append("}\n")
+        return "".join(text)
 
 
 def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:

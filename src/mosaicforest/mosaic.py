@@ -16,15 +16,21 @@ makes builds fully deterministic.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, count
+from operator import add, contains, eq, itemgetter, ne
 from typing import Iterator
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
 from .recurrence import Geometry, SchlafliSymbol
 
 DEFAULT_VERTEX_CAP = 10_000_000
+_BLOCK = 2048  # vertices or cells per list of ints made on the way into an array
+# vertices per piece of exported text: pieces stay near 60 KB, where pieces
+# four times as large left the benchmark's verify_cli peak RSS 1.7 MB higher
+_TEXT_BLOCK = 1024
 
 
 class Mosaic:
@@ -57,11 +63,17 @@ class Mosaic:
                     yield (u, v)
 
     def edge_list_text(self) -> str:
-        """Plain text export: a header line, then one 'u v' pair per line."""
+        """Plain text export: a header line, then one 'u v' pair per line.
+
+        The pairs are those of `edges()`, joined a block of vertices at a time.
+        """
         s = self.symbol
-        lines = [f"# p={s.p} q={s.q} belts={self.belts} vertices={self.vertex_count}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        rot = self.rot
+        text = [f"# p={s.p} q={s.q} belts={self.belts} vertices={self.vertex_count}\n"]
+        for lo in range(0, len(rot), _TEXT_BLOCK):
+            block = enumerate(rot[lo : lo + _TEXT_BLOCK], lo)
+            text.append("".join([f"{u} {v}\n" for u, nbrs in block for v in sorted(nbrs) if u < v]))
+        return "".join(text)
 
 
 class _Builder:
@@ -279,93 +291,123 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     formula.  They run over one dart numbering: dart (u, rot[u][i]) is
     first[u] + i.  A malformed map (say, a neighbour listed on one side only,
     or an id that names no vertex) fails a check; it never raises.
+
+    The per-dart maps are `array('q')`s.  Passes over whole arrays decide
+    whether the darts pair up into edges, whether every cell is a face and
+    whether every edge lies on its count of cells; only a failed pass is
+    followed by a scan for the lowest offender.  A malformed map takes
+    slower routes over the same numbering instead.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
     n = len(rot)
     heads = list(chain.from_iterable(rot))
+    darts = len(heads)
+    flat = list(chain.from_iterable(cells))
     checks: list[CheckResult] = []
 
     def report(name: str, failure: str | None) -> None:
         checks.append(CheckResult(name, failure is None, failure or ""))
 
-    def ids() -> Iterator[int]:
-        return chain(heads, outer, chain.from_iterable(cells))
-
     # an id that names no vertex reads as a vertex with no neighbours and no
-    # cells: at[v] is the rotation of v, () for such an id
-    if 0 <= min(ids(), default=0) and max(ids(), default=0) < n:
+    # cells: at[v] is the rotation of v, () for such an id; this check runs
+    # before any id enters a typed array
+    if all(0 <= min(ids) and max(ids) < n for ids in (heads, outer, flat) if ids):
         strangers: set[int] = set()
         at, cells_at = rot, [0] * n
     else:
-        strangers = {v for v in ids() if not 0 <= v < n}
+        strangers = {v for v in chain(heads, outer, flat) if not 0 <= v < n}
         at = dict(enumerate(rot)) | dict.fromkeys(strangers, ())
         cells_at = dict.fromkeys(chain(range(n), strangers), 0)
 
-    misfits = (c for c in cells if len(c) != p or len(set(c)) != p or not strangers.isdisjoint(c))
-    bad = next(misfits, None)
-    if bad is None:
+    # p-gons of known vertices can be read as p columns (see _sides_by_columns)
+    columns = not strangers and all(map(p.__eq__, map(len, cells)))
+    if columns and all(map(p.__eq__, map(len, map(set, cells)))):
         failure = None
-    elif strangers.isdisjoint(bad):
-        failure = f"cell {bad} is not a {p}-gon"
     else:
-        failure = f"cell {bad} names {next(v for v in bad if v in strangers)}, outside 0..{n - 1}"
+        misfits = (
+            c for c in cells if len(c) != p or len(set(c)) != p or not strangers.isdisjoint(c)
+        )
+        bad = next(misfits, None)
+        if bad is None:
+            failure = None
+        elif strangers.isdisjoint(bad):
+            failure = f"cell {bad} is not a {p}-gon"
+        else:
+            stranger = next(v for v in bad if v in strangers)
+            failure = f"cell {bad} names {stranger}, outside 0..{n - 1}"
     report("cell-size", failure)
 
-    for c in cells:
-        for v in c:
-            cells_at[v] += 1
+    for v in flat:
+        cells_at[v] += 1
     # the interior is every layer below the outer one: the ids before it
-    v = next(
-        (
-            v
-            for v, nbrs in enumerate(rot[: n - len(outer)])
-            if len(nbrs) != q or cells_at[v] != q
-        ),
-        None,
-    )
+    interior = range(n)[: n - len(outer)]
+    v = next((v for v in interior if len(rot[v]) != q or cells_at[v] != q), None)
     report(
         "interior-degree",
         None
         if v is None
         else f"vertex {v} has degree {len(rot[v])} and {cells_at[v]} cells (expected {q})",
     )
+    del flat, cells_at
 
+    # per vertex, not per dart: a list indexes faster than an array
     first = list(accumulate(map(len, rot), initial=0))
 
     def dart(d: int) -> tuple[int, int]:
         return bisect_right(first, d) - 1, heads[d]
 
-    # rev[d] is the dart back along d, at the first entry of d's tail in the
-    # head's rotation; -1 if the head does not list the tail
-    rev = [
-        first[v] + at[v].index(u) if u in at[v] else -1
-        for u, nbrs in enumerate(rot)
-        for v in nbrs
-    ]
-    broken = next((d for d, e in enumerate(rev) if e < 0 or rev[e] != d), None)
-    if broken is None:
-        # faces turn clockwise at the head: the dart just before rev[d] there
-        succ = [e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(rev, heads)]
+    maps = None if strangers else _dart_maps(rot, heads, first)
+    if maps is not None:
+        rev, succ = maps
+        broken = None
+    else:
+        # a malformed map: rev is -1 where the head does not list the tail
+        rev = array(
+            "q",
+            (
+                first[v] + at[v].index(u) if u in at[v] else -1
+                for u, nbrs in enumerate(rot)
+                for v in nbrs
+            ),
+        )
+        # the lowest dart d with rev[rev[d]] != d.  Where rev[d] is -1 this
+        # reads rev[-1], the last dart's reverse, and that is never d: d would
+        # then run back along the last dart, so d's head would list d's tail.
+        broken = next(compress(count(), map(ne, map(rev.__getitem__, rev), count())), None)
+        if broken is None:
+            succ = array(
+                "q", (e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(rev, heads))
+            )
 
     # sides[d] counts the cell sides along dart d; a cell is a face when the
     # successor map chains its sides in order and no other side shares them
-    sides = [0] * len(rev)
+    sides = None
+    if columns and broken is None:
+        sides = _sides_by_columns(cells, p, rot, first, heads, succ)
     stray = bad = None
-    for vs in cells:
-        ds = [
-            first[a] + at[a].index(b) if b in at[a] else -1
-            for a, b in zip(vs, vs[1:] + vs[:1])
-        ]
-        if -1 in ds:
-            k = ds.index(-1)
-            stray = stray or tuple(sorted((vs[k], vs[(k + 1) % len(vs)])))
-            bad = bad or vs
-            ds = [d for d in ds if d >= 0]
-        elif bad is None and broken is None and [succ[d] for d in ds] != ds[1:] + ds[:1]:
-            bad = vs
-        for d in ds:
-            sides[d] += 1
+    if sides is None:
+        sides = [0] * darts
+        for vs in cells:
+            ds = [
+                first[a] + at[a].index(b) if b in at[a] else -1
+                for a, b in zip(vs, vs[1:] + vs[:1])
+            ]
+            if -1 in ds:
+                k = ds.index(-1)
+                stray = stray or tuple(sorted((vs[k], vs[(k + 1) % len(vs)])))
+                bad = bad or vs
+                ds = [d for d in ds if d >= 0]
+            elif bad is None and broken is None and [succ[d] for d in ds] != ds[1:] + ds[:1]:
+                bad = vs
+            for d in ds:
+                sides[d] += 1
+
+    # the outer layer as one mark per vertex; all 0 when it names a stranger
+    on_outer = bytearray(n)
+    if not strangers or strangers.isdisjoint(outer):
+        for v in outer:
+            on_outer[v] = 1
 
     if broken is not None:
         u, v = dart(broken)
@@ -379,33 +421,48 @@ def validate(mosaic: Mosaic) -> ValidationReport:
         d = next(d for d, k in enumerate(sides) if k > 1)
         failure = f"dart {dart(d)} lies on {sides[d]} cells"
     else:
-        # the darts on no cell must form one face: the outer one
-        free = [d for d, k in enumerate(sides) if not k]
-        walk = free[:1]
-        while walk and succ[walk[-1]] != walk[0]:
-            walk.append(succ[walk[-1]])
-        face = len(walk) == len(free) == len(outer) and {heads[d] for d in walk} == set(outer)
-        failure = None if face else f"the {len(free)} darts on no cell are not the outer face"
+        # the darts on no cell must form one face: the outer one, which meets
+        # the outer vertices and no other
+        free = sides.count(0)
+        walk = _face(succ, sides.index(0)) if free else array("q")
+        on_walk = bytearray(n)
+        for d in walk:
+            on_walk[heads[d]] = 1
+        face = len(walk) == free == len(outer) and on_walk == on_outer
+        failure = None if face else f"the {free} darts on no cell are not the outer face"
     report("rotation-faces", failure)
 
-    ahead = [*outer[1:], *outer[:1]]  # each outer vertex's successor on the cycle
-    simple = len(outer) == len(set(outer)) and all(b in at[a] for a, b in zip(outer, ahead))
+    # the dart of each step a -> b along the outer cycle that a lists; a
+    # stranger on the cycle lists nothing, so its step is missing
+    ahead = chain(outer[1:], outer[:1])
+    steps = array("q", (first[a] + at[a].index(b) for a, b in zip(outer, ahead) if b in at[a]))
+    simple = len(steps) == len(outer) == on_outer.count(1)
     report("boundary-cycle", None if simple else "outer boundary is not a simple adjacent cycle")
 
-    on_boundary = bytearray(len(rev))
-    for a, b in zip(outer, ahead):
-        if b in at[a]:
-            on_boundary[first[a] + at[a].index(b)] = 1
     # an edge is a pair of darts that are each other's reverse; tails ascend
     # with the dart index, so d < rev[d] takes each edge once, from u < v
-    edges = 0
     failure = None
-    for d, e in enumerate(rev):
-        if d < e and rev[e] == d:
-            edges += 1
-            count, want = sides[d] + sides[e], 2 - (on_boundary[d] | on_boundary[e])
-            if count != want and failure is None:
-                failure = f"edge {dart(d)}: {count} cells, expected {want}"
+    if broken is None and not any(map(contains, rot, range(n))):
+        # no vertex lists itself, so each dart lies on an edge, and a boundary
+        # step wants 1 cell on both of its darts
+        edges = darts // 2
+        want = bytearray(b"\2") * darts
+        for d in steps:
+            want[d] = want[rev[d]] = 1
+        d = _first_miscounted(sides, rev, want)
+        if d is not None:
+            failure = f"edge {dart(d)}: {sides[d] + sides[rev[d]]} cells, expected {want[d]}"
+    else:
+        on_boundary = bytearray(darts)
+        for d in steps:
+            on_boundary[d] = 1
+        edges = 0
+        for d, e in enumerate(rev):
+            if d < e and rev[e] == d:
+                edges += 1
+                found, expected = sides[d] + sides[e], 2 - (on_boundary[d] | on_boundary[e])
+                if found != expected and failure is None:
+                    failure = f"edge {dart(d)}: {found} cells, expected {expected}"
     if failure is None and stray is not None:
         failure = f"edge {stray}: a cell side with no rotation edge"
     report("edge-coverage", failure)
@@ -414,3 +471,80 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     report("euler", None if v_ - e_ + f_ == 2 else f"V-E+F = {v_}-{e_}+{f_} != 2")
 
     return ValidationReport(tuple(checks))
+
+
+def _dart_maps(
+    rot: list[tuple[int, ...]], heads: list[int], first: list[int]
+) -> tuple[array, array] | None:
+    """`validate`'s rev and succ, or None unless each head lists each tail once.
+
+    rev[d] is the dart back along d, at the first entry of d's tail in the
+    head's rotation.  Faces turn clockwise at the head: succ[d] is the dart
+    just before rev[d] there.  Both are filled a block of tails at a time, so
+    no list of ints longer than a block is made.
+    """
+    n = len(rot)
+    rev, succ = array("q"), array("q")
+    try:
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            block = [first[v] + rot[v].index(u) for u in range(lo, hi) for v in rot[u]]
+            rev.extend(block)
+            ends = heads[first[lo] : first[hi]]
+            succ.extend([e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(block, ends)])
+    except ValueError:  # a head that does not list its tail
+        return None
+    # a head that lists a tail twice sends two darts to one, so rev pairs the
+    # darts of each edge exactly when it reaches every dart
+    reached = bytearray(len(heads))
+    for e in rev:
+        reached[e] = 1
+    return None if 0 in reached else (rev, succ)
+
+
+def _sides_by_columns(
+    cells: list[tuple[int, ...]],
+    p: int,
+    rot: list[tuple[int, ...]],
+    first: list[int],
+    heads: list[int],
+    succ: array,
+) -> list[int] | None:
+    """Cell sides per dart when every p-gon is a face of `succ`, else None.
+
+    The sides are taken one column at a time, a dart per cell: side 0 is
+    looked up, side j is succ of side j - 1 and must end at the cell's vertex
+    j + 1, and succ of side p - 1 must end at vertex 1, so it is side 0.
+    """
+    col = array("q")
+    try:
+        for lo in range(0, len(cells), _BLOCK):
+            col.extend([first[c[0]] + rot[c[0]].index(c[1]) for c in cells[lo : lo + _BLOCK]])
+    except ValueError:  # a first side that is no dart
+        return None
+    sides = [0] * len(succ)
+    for j in range(1, p + 1):
+        for d in col:
+            sides[d] += 1
+        col = array("q", map(succ.__getitem__, col))
+        if not all(map(eq, map(heads.__getitem__, col), map(itemgetter((j + 1) % p), cells))):
+            return None
+    return sides
+
+
+def _face(succ: array, start: int) -> array:
+    """The darts of the face through `start`, in successor order from it."""
+    walk = array("q", [start])
+    d = succ[start]
+    while d != start:
+        walk.append(d)
+        d = succ[d]
+    return walk
+
+
+def _first_miscounted(sides: list[int], rev: array, want: bytearray) -> int | None:
+    """The lowest dart d with sides[d] + sides[rev[d]] != want[d], if any."""
+    if all(map(eq, map(add, sides, map(sides.__getitem__, rev)), want)):
+        return None
+    covered = map(add, sides, map(sides.__getitem__, rev))
+    return next(compress(count(), map(ne, covered, want)))

@@ -6,7 +6,7 @@ import pytest
 
 from mosaicforest.errors import DegenerateForestError
 from mosaicforest.forest import grow
-from mosaicforest.mosaic import build
+from mosaicforest.mosaic import _TEXT_BLOCK, build
 from mosaicforest.probability import exact_distribution
 from mosaicforest.recurrence import SchlafliSymbol, layer_counts
 
@@ -235,3 +235,34 @@ class TestDotExport:
         a = grow(build(SchlafliSymbol(5, 4), 3)).to_dot()
         b = grow(build(SchlafliSymbol(5, 4), 3)).to_dot()
         assert a == b
+
+
+def _dot_line_by_line(forest):
+    s = forest.mosaic.symbol
+    lines = [f'digraph "forest_{s.p}_{s.q}_{forest.levels}" {{', "  node [fontsize=10];"]
+    for i, layer in enumerate(forest.mosaic.layers):
+        for v in layer:
+            if forest.parent[v] is not None:
+                label, shape = "A", "circle"
+            else:
+                label, shape = "B", "doublecircle" if i == 0 else "box"
+            lines.append(f'  v{v} [label="{v} L{i} {label}" shape={shape}];')
+    lines += [f"  v{u} -> v{v};" for u, v in forest.tree_edges()]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _edge_list_line_by_line(mosaic):
+    s = mosaic.symbol
+    lines = [f"# p={s.p} q={s.q} belts={mosaic.belts} vertices={mosaic.vertex_count}"]
+    lines += [f"{u} {v}" for u, v in mosaic.edges()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p,q,belts", [(4, 5, 7), (3, 7, 9)])
+def test_block_joined_exports_match_a_line_by_line_rendering(p, q, belts):
+    m = build(SchlafliSymbol(p, q), belts)
+    assert m.vertex_count > 3 * _TEXT_BLOCK
+    f = grow(m, allow_triangles=p == 3)
+    assert f.to_dot() == _dot_line_by_line(f)
+    assert m.edge_list_text() == _edge_list_line_by_line(m)

@@ -1,9 +1,13 @@
-from itertools import accumulate
+import random
+import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate, chain
+from typing import Iterator
 
 import pytest
 
 from mosaicforest.errors import SizeLimitError, SphericalSymbolError
-from mosaicforest.mosaic import build, validate
+from mosaicforest.mosaic import CheckResult, Mosaic, ValidationReport, build, validate
 from mosaicforest.recurrence import SchlafliSymbol, layer_counts, spectral_constants
 
 
@@ -196,6 +200,46 @@ def _vertex_outside_cell(m):
     return {"cell-size": ("names -1",)}
 
 
+def _empty_cell(m):
+    m.cells[3] = ()
+
+
+def _one_vertex_cell(m):
+    m.cells[3] = m.cells[3][:1]
+
+
+def _empty_seed_rotation(m):
+    m.rot[0] = ()
+
+
+def _empty_outer_layer(m):
+    m.layers[-1] = []
+
+
+def _no_cells(m):
+    m.cells.clear()
+
+
+def _self_loop(m):
+    m.rot[5] += (5,)
+
+
+def _cell_301_times(m):
+    # more sides on one dart than a byte can count
+    m.cells.extend([m.cells[3]] * 300)
+    return {"rotation-faces": ("lies on 301 cells",), "edge-coverage": ("302 cells",)}
+
+
+def _neighbour_below_int64(m):
+    # an id that no 64-bit array entry can hold
+    m.rot[5] = (*m.rot[5], -(10**20))
+    return {"rotation-faces": ("-100000000000000000000 is outside",)}
+
+
+def _vertex_outside_outer_layer(m):
+    m.layers[-1] = [*m.layers[-1], 10**6]
+
+
 CHECKS = [
     "cell-size",
     "interior-degree",
@@ -238,6 +282,33 @@ CORRUPTIONS = {
     "vertex-outside-cell": (
         _vertex_outside_cell,
         ["cell-size", "interior-degree", "rotation-faces", "edge-coverage"],
+    ),
+    "empty-cell": (
+        _empty_cell,
+        ["cell-size", "interior-degree", "rotation-faces", "edge-coverage"],
+    ),
+    "one-vertex-cell": (
+        _one_vertex_cell,
+        ["cell-size", "interior-degree", "rotation-faces", "edge-coverage"],
+    ),
+    "empty-seed-rotation": (
+        _empty_seed_rotation,
+        ["interior-degree", "rotation-faces", "edge-coverage", "euler"],
+    ),
+    "empty-outer-layer": (
+        _empty_outer_layer,
+        ["interior-degree", "rotation-faces", "edge-coverage"],
+    ),
+    "no-cells": (_no_cells, ["interior-degree", "rotation-faces", "edge-coverage", "euler"]),
+    "self-loop": (_self_loop, ["interior-degree", "rotation-faces"]),
+    "cell-301-times": (
+        _cell_301_times,
+        ["interior-degree", "rotation-faces", "edge-coverage", "euler"],
+    ),
+    "neighbour-below-int64": (_neighbour_below_int64, ["interior-degree", "rotation-faces"]),
+    "vertex-outside-outer-layer": (
+        _vertex_outside_outer_layer,
+        ["rotation-faces", "boundary-cycle", "edge-coverage"],
     ),
 }
 
@@ -283,3 +354,209 @@ def test_edges_cover_rotations():
     m = build(SchlafliSymbol(5, 4), 3)
     edges = set(m.edges())
     assert all((min(u, v), max(u, v)) in edges for u in range(m.vertex_count) for v in m.rot[u])
+
+
+
+def reference_validate(mosaic: Mosaic) -> ValidationReport:
+    """`validate` over Python lists, one cell at a time: the oracle for its reports.
+
+    Every map here is a list (`first`, `rev`, `succ`, each cell's darts), and
+    each cell side is looked up with `in` and `.index`.  `validate` must
+    return the same report, detail strings included, on every input.
+    """
+    p, q = mosaic.symbol.p, mosaic.symbol.q
+    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
+    n = len(rot)
+    heads = list(chain.from_iterable(rot))
+    checks: list[CheckResult] = []
+
+    def report(name: str, failure: str | None) -> None:
+        checks.append(CheckResult(name, failure is None, failure or ""))
+
+    def ids() -> Iterator[int]:
+        return chain(heads, outer, chain.from_iterable(cells))
+
+    # an id that names no vertex reads as a vertex with no neighbours and no
+    # cells: at[v] is the rotation of v, () for such an id
+    if 0 <= min(ids(), default=0) and max(ids(), default=0) < n:
+        strangers: set[int] = set()
+        at, cells_at = rot, [0] * n
+    else:
+        strangers = {v for v in ids() if not 0 <= v < n}
+        at = dict(enumerate(rot)) | dict.fromkeys(strangers, ())
+        cells_at = dict.fromkeys(chain(range(n), strangers), 0)
+
+    misfits = (c for c in cells if len(c) != p or len(set(c)) != p or not strangers.isdisjoint(c))
+    bad = next(misfits, None)
+    if bad is None:
+        failure = None
+    elif strangers.isdisjoint(bad):
+        failure = f"cell {bad} is not a {p}-gon"
+    else:
+        failure = f"cell {bad} names {next(v for v in bad if v in strangers)}, outside 0..{n - 1}"
+    report("cell-size", failure)
+
+    for c in cells:
+        for v in c:
+            cells_at[v] += 1
+    # the interior is every layer below the outer one: the ids before it
+    v = next(
+        (
+            v
+            for v, nbrs in enumerate(rot[: n - len(outer)])
+            if len(nbrs) != q or cells_at[v] != q
+        ),
+        None,
+    )
+    report(
+        "interior-degree",
+        None
+        if v is None
+        else f"vertex {v} has degree {len(rot[v])} and {cells_at[v]} cells (expected {q})",
+    )
+
+    first = list(accumulate(map(len, rot), initial=0))
+
+    def dart(d: int) -> tuple[int, int]:
+        return bisect_right(first, d) - 1, heads[d]
+
+    # rev[d] is the dart back along d, at the first entry of d's tail in the
+    # head's rotation; -1 if the head does not list the tail
+    rev = [
+        first[v] + at[v].index(u) if u in at[v] else -1
+        for u, nbrs in enumerate(rot)
+        for v in nbrs
+    ]
+    broken = next((d for d, e in enumerate(rev) if e < 0 or rev[e] != d), None)
+    if broken is None:
+        # faces turn clockwise at the head: the dart just before rev[d] there
+        succ = [e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(rev, heads)]
+
+    # sides[d] counts the cell sides along dart d; a cell is a face when the
+    # successor map chains its sides in order and no other side shares them
+    sides = [0] * len(rev)
+    stray = bad = None
+    for vs in cells:
+        ds = [
+            first[a] + at[a].index(b) if b in at[a] else -1
+            for a, b in zip(vs, vs[1:] + vs[:1])
+        ]
+        if -1 in ds:
+            k = ds.index(-1)
+            stray = stray or tuple(sorted((vs[k], vs[(k + 1) % len(vs)])))
+            bad = bad or vs
+            ds = [d for d in ds if d >= 0]
+        elif bad is None and broken is None and [succ[d] for d in ds] != ds[1:] + ds[:1]:
+            bad = vs
+        for d in ds:
+            sides[d] += 1
+
+    if broken is not None:
+        u, v = dart(broken)
+        fault = f"{v} does not list {u}" if rev[broken] < 0 else f"{u} lists {v} twice"
+        if v in strangers:
+            fault = f"{v} is outside 0..{n - 1}"
+        failure = f"dart ({u}, {v}): {fault}"
+    elif bad is not None:
+        failure = f"cell {bad} is not a face of the rotation system"
+    elif max(sides, default=0) > 1:
+        d = next(d for d, k in enumerate(sides) if k > 1)
+        failure = f"dart {dart(d)} lies on {sides[d]} cells"
+    else:
+        # the darts on no cell must form one face: the outer one
+        free = [d for d, k in enumerate(sides) if not k]
+        walk = free[:1]
+        while walk and succ[walk[-1]] != walk[0]:
+            walk.append(succ[walk[-1]])
+        face = len(walk) == len(free) == len(outer) and {heads[d] for d in walk} == set(outer)
+        failure = None if face else f"the {len(free)} darts on no cell are not the outer face"
+    report("rotation-faces", failure)
+
+    ahead = [*outer[1:], *outer[:1]]  # each outer vertex's successor on the cycle
+    simple = len(outer) == len(set(outer)) and all(b in at[a] for a, b in zip(outer, ahead))
+    report("boundary-cycle", None if simple else "outer boundary is not a simple adjacent cycle")
+
+    on_boundary = bytearray(len(rev))
+    for a, b in zip(outer, ahead):
+        if b in at[a]:
+            on_boundary[first[a] + at[a].index(b)] = 1
+    # an edge is a pair of darts that are each other's reverse; tails ascend
+    # with the dart index, so d < rev[d] takes each edge once, from u < v
+    edges = 0
+    failure = None
+    for d, e in enumerate(rev):
+        if d < e and rev[e] == d:
+            edges += 1
+            count, want = sides[d] + sides[e], 2 - (on_boundary[d] | on_boundary[e])
+            if count != want and failure is None:
+                failure = f"edge {dart(d)}: {count} cells, expected {want}"
+    if failure is None and stray is not None:
+        failure = f"edge {stray}: a cell side with no rotation edge"
+    report("edge-coverage", failure)
+
+    v_, e_, f_ = mosaic.vertex_count, edges, len(cells) + 1
+    report("euler", None if v_ - e_ + f_ == 2 else f"V-E+F = {v_}-{e_}+{f_} != 2")
+
+    return ValidationReport(tuple(checks))
+
+
+def _random_rotation_entry(rng):
+    def corrupt(m):
+        v = rng.randrange(m.vertex_count)
+        if m.rot[v]:
+            i = rng.randrange(len(m.rot[v]))
+            w = rng.choice([rng.randrange(m.vertex_count), -1, m.vertex_count, v])
+            m.rot[v] = (*m.rot[v][:i], w, *m.rot[v][i + 1 :])
+
+    return corrupt
+
+
+def _random_cell_vertex(rng):
+    def corrupt(m):
+        k = rng.randrange(len(m.cells))
+        vs = list(m.cells[k])
+        if vs:
+            vs[rng.randrange(len(vs))] = rng.choice([rng.randrange(m.vertex_count), -1])
+            m.cells[k] = tuple(vs)
+
+    return corrupt
+
+
+FUZZ_SYMBOLS = [(4, 5, 3), (5, 4, 3), (3, 7, 4), (6, 3, 3), (4, 4, 4), (3, 6, 4), (7, 3, 3)]
+
+
+def test_validate_reports_what_the_list_based_reference_reports():
+    # seeded, so a failure reproduces; 1 or 2 corruptions per mosaic, from
+    # the corpus above and two that pick a random entry
+    rng = random.Random(20261018)
+    builds = {s: build(SchlafliSymbol(*s[:2]), s[2]) for s in FUZZ_SYMBOLS}
+    kinds = [corrupt for corrupt, _ in CORRUPTIONS.values()]
+    kinds += [_random_rotation_entry(rng), _random_cell_vertex(rng)]
+    seen = set()
+    for _ in range(2400):
+        m0 = builds[rng.choice(FUZZ_SYMBOLS)]
+        m = Mosaic(m0.symbol, list(m0.rot), list(m0.layers), list(m0.cells), list(m0.belt_sizes))
+        for corrupt in rng.sample(kinds, rng.randint(1, 2)):
+            try:
+                corrupt(m)
+            except (IndexError, ValueError):
+                pass  # an earlier corruption took away what this one edits
+        expected = str(reference_validate(m))
+        assert str(validate(m)) == expected
+        seen.add(expected)
+    assert len(seen) > 800  # the corruptions reach many distinct reports
+
+
+@pytest.mark.parametrize("p,q,belts", [(6, 5, 4), (3, 7, 8)])
+def test_validate_peak_memory_is_under_two_thirds_of_the_reference(p, q, belts):
+    m = build(SchlafliSymbol(p, q), belts)
+    peaks = []
+    for check in (reference_validate, validate):
+        tracemalloc.start()
+        try:
+            check(m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reference, lean = peaks
+    assert lean <= 0.65 * reference, f"{lean / reference:.2f} of the reference peak"
