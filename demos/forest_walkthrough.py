@@ -51,6 +51,6 @@ print("\n".join(small.to_dot().split("\n")[:8]))
 print("  ...")
 
 tri = grow(build(SchlafliSymbol(3, 7), 4), allow_triangles=True)
-roots = tri.roots()
+roots = [v for v, u in enumerate(tri.parent) if u is None]
 print(f"\n{{3,7}} in triangle mode: roots = {roots} (only the seed), "
       f"so the forest is already a single spanning tree")

@@ -47,21 +47,14 @@ class Forest:
         layer = self._layer(i)
         return dict(sorted(Counter(self.root_level[layer.start : layer.stop]).items()))
 
-    def tree_edges(self) -> list[tuple[int, int]]:
-        """(parent, child) pairs for every non-root vertex, by child id."""
-        return [(u, v) for v, u in enumerate(self.parent) if u is not None]
-
-    def roots(self) -> list[int]:
-        """All roots, the main root first."""
-        return [v for v, u in enumerate(self.parent) if u is None]
-
     def spanning_tree(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Forest edges plus one connector per non-main root.
 
         Each non-main root is joined to its counter-clockwise neighbour on
         its own boundary cycle, stitching every tree onto the main one.
-        Returns (tree_edges, connector_edges); their union spans all
-        vertices with |E| = |V| - 1.
+        Returns (tree_edges, connector_edges), where tree_edges holds a
+        (parent, child) pair for every non-root vertex, by child id; their
+        union spans all vertices with |E| = |V| - 1.
         """
         connectors = []
         for i in range(1, self.levels + 1):
@@ -70,7 +63,8 @@ class Forest:
             for k, v in enumerate(layer):
                 if self.parent[v] is None:
                     connectors.append((v, layer[(k + 1) % m]))
-        return self.tree_edges(), connectors
+        tree = [(u, v) for v, u in enumerate(self.parent) if u is not None]
+        return tree, connectors
 
     def to_dot(self) -> str:
         """Deterministic DOT text: layers annotated, roots boxed, main root doubled.

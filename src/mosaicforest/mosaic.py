@@ -21,7 +21,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count
 from operator import add, contains, eq, itemgetter, ne
-from typing import Iterator
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
 from .recurrence import Geometry, SchlafliSymbol
@@ -55,17 +54,11 @@ class Mosaic:
     def layer_sizes(self) -> list[int]:
         return [len(layer) for layer in self.layers]
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Undirected edges as ordered (u, v) pairs with u < v, ascending."""
-        for u, nbrs in enumerate(self.rot):
-            for v in sorted(nbrs):
-                if u < v:
-                    yield (u, v)
-
     def edge_list_text(self) -> str:
         """Plain text export: a header line, then one 'u v' pair per line.
 
-        The pairs are those of `edges()`, joined a block of vertices at a time.
+        Each undirected edge is one pair with u < v, in ascending order; the
+        lines are joined a block of vertices at a time.
         """
         s = self.symbol
         rot = self.rot
@@ -295,8 +288,11 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     The per-dart maps are `array('q')`s.  Passes over whole arrays decide
     whether the darts pair up into edges, whether every cell is a face and
     whether every edge lies on its count of cells; only a failed pass is
-    followed by a scan for the lowest offender.  A malformed map takes
-    slower routes over the same numbering instead.
+    followed by a scan for the lowest offender.  Every map, malformed or
+    not, takes the same pairing and coverage route: a dart whose head does
+    not list its tail has reverse -1, and a dart on no edge counts no cell.
+    Only the count of cell sides per dart has a fallback, a cell at a time,
+    for cells that cannot be read as columns of faces.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
@@ -320,9 +316,9 @@ def validate(mosaic: Mosaic) -> ValidationReport:
         at = dict(enumerate(rot)) | dict.fromkeys(strangers, ())
         cells_at = dict.fromkeys(chain(range(n), strangers), 0)
 
-    # p-gons of known vertices can be read as p columns (see _sides_by_columns)
-    columns = not strangers and all(map(p.__eq__, map(len, cells)))
-    if columns and all(map(p.__eq__, map(len, map(set, cells)))):
+    # cells of p entries each can be read as p columns (see _sides_by_columns)
+    columns = all(map(p.__eq__, map(len, cells)))
+    if columns and not strangers and all(map(p.__eq__, map(len, map(set, cells)))):
         failure = None
     else:
         misfits = (
@@ -357,34 +353,13 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     def dart(d: int) -> tuple[int, int]:
         return bisect_right(first, d) - 1, heads[d]
 
-    maps = None if strangers else _dart_maps(rot, heads, first)
-    if maps is not None:
-        rev, succ = maps
-        broken = None
-    else:
-        # a malformed map: rev is -1 where the head does not list the tail
-        rev = array(
-            "q",
-            (
-                first[v] + at[v].index(u) if u in at[v] else -1
-                for u, nbrs in enumerate(rot)
-                for v in nbrs
-            ),
-        )
-        # the lowest dart d with rev[rev[d]] != d.  Where rev[d] is -1 this
-        # reads rev[-1], the last dart's reverse, and that is never d: d would
-        # then run back along the last dart, so d's head would list d's tail.
-        broken = next(compress(count(), map(ne, map(rev.__getitem__, rev), count())), None)
-        if broken is None:
-            succ = array(
-                "q", (e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(rev, heads))
-            )
+    rev, succ, broken = _dart_maps(rot, at, heads, first)
 
     # sides[d] counts the cell sides along dart d; a cell is a face when the
     # successor map chains its sides in order and no other side shares them
     sides = None
     if columns and broken is None:
-        sides = _sides_by_columns(cells, p, rot, first, heads, succ)
+        sides = _sides_by_columns(cells, p, at, first, heads, succ)
     stray = bad = None
     if sides is None:
         sides = [0] * darts
@@ -439,30 +414,29 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     simple = len(steps) == len(outer) == on_outer.count(1)
     report("boundary-cycle", None if simple else "outer boundary is not a simple adjacent cycle")
 
-    # an edge is a pair of darts that are each other's reverse; tails ascend
-    # with the dart index, so d < rev[d] takes each edge once, from u < v
+    # an edge is a pair of darts that are each other's reverse, and each of
+    # its darts wants its count of cells: 1 on a boundary step, else 2.
+    # Tails ascend with the dart index, so the lowest miscounted dart names
+    # its edge from u < v.
+    loose: list[int] = []
+    if broken is not None or any(map(contains, rot, range(n))):
+        # a one-sided, repeated or self-listed entry lies on no edge: its dart
+        # becomes its own reverse, on no cell and wanting none
+        loose = [d for d, e in enumerate(rev) if e < 0 or e == d or rev[e] != d]
+        rev, sides = rev[:], sides[:]
+        for d in loose:
+            rev[d] = d
+            sides[d] = 0
+    edges = (darts - len(loose)) // 2
+    want = bytearray(b"\2") * darts
+    for d in steps:
+        want[d] = want[rev[d]] = 1
+    for d in loose:
+        want[d] = 0
+    d = _first_miscounted(sides, rev, want)
     failure = None
-    if broken is None and not any(map(contains, rot, range(n))):
-        # no vertex lists itself, so each dart lies on an edge, and a boundary
-        # step wants 1 cell on both of its darts
-        edges = darts // 2
-        want = bytearray(b"\2") * darts
-        for d in steps:
-            want[d] = want[rev[d]] = 1
-        d = _first_miscounted(sides, rev, want)
-        if d is not None:
-            failure = f"edge {dart(d)}: {sides[d] + sides[rev[d]]} cells, expected {want[d]}"
-    else:
-        on_boundary = bytearray(darts)
-        for d in steps:
-            on_boundary[d] = 1
-        edges = 0
-        for d, e in enumerate(rev):
-            if d < e and rev[e] == d:
-                edges += 1
-                found, expected = sides[d] + sides[e], 2 - (on_boundary[d] | on_boundary[e])
-                if found != expected and failure is None:
-                    failure = f"edge {dart(d)}: {found} cells, expected {expected}"
+    if d is not None:
+        failure = f"edge {dart(d)}: {sides[d] + sides[rev[d]]} cells, expected {want[d]}"
     if failure is None and stray is not None:
         failure = f"edge {stray}: a cell side with no rotation edge"
     report("edge-coverage", failure)
@@ -474,38 +448,53 @@ def validate(mosaic: Mosaic) -> ValidationReport:
 
 
 def _dart_maps(
-    rot: list[tuple[int, ...]], heads: list[int], first: list[int]
-) -> tuple[array, array] | None:
-    """`validate`'s rev and succ, or None unless each head lists each tail once.
+    rot: list[tuple[int, ...]],
+    at: list[tuple[int, ...]] | dict[int, tuple[int, ...]],
+    heads: list[int],
+    first: list[int],
+) -> tuple[array, array | None, int | None]:
+    """`validate`'s rev and succ, and the lowest dart that rev does not pair.
 
     rev[d] is the dart back along d, at the first entry of d's tail in the
-    head's rotation.  Faces turn clockwise at the head: succ[d] is the dart
-    just before rev[d] there.  Both are filled a block of tails at a time, so
-    no list of ints longer than a block is made.
+    head's rotation, or -1 where the head (`at[v]` for head v) does not list
+    the tail.  Faces turn clockwise at the head: succ[d] is the dart just
+    before rev[d] there; it is made only when rev pairs every dart.  Both are
+    filled a block at a time, so no list of ints longer than a block is made.
     """
-    n = len(rot)
-    rev, succ = array("q"), array("q")
-    try:
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            block = [first[v] + rot[v].index(u) for u in range(lo, hi) for v in rot[u]]
-            rev.extend(block)
-            ends = heads[first[lo] : first[hi]]
-            succ.extend([e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(block, ends)])
-    except ValueError:  # a head that does not list its tail
-        return None
-    # a head that lists a tail twice sends two darts to one, so rev pairs the
-    # darts of each edge exactly when it reaches every dart
-    reached = bytearray(len(heads))
+    n, darts = len(rot), len(heads)
+    rev = array("q")
+    for lo in range(0, n, _BLOCK):
+        tails = range(lo, min(lo + _BLOCK, n))
+        # the index comes first: a stranger head raises ValueError before
+        # it can index `first`
+        try:
+            block = [at[v].index(u) + first[v] for u in tails for v in rot[u]]
+        except ValueError:  # a head that does not list its tail
+            block = [at[v].index(u) + first[v] if u in at[v] else -1 for u in tails for v in rot[u]]
+        rev.extend(block)
+    # a head that lists a tail twice sends two darts to one, and a -1 marks
+    # only the extra slot past the last dart; either leaves a dart unreached,
+    # so rev pairs the darts of each edge exactly when it reaches every dart
+    reached = bytearray(darts + 1)
     for e in rev:
         reached[e] = 1
-    return None if 0 in reached else (rev, succ)
+    if reached.index(0) < darts:
+        # the lowest dart d with rev[rev[d]] != d.  Where rev[d] is -1 this
+        # reads rev[-1], the last dart's reverse, and that is never d: d
+        # would then run back along the last dart, so d's head would list
+        # d's tail.
+        return rev, None, next(compress(count(), map(ne, map(rev.__getitem__, rev), count())))
+    succ = array("q")
+    for lo in range(0, darts, _BLOCK):
+        ends = zip(rev[lo : lo + _BLOCK], heads[lo : lo + _BLOCK])
+        succ.extend([e - 1 if e > first[v] else first[v + 1] - 1 for e, v in ends])
+    return rev, succ, None
 
 
 def _sides_by_columns(
     cells: list[tuple[int, ...]],
     p: int,
-    rot: list[tuple[int, ...]],
+    at: list[tuple[int, ...]] | dict[int, tuple[int, ...]],
     first: list[int],
     heads: list[int],
     succ: array,
@@ -519,8 +508,8 @@ def _sides_by_columns(
     col = array("q")
     try:
         for lo in range(0, len(cells), _BLOCK):
-            col.extend([first[c[0]] + rot[c[0]].index(c[1]) for c in cells[lo : lo + _BLOCK]])
-    except ValueError:  # a first side that is no dart
+            col.extend([at[c[0]].index(c[1]) + first[c[0]] for c in cells[lo : lo + _BLOCK]])
+    except ValueError:  # a first side that is no dart, or names a stranger
         return None
     sides = [0] * len(succ)
     for j in range(1, p + 1):

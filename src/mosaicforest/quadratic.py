@@ -65,10 +65,6 @@ class QuadraticNumber:
     def __setattr__(self, name, value):
         raise AttributeError("QuadraticNumber is immutable")
 
-    @classmethod
-    def sqrt(cls, d: int) -> "QuadraticNumber":
-        return cls(0, 1, d)
-
     # -- structure ---------------------------------------------------------
 
     def conjugate(self) -> "QuadraticNumber":

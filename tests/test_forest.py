@@ -114,7 +114,8 @@ def test_fanout_law(forest45):
 
 def test_no_same_layer_edges_and_parents_below(forest45):
     layers = forest45.mosaic.layers
-    for u, v in forest45.tree_edges():
+    tree = [(u, v) for v, u in enumerate(forest45.parent) if u is not None]
+    for u, v in tree:
         i = next(i for i, layer in enumerate(layers) if v in layer)
         assert u in layers[i - 1]
 
@@ -146,7 +147,7 @@ def test_spanning_tree(p, q, levels):
     assert acyclic and components == 1
     # connectors only join roots sideways; removing them re-yields the forest
     assert len(connectors) == sum(f.counts(i)[1] for i in range(1, levels + 1))
-    assert tree == f.tree_edges()
+    assert tree == [(u, v) for v, u in enumerate(f.parent) if u is not None]
     for r, nbr in connectors:
         assert f.parent[r] is None
         assert any(r in layer and nbr in layer for layer in f.mosaic.layers)
@@ -247,7 +248,7 @@ def _dot_line_by_line(forest):
             else:
                 label, shape = "B", "doublecircle" if i == 0 else "box"
             lines.append(f'  v{v} [label="{v} L{i} {label}" shape={shape}];')
-    lines += [f"  v{u} -> v{v};" for u, v in forest.tree_edges()]
+    lines += [f"  v{u} -> v{v};" for v, u in enumerate(forest.parent) if u is not None]
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -255,7 +256,7 @@ def _dot_line_by_line(forest):
 def _edge_list_line_by_line(mosaic):
     s = mosaic.symbol
     lines = [f"# p={s.p} q={s.q} belts={mosaic.belts} vertices={mosaic.vertex_count}"]
-    lines += [f"{u} {v}" for u, v in mosaic.edges()]
+    lines += [f"{u} {v}" for u, nbrs in enumerate(mosaic.rot) for v in sorted(nbrs) if u < v]
     return "\n".join(lines) + "\n"
 
 

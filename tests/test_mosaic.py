@@ -240,6 +240,17 @@ def _vertex_outside_outer_layer(m):
     m.layers[-1] = [*m.layers[-1], 10**6]
 
 
+def _outer_step_one_sided(m):
+    # the outer step 51 -> 52 stays in 51's rotation, but 52 drops 51
+    m.rot[52] = _without(m.rot[52], 51)
+    return {"rotation-faces": ("dart (51, 52): 52 does not list 51",)}
+
+
+def _outer_self_loop(m):
+    # an outer vertex lists itself after its boundary steps
+    m.rot[51] += (51,)
+
+
 CHECKS = [
     "cell-size",
     "interior-degree",
@@ -310,6 +321,8 @@ CORRUPTIONS = {
         _vertex_outside_outer_layer,
         ["rotation-faces", "boundary-cycle", "edge-coverage"],
     ),
+    "outer-step-one-sided": (_outer_step_one_sided, ["rotation-faces", "euler"]),
+    "outer-self-loop": (_outer_self_loop, ["rotation-faces"]),
 }
 
 
@@ -352,7 +365,8 @@ def test_edge_list_export():
 
 def test_edges_cover_rotations():
     m = build(SchlafliSymbol(5, 4), 3)
-    edges = set(m.edges())
+    lines = m.edge_list_text().splitlines()[1:]
+    edges = {tuple(map(int, line.split())) for line in lines}
     assert all((min(u, v), max(u, v)) in edges for u in range(m.vertex_count) for v in m.rot[u])
 
 

@@ -47,8 +47,8 @@ def test_rational_collapse_and_equality():
     assert qn(Fraction(1, 2), 0, 7) == Fraction(1, 2)
     assert QuadraticNumber(2) + QuadraticNumber(0, 1, 3) == qn(2, 1, 3)
     # sqrt(12) == 2*sqrt(3) across different radicands
-    assert QuadraticNumber.sqrt(12) == qn(0, 2, 3)
-    assert hash(QuadraticNumber.sqrt(12)) == hash(qn(0, 2, 3))
+    assert QuadraticNumber(0, 1, 12) == qn(0, 2, 3)
+    assert hash(QuadraticNumber(0, 1, 12)) == hash(qn(0, 2, 3))
     assert qn(1, 1, 2) != qn(1, 1, 3)
 
 
@@ -63,10 +63,10 @@ def test_normalized():
 
 def test_radicands_with_one_square_free_part_mix():
     # sqrt(12) = 2*sqrt(3), so they add and compare within Q[sqrt(3)]
-    assert QuadraticNumber.sqrt(12) + QuadraticNumber.sqrt(3) == qn(0, 3, 3)
-    assert QuadraticNumber.sqrt(3) < QuadraticNumber.sqrt(12)
-    assert not QuadraticNumber.sqrt(12) < QuadraticNumber.sqrt(3)
-    assert QuadraticNumber.sqrt(12) * QuadraticNumber.sqrt(3) == 6
+    assert QuadraticNumber(0, 1, 12) + QuadraticNumber(0, 1, 3) == qn(0, 3, 3)
+    assert QuadraticNumber(0, 1, 3) < QuadraticNumber(0, 1, 12)
+    assert not QuadraticNumber(0, 1, 12) < QuadraticNumber(0, 1, 3)
+    assert QuadraticNumber(0, 1, 12) * QuadraticNumber(0, 1, 3) == 6
 
 
 def test_mixed_radicand_arithmetic_rejected():
@@ -112,7 +112,7 @@ def test_power_is_repeated_multiplication(x, y, d, n):
 
 
 def test_decimal_rendering():
-    root3 = QuadraticNumber.sqrt(3)
+    root3 = QuadraticNumber(0, 1, 3)
     assert root3.decimal(6) == "1.732051"
     assert (2 + root3).decimal(6) == "3.732051"
     assert (-root3).decimal(3) == "-1.732"
@@ -137,7 +137,7 @@ def test_order_of_magnitude():
     assert order_of_magnitude(Fraction(1, 1000)) == -3
     assert order_of_magnitude(Fraction(999, 1000)) == -1
     assert order_of_magnitude(1) == 0
-    assert order_of_magnitude(QuadraticNumber.sqrt(2) / 10**7) == -7
+    assert order_of_magnitude(QuadraticNumber(0, 1, 2) / 10**7) == -7
     assert order_of_magnitude(Fraction(4023, 10**6)) == -3
     with pytest.raises(ValueError):
         order_of_magnitude(0)
