@@ -308,10 +308,12 @@ def _emit_export(args: argparse.Namespace, out: _Output) -> None:
         return
     tree, connectors = f.spanning_tree()
     out.write(f"# spanning-tree p={s.p} q={s.q} levels={levels} vertices={m.vertex_count}")
-    for u, v in tree:
-        out.write(f"{u} {v}")
-    for u, v in connectors:
-        out.write(f"{u} {v} connector")
+    # one write per block of edges, each block's lines joined as the output joins them
+    block = mosaic_mod._TEXT_BLOCK
+    for lo in range(0, len(tree), block):
+        out.write("\n".join([f"{u} {v}" for u, v in tree[lo : lo + block]]))
+    for lo in range(0, len(connectors), block):
+        out.write("\n".join([f"{u} {v} connector" for u, v in connectors[lo : lo + block]]))
 
 
 def _build_parser() -> argparse.ArgumentParser:

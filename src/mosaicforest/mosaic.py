@@ -19,7 +19,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count
+from itertools import accumulate, chain, compress, count, islice
 from operator import add, contains, eq, itemgetter, ne
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
@@ -70,12 +70,20 @@ class Mosaic:
 
 
 class _Builder:
+    """Belt-by-belt state of one build.
+
+    Every view of a vertex id (a rotation, a cell, a `down` entry, a belt's
+    walk, a fan's tips) is taken from a slice of `ids`, so each id is one
+    int object however many tuples hold it.
+    """
+
     def __init__(self, p: int, q: int, cap: int):
         self.p = p
         self.q = q
         self.cap = cap
-        # vertex 0 is the seed; per-vertex ints grow in creation order, which
+        # vertex 0 is the seed; per-vertex lists grow in creation order, which
         # is layer by layer, so layer i is the next run of ids
+        self.ids = [0]
         self.down = [-1]  # the lower neighbour of a tip, -1 for none
         self.down2: dict[int, int] = {}  # p = 3: a tip's lower neighbour after `down`
         self.ncells = [0]
@@ -85,16 +93,18 @@ class _Builder:
         self.belt_sizes: list[int] = []
         self.belt = 0  # the belt being built
 
-    def new_vertices(self, count: int) -> range:
+    def new_vertices(self, count: int) -> list[int]:
         """`count` new vertices of the current belt; refuses vertex id `cap`."""
-        first = len(self.ncells)
+        ids = self.ids
+        first = len(ids)
         if first + count > self.cap:
             raise SizeLimitError(
                 f"vertex cap {self.cap} exceeded while building belt {self.belt}"
             )
+        ids += range(first, first + count)
         self.down += [-1] * count
         self.ncells += [0] * count
-        return range(first, first + count)
+        return ids[first:]
 
     def add_cell(self, *verts: int) -> None:
         self.cells.append(verts)
@@ -105,7 +115,7 @@ class _Builder:
     def close_belt(self) -> None:
         """Record the belt's cell count and its outer layer: the ids it created."""
         self.belt_sizes.append(len(self.cells) - sum(self.belt_sizes))
-        self.layers.append(range(self.layers[-1].stop, len(self.ncells)))
+        self.layers.append(range(self.layers[-1].stop, len(self.ids)))
 
     def first_belt(self) -> None:
         """q cells around the seed; the seed's rotation is its q spokes."""
@@ -128,8 +138,8 @@ class _Builder:
         new_vertices, add_cell = self.new_vertices, self.add_cell
 
         # start the sweep at a vertex that will own at least one radial tip
-        start = next(i for i, v in enumerate(old) if ncells[v] <= q - 2)
-        walk = [*old[start:], *old[:start]]
+        start = next(v for v in old if ncells[v] <= q - 2)
+        walk = self.ids[start : old.stop] + self.ids[old.start : start]
         m = len(walk)
         # old's rotations are final once its fans close; rot[v] is written then
         rot += [()] * m
@@ -212,15 +222,18 @@ class _Builder:
     def finish(self, symbol: SchlafliSymbol) -> Mosaic:
         down2 = self.down2
         # the outer layer, the last run of ids, has no tips: each vertex turns
-        # from its previous neighbour to its next one and down; its ids are
-        # made once, so the three views below share their int objects
-        outer = list(self.layers[-1])
-        self.rot += [
+        # from its previous neighbour to its next one and down; its rotations
+        # are read off shifted iterators over one slice of `ids`
+        first = self.layers[-1].start
+        outer = self.ids[first:]
+        del self.ids, self.ncells  # read no more; freed before the rotations are made
+        m = len(outer)
+        before = chain(islice(outer, m - 1, None), islice(outer, m - 1))
+        after = chain(islice(outer, 1, None), islice(outer, 1))
+        self.rot += (
             (u, w) if d < 0 else (u, w, d, down2[v]) if v in down2 else (u, w, d)
-            for u, v, w, d in zip(
-                outer[-1:] + outer[:-1], outer, outer[1:] + outer[:1], self.down[outer[0] :]
-            )
-        ]
+            for u, v, w, d in zip(before, outer, after, islice(self.down, first, None))
+        )
         return Mosaic(
             symbol=symbol,
             rot=self.rot,

@@ -574,3 +574,23 @@ def test_validate_peak_memory_is_under_two_thirds_of_the_reference(p, q, belts):
             tracemalloc.stop()
     reference, lean = peaks
     assert lean <= 0.65 * reference, f"{lean / reference:.2f} of the reference peak"
+
+
+# one symbol per builder branch: p >= 4 and q >= 4, p = 3, q = 3, Euclidean;
+# each reaches past id 256, below which CPython shares small ints anyway
+@pytest.mark.parametrize("p,q,belts", [(6, 5, 4), (3, 7, 8), (10, 3, 4), (4, 4, 12)])
+def test_each_vertex_id_is_one_int_object(p, q, belts):
+    m = build(SchlafliSymbol(p, q), belts)
+    ids = list(chain(*m.rot, *m.cells))
+    assert m.vertex_count > 256
+    assert len({id(v) for v in ids}) == len(set(ids))
+
+
+def test_build_peak_memory_is_at_most_170_bytes_per_vertex():
+    tracemalloc.start()
+    try:
+        m = build(SchlafliSymbol(6, 5), 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 170 * m.vertex_count, f"{peak / m.vertex_count:.0f} B per vertex"
