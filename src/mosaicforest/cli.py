@@ -22,15 +22,17 @@ MOSAICFOREST_CAP environment variable or --cap; either must be an integer
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 
 from . import forest as forest_mod
 from . import mosaic as mosaic_mod
 from .errors import SizeLimitError, StructureError, UnsupportedSymbolError
-from .mosaic import ValidationReport
+from .mosaic import ValidationReport, text_blocks
 from .probability import (
     DistributionKind,
     RootDistribution,
@@ -122,52 +124,25 @@ def _require_printable(symbol: SchlafliSymbol, level: int) -> None:
         )
 
 
-class _Output:
-    """Collects lines, then writes them to stdout or the --out path atomically."""
-
-    def __init__(self, path: str):
-        self.path = path
-        self.lines: list[str] = []
-
-    def write(self, text: str) -> None:
-        self.lines.append(text)
-
-    def flush(self) -> None:
-        body = "\n".join(self.lines) + ("\n" if self.lines else "")
-        if self.path == "-":
-            sys.stdout.write(body)
-            return
-        # a temporary file beside the target, renamed over it once complete
-        tmp = f"{self.path}.{os.getpid()}.tmp"
-        fh = open(tmp, "x", encoding="utf-8")
-        try:
-            with fh:
-                fh.write(body)
-            os.replace(tmp, self.path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-
-
-def _table(out: _Output, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _table(out: io.StringIO, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a markdown table (header, dash separator, rows) or a CSV block."""
     if fmt == "markdown":
-        out.write("| " + " | ".join(header) + " |")
-        out.write("|" + "|".join("-" * (len(label) + 2) for label in header) + "|")
+        print("| " + " | ".join(header) + " |", file=out)
+        print("|" + "|".join("-" * (len(label) + 2) for label in header) + "|", file=out)
         for row in rows:
-            out.write("| " + " | ".join(map(str, row)) + " |")
+            print("| " + " | ".join(map(str, row)) + " |", file=out)
     else:
-        out.write(",".join(header))
+        print(",".join(header), file=out)
         for row in rows:
-            out.write(",".join(map(str, row)))
+            print(",".join(map(str, row)), file=out)
 
 
-def _jsonl(out: _Output, records: Iterable[dict]) -> None:
+def _jsonl(out: io.StringIO, records: Iterable[dict]) -> None:
     for rec in records:
-        out.write(json.dumps(rec, sort_keys=True))
+        print(json.dumps(rec, sort_keys=True), file=out)
 
 
-def _emit_counts(args: argparse.Namespace, out: _Output) -> None:
+def _emit_counts(args: argparse.Namespace, out: io.StringIO) -> None:
     symbol = _symbol(args.p, args.q)
     level = _levels(args)
     _require_printable(symbol, level)
@@ -183,7 +158,7 @@ def _emit_counts(args: argparse.Namespace, out: _Output) -> None:
         _table(out, args.fmt, ("level", "a", "b", "total"), rows)
 
 
-def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
+def _emit_constants(args: argparse.Namespace, out: io.StringIO) -> None:
     symbol = _symbol(args.p, args.q)
     if args.precision < 1:
         raise UnsupportedSymbolError(f"precision must be >= 1, got {args.precision}")
@@ -196,9 +171,8 @@ def _emit_constants(args: argparse.Namespace, out: _Output) -> None:
     if args.fmt == "jsonl":
         _jsonl(out, ({"name": n, "exact": e, "decimal": d} for n, e, _, d in rows))
     elif args.fmt == "markdown":
-        out.write(
-            f"constants for {symbol} (trace {constants.trace}, radicand {constants.radicand})"
-        )
+        title = f"constants for {symbol} (trace {constants.trace}, radicand {constants.radicand})"
+        print(title, file=out)
         _table(out, args.fmt, ("name", "exact", "6 decimals", "full precision"), rows)
     else:
         quoted = [(n, f'"{e}"', d) for n, e, _, d in rows]
@@ -215,7 +189,7 @@ def _prob_rows(d: RootDistribution, js: range) -> Iterator[tuple]:
         yield (d.kind.value, j, masses[j], *tail)
 
 
-def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
+def _emit_probs(args: argparse.Namespace, out: io.StringIO) -> None:
     symbol = _symbol(args.p, args.q)
     level = _levels(args, least=1)
     _require_printable(symbol, level)
@@ -227,7 +201,7 @@ def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
     js = range(level, -1, -1)
     if args.fmt == "markdown":
         for d in dists:
-            out.write(f"{d.kind.value} root-level distribution for {symbol}, level {level}")
+            print(f"{d.kind.value} root-level distribution for {symbol}, level {level}", file=out)
             masses = d.decimals(6)
             rows = [(j, masses[j], decimal(d.cumulative_below(j), 6)) for j in js]
             _table(out, args.fmt, ("j", "mass", "cumulative_below"), rows)
@@ -250,7 +224,7 @@ def _emit_probs(args: argparse.Namespace, out: _Output) -> None:
         if args.fmt == "jsonl":
             _jsonl(out, ({"j": j, "abs_error": e, "order": o} for j, e, o in rows))
         elif args.fmt == "markdown":
-            out.write("")
+            print(file=out)
             orders = [(j, e, "0" if o is None else f"1e{o}") for j, e, o in rows]
             _table(out, args.fmt, ("j", "abs error", "order"), orders)
         else:
@@ -273,47 +247,43 @@ def _check_symbol(
     return cross_check(f)
 
 
-def _emit_verify(args: argparse.Namespace, out: _Output) -> int:
+def _emit_verify(args: argparse.Namespace, out: io.StringIO) -> int:
     levels = _levels(args, least=1)
     all_ok = True
     for symbol in args.symbols:
         reason = forest_domain_reason(symbol)
         if reason is not None:
-            out.write(f"FAIL {symbol}: {reason}")
+            print(f"FAIL {symbol}: {reason}", file=out)
             all_ok = False
             continue
         try:
             report = _check_symbol(symbol, levels, args.cap, args.inject_corruption)
         except (StructureError, SizeLimitError) as exc:
-            out.write(f"FAIL {symbol}: {exc}")
+            print(f"FAIL {symbol}: {exc}", file=out)
             all_ok = False
             continue
         all_ok &= report.passed
         for c in report.checks:
-            out.write(f"{'ok  ' if c.passed else 'FAIL'} {symbol} {c.name}: {c.detail}")
-    out.write("verification " + ("PASSED" if all_ok else "FAILED"))
+            print(f"{'ok  ' if c.passed else 'FAIL'} {symbol} {c.name}: {c.detail}", file=out)
+    print("verification " + ("PASSED" if all_ok else "FAILED"), file=out)
     return 0 if all_ok else 1
 
 
-def _emit_export(args: argparse.Namespace, out: _Output) -> None:
+def _emit_export(args: argparse.Namespace, out: io.StringIO) -> None:
     s = _symbol(args.p, args.q)
     levels = _levels(args, least=1)
     m = mosaic_mod.build(s, levels, cap=args.cap)
     if args.what == "mosaic-edges":
-        out.write(m.edge_list_text().rstrip("\n"))
+        out.write(m.edge_list_text())
         return
     f = forest_mod.grow(m, allow_triangles=(s.p == 3))
     if args.what == "forest":
-        out.write(f.to_dot().rstrip("\n"))
+        out.write(f.to_dot())
         return
     tree, connectors = f.spanning_tree()
-    out.write(f"# spanning-tree p={s.p} q={s.q} levels={levels} vertices={m.vertex_count}")
-    # one write per block of edges, each block's lines joined as the output joins them
-    block = mosaic_mod._TEXT_BLOCK
-    for lo in range(0, len(tree), block):
-        out.write("\n".join([f"{u} {v}" for u, v in tree[lo : lo + block]]))
-    for lo in range(0, len(connectors), block):
-        out.write("\n".join([f"{u} {v} connector" for u, v in connectors[lo : lo + block]]))
+    print(f"# spanning-tree p={s.p} q={s.q} levels={levels} vertices={m.vertex_count}", file=out)
+    lines = chain((f"{u} {v}\n" for u, v in tree), (f"{u} {v} connector\n" for u, v in connectors))
+    out.writelines(text_blocks(lines))
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -380,12 +350,28 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _deliver(text: str, path: str) -> None:
+    """Write `text` to stdout for '-', else to a temporary file beside `path` renamed over it."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    out = _Output(args.out)
+    out = io.StringIO()
     try:
         code = args.emit(args, out)
-        out.flush()
+        _deliver(out.getvalue(), args.out)
     except (ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

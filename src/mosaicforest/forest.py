@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DegenerateForestError, StructureError
-from .mosaic import _TEXT_BLOCK, Mosaic
+from .mosaic import Mosaic, text_blocks
 
 
 @dataclass
@@ -69,27 +70,20 @@ class Forest:
     def to_dot(self) -> str:
         """Deterministic DOT text: layers annotated, roots boxed, main root doubled.
 
-        Each vertex, then each tree edge, is one line; the lines are joined a
-        block of vertices at a time.
+        Each vertex, then each tree edge, is one line, joined through `text_blocks`.
         """
         s = self.mosaic.symbol
-        text = [f'digraph "forest_{s.p}_{s.q}_{self.levels}" {{\n  node [fontsize=10];\n']
         parent = self.parent
-        for i, layer in enumerate(self.mosaic.layers):
-            root = "doublecircle" if i == 0 else "box"
-            for lo in range(0, len(layer), _TEXT_BLOCK):
-                lines = [
-                    f'  v{v} [label="{v} L{i} A" shape=circle];\n'
-                    if parent[v] is not None
-                    else f'  v{v} [label="{v} L{i} B" shape={root}];\n'
-                    for v in layer[lo : lo + _TEXT_BLOCK]
-                ]
-                text.append("".join(lines))
-        for lo in range(0, len(parent), _TEXT_BLOCK):
-            block = enumerate(parent[lo : lo + _TEXT_BLOCK], lo)
-            text.append("".join([f"  v{u} -> v{v};\n" for v, u in block if u is not None]))
-        text.append("}\n")
-        return "".join(text)
+        header = f'digraph "forest_{s.p}_{s.q}_{self.levels}" {{\n  node [fontsize=10];\n'
+        nodes = (
+            f'  v{v} [label="{v} L{i} A" shape=circle];\n'
+            if parent[v] is not None
+            else f'  v{v} [label="{v} L{i} B" shape={"box" if i else "doublecircle"}];\n'
+            for i, layer in enumerate(self.mosaic.layers)
+            for v in layer
+        )
+        edges = (f"  v{u} -> v{v};\n" for v, u in enumerate(parent) if u is not None)
+        return "".join(text_blocks(chain((header,), nodes, edges, ("}\n",))))
 
 
 def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
@@ -114,6 +108,7 @@ def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
             f"{symbol}: with p = 3 parents are not forced and no roots appear "
             "beyond the main one; pass allow_triangles=True to grow anyway"
         )
+    p = symbol.p
     rot = mosaic.rot
     n = mosaic.vertex_count
     parent: list[int | None] = [None] * n
@@ -138,7 +133,7 @@ def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
                 continue
             if more:
                 below = [w for w in rot[v] if lo <= w < hi]
-                if symbol.p >= 4:
+                if p >= 4:
                     raise StructureError(
                         f"vertex {v} on level {i} has {len(below)} lower neighbours; "
                         f"parenthood must be forced for p >= 4"
@@ -146,7 +141,8 @@ def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
                 # p = 3: prefer a childless lower neighbour, then the smallest id
                 childless = [w for w in below if w not in adopted]
                 u = min(childless) if childless else min(below)
-            adopted.add(u)
+            if p == 3:
+                adopted.add(u)
             parent[v] = u
             root_level[v] = root_level[u]
 

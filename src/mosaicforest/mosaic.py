@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice
 from operator import add, contains, eq, itemgetter, ne
@@ -27,9 +28,16 @@ from .recurrence import Geometry, SchlafliSymbol
 
 DEFAULT_VERTEX_CAP = 10_000_000
 _BLOCK = 2048  # vertices or cells per list of ints made on the way into an array
-# vertices per piece of exported text: pieces stay near 60 KB, where pieces
-# four times as large left the benchmark's verify_cli peak RSS 1.7 MB higher
+# lines per piece of exported text: on {4,5} at 8 belts, export peak RSS is
+# flat up to 1024 lines a piece and 0.4-3 MB higher at 4096-16384
 _TEXT_BLOCK = 1024
+
+
+def text_blocks(lines: Iterable[str]) -> Iterator[str]:
+    """Join newline-terminated `lines` into pieces of up to _TEXT_BLOCK lines each."""
+    lines = iter(lines)
+    while block := list(islice(lines, _TEXT_BLOCK)):
+        yield "".join(block)
 
 
 class Mosaic:
@@ -58,15 +66,12 @@ class Mosaic:
         """Plain text export: a header line, then one 'u v' pair per line.
 
         Each undirected edge is one pair with u < v, in ascending order; the
-        lines are joined a block of vertices at a time.
+        lines are joined through `text_blocks`.
         """
         s = self.symbol
-        rot = self.rot
-        text = [f"# p={s.p} q={s.q} belts={self.belts} vertices={self.vertex_count}\n"]
-        for lo in range(0, len(rot), _TEXT_BLOCK):
-            block = enumerate(rot[lo : lo + _TEXT_BLOCK], lo)
-            text.append("".join([f"{u} {v}\n" for u, nbrs in block for v in sorted(nbrs) if u < v]))
-        return "".join(text)
+        header = f"# p={s.p} q={s.q} belts={self.belts} vertices={self.vertex_count}\n"
+        pairs = (f"{u} {v}\n" for u, nbrs in enumerate(self.rot) for v in sorted(nbrs) if u < v)
+        return "".join(text_blocks(chain((header,), pairs)))
 
 
 class _Builder:

@@ -1,4 +1,4 @@
-"""Byte-for-byte CLI output: stdout, stderr and exit code per invocation.
+"""Byte-for-byte CLI output: stdout or the --out file, stderr and exit code per invocation.
 
 The expected files under golden/cli/ hold what each invocation printed when
 they were recorded.  Re-record them only when an output change is intended:
@@ -65,6 +65,19 @@ def test_cli_bytes(name, monkeypatch):
     code, out, err = run(CASES[name])
     assert (code, err) == (expected["exit"], expected["stderr"])
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_bytes_with_out_file(name, monkeypatch, tmp_path):
+    monkeypatch.delenv("MOSAICFOREST_CAP", raising=False)
+    expected = json.loads(EXPECTED.read_text())[name]
+    target = tmp_path / name
+    code, out, err = run([*CASES[name], "--out", str(target)])
+    assert (code, out, err) == (expected["exit"], "", expected["stderr"])
+    if code == 2:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert target.read_bytes() == (GOLDEN / name).read_bytes()
 
 
 def record() -> None:

@@ -1,9 +1,11 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from mosaicforest.cli import main
 from mosaicforest.errors import DegenerateForestError
 from mosaicforest.forest import grow
 from mosaicforest.mosaic import _TEXT_BLOCK, build
@@ -260,10 +262,37 @@ def _edge_list_line_by_line(mosaic):
     return "\n".join(lines) + "\n"
 
 
+def _spanning_line_by_line(forest):
+    s, m = forest.mosaic.symbol, forest.mosaic
+    tree, connectors = forest.spanning_tree()
+    lines = [f"# spanning-tree p={s.p} q={s.q} levels={m.belts} vertices={m.vertex_count}"]
+    lines += [f"{u} {v}" for u, v in tree]
+    lines += [f"{u} {v} connector" for u, v in connectors]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("p,q,belts", [(4, 5, 7), (3, 7, 9)])
-def test_block_joined_exports_match_a_line_by_line_rendering(p, q, belts):
+def test_block_joined_exports_match_a_line_by_line_rendering(p, q, belts, capsys):
     m = build(SchlafliSymbol(p, q), belts)
     assert m.vertex_count > 3 * _TEXT_BLOCK
     f = grow(m, allow_triangles=p == 3)
     assert f.to_dot() == _dot_line_by_line(f)
     assert m.edge_list_text() == _edge_list_line_by_line(m)
+    argv = ["export", "--what", "spanning", "--p", str(p), "--q", str(q), "--levels", str(belts)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _spanning_line_by_line(f)
+
+
+# the `adopted` set serves only the p = 3 tie-break; for p >= 4 grow's peak is
+# the parent and root-level lists it returns
+@pytest.mark.parametrize("p,q,levels", [(6, 5, 4), (4, 5, 6)])
+def test_grow_peak_memory_is_what_it_keeps_for_p_at_least_4(p, q, levels):
+    m = build(SchlafliSymbol(p, q), levels)
+    tracemalloc.start()
+    try:
+        f = grow(m)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert f.mosaic is m
+    assert peak <= 1.05 * kept, f"peak {peak / kept:.2f} times what grow keeps"

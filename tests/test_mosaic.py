@@ -7,7 +7,15 @@ from typing import Iterator
 import pytest
 
 from mosaicforest.errors import SizeLimitError, SphericalSymbolError
-from mosaicforest.mosaic import CheckResult, Mosaic, ValidationReport, build, validate
+from mosaicforest.mosaic import (
+    _TEXT_BLOCK,
+    CheckResult,
+    Mosaic,
+    ValidationReport,
+    build,
+    text_blocks,
+    validate,
+)
 from mosaicforest.recurrence import SchlafliSymbol, layer_counts, spectral_constants
 
 
@@ -594,3 +602,31 @@ def test_build_peak_memory_is_at_most_170_bytes_per_vertex():
     finally:
         tracemalloc.stop()
     assert peak <= 170 * m.vertex_count, f"{peak / m.vertex_count:.0f} B per vertex"
+
+
+B = _TEXT_BLOCK
+
+
+@pytest.mark.parametrize("n", [0, 1, B - 1, B, B + 1, 3 * B + 1])
+def test_text_blocks_join_to_the_lines(n):
+    numbered = [f"{k}\n" for k in range(n)]
+    some_empty = [f"{k}\n" if k % 3 else "" for k in range(n)]
+    first_block_empty = ["" if k < B else f"{k}\n" for k in range(n)]
+    for lines in (numbered, some_empty, first_block_empty):
+        pieces = list(text_blocks(lines))
+        assert "".join(pieces) == "".join(lines)
+        assert len(pieces) == -(-n // B)
+
+
+def test_text_blocks_pulls_at_most_one_block_before_its_first_piece():
+    pulled = 0
+
+    def lines():
+        nonlocal pulled
+        for k in range(3 * B):
+            pulled += 1
+            yield f"{k}\n"
+
+    first = next(text_blocks(lines()))
+    assert pulled <= B
+    assert first == "".join(f"{k}\n" for k in range(B))
