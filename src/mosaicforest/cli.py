@@ -27,12 +27,11 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
 
 from . import forest as forest_mod
 from . import mosaic as mosaic_mod
 from .errors import SizeLimitError, StructureError, UnsupportedSymbolError
-from .mosaic import ValidationReport, text_blocks
+from .mosaic import ValidationReport
 from .probability import (
     DistributionKind,
     RootDistribution,
@@ -277,13 +276,7 @@ def _emit_export(args: argparse.Namespace, out: io.StringIO) -> None:
         out.write(m.edge_list_text())
         return
     f = forest_mod.grow(m, allow_triangles=(s.p == 3))
-    if args.what == "forest":
-        out.write(f.to_dot())
-        return
-    tree, connectors = f.spanning_tree()
-    print(f"# spanning-tree p={s.p} q={s.q} levels={levels} vertices={m.vertex_count}", file=out)
-    lines = chain((f"{u} {v}\n" for u, v in tree), (f"{u} {v} connector\n" for u, v in connectors))
-    out.writelines(text_blocks(lines))
+    out.write(f.to_dot() if args.what == "forest" else f.spanning_tree_text())
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -10,6 +10,7 @@ neighbour become roots of new trees.  The seed vertex is the main root.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -48,6 +49,19 @@ class Forest:
         layer = self._layer(i)
         return dict(sorted(Counter(self.root_level[layer.start : layer.stop]).items()))
 
+    def _tree_edges(self) -> Iterator[tuple[int, int]]:
+        """(parent, child) for every non-root vertex, by child id."""
+        return ((u, v) for v, u in enumerate(self.parent) if u is not None)
+
+    def _connectors(self) -> Iterator[tuple[int, int]]:
+        """(root, its counter-clockwise neighbour on its layer) for every non-main root."""
+        parent = self.parent
+        for layer in self.mosaic.layers[1:]:
+            m = len(layer)
+            for k, v in enumerate(layer):
+                if parent[v] is None:
+                    yield v, layer[(k + 1) % m]
+
     def spanning_tree(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """Forest edges plus one connector per non-main root.
 
@@ -57,15 +71,19 @@ class Forest:
         (parent, child) pair for every non-root vertex, by child id; their
         union spans all vertices with |E| = |V| - 1.
         """
-        connectors = []
-        for i in range(1, self.levels + 1):
-            layer = self.mosaic.layers[i]
-            m = len(layer)
-            for k, v in enumerate(layer):
-                if self.parent[v] is None:
-                    connectors.append((v, layer[(k + 1) % m]))
-        tree = [(u, v) for v, u in enumerate(self.parent) if u is not None]
-        return tree, connectors
+        return list(self._tree_edges()), list(self._connectors())
+
+    def spanning_tree_text(self) -> str:
+        """Plain text export of `spanning_tree`: a header line, then its pairs.
+
+        Each tree edge is a 'u v' line and each connector a 'u v connector'
+        line; the lines are joined through `text_blocks`.
+        """
+        s, m = self.mosaic.symbol, self.mosaic
+        header = f"# spanning-tree p={s.p} q={s.q} levels={m.belts} vertices={m.vertex_count}\n"
+        tree = (f"{u} {v}\n" for u, v in self._tree_edges())
+        connectors = (f"{u} {v} connector\n" for u, v in self._connectors())
+        return "".join(text_blocks(chain((header,), tree, connectors)))
 
     def to_dot(self) -> str:
         """Deterministic DOT text: layers annotated, roots boxed, main root doubled.

@@ -7,10 +7,11 @@ stores its incident neighbours in counter-clockwise rotation order, so faces
 can be recovered by rotation walks and no coordinates are ever needed.
 
 Construction sweeps the current boundary counter-clockwise and fans new
-cells around each boundary vertex until its cell count reaches q.  A new
-cell shares either one boundary edge ("edge"-attached, the last cell of a
-fan) or exactly one boundary vertex ("vertex"-attached, the inner cells of
-a fan).  New vertices are numbered in creation order along the sweep, which
+cells around each boundary vertex until its cell count reaches q.  The
+inner cells of a fan share exactly one boundary vertex ("vertex"-attached).
+The last cell closes the fan ("edge"-attached): it shares one boundary
+edge, or two consecutive edges when it fills the boundary vertex between
+them, as it does in every q = 3 belt after the first.  New vertices are numbered in creation order along the sweep, which
 makes builds fully deterministic.
 """
 
@@ -96,7 +97,6 @@ class _Builder:
         self.cells: list[tuple[int, ...]] = []
         self.layers: list[range] = [range(1)]
         self.belt_sizes: list[int] = []
-        self.belt = 0  # the belt being built
 
     def new_vertices(self, count: int) -> list[int]:
         """`count` new vertices of the current belt; refuses vertex id `cap`."""
@@ -104,7 +104,7 @@ class _Builder:
         first = len(ids)
         if first + count > self.cap:
             raise SizeLimitError(
-                f"vertex cap {self.cap} exceeded while building belt {self.belt}"
+                f"vertex cap {self.cap} exceeded while building belt {len(self.layers)}"
             )
         ids += range(first, first + count)
         self.down += [-1] * count
@@ -125,7 +125,6 @@ class _Builder:
     def first_belt(self) -> None:
         """q cells around the seed; the seed's rotation is its q spokes."""
         p, q = self.p, self.q
-        self.belt = 1
         n = p - 2  # new vertices per cell: a spoke's tip, then p - 3 arcs
         ring = self.new_vertices(q * n)
         spokes = ring[::n]
@@ -135,9 +134,8 @@ class _Builder:
         self.rot.append(tuple(spokes))
         self.close_belt()
 
-    def next_belt(self, belt: int) -> None:
+    def next_belt(self) -> None:
         p, q = self.p, self.q
-        self.belt = belt
         old = self.layers[-1]
         rot, down, down2, ncells = self.rot, self.down, self.down2, self.ncells
         new_vertices, add_cell = self.new_vertices, self.add_cell
@@ -146,12 +144,13 @@ class _Builder:
         start = next(v for v in old if ncells[v] <= q - 2)
         walk = self.ids[start : old.stop] + self.ids[old.start : start]
         m = len(walk)
+        # walk[m] closes the cycle and walk[-1] comes before walk[0], so each
+        # v = walk[k], k < m, turns from walk[k - 1] to walk[k + 1]
+        walk += walk[0], walk[-1]
         # old's rotations are final once its fans close; rot[v] is written then
         rot += [()] * m
 
-        v0 = walk[0]
-        s0 = new_vertices(1)[0]  # tip shared by v0's first own cell and the closing cell
-        down[s0] = v0
+        s0 = new_vertices(1)[0]  # walk[0]'s first tip; the sweep's last fan closes on it
         carry = s0
 
         for k in range(m):
@@ -161,66 +160,46 @@ class _Builder:
             missing = q - ncells[v] - (1 if k == 0 else 0)
             if missing <= 0:
                 # already completed by a run cell sweeping past it: no tips
-                rot[v] = (walk[k - 1], walk[k + 1 - m], *below)
+                rot[v] = (walk[k - 1], walk[k + 1], *below)
                 continue
             tips = [carry]  # v's radial tips, in fan order
 
             # inner fan cells: share only the vertex v with the old boundary
             for t in range(missing - 1):
                 if p == 3 and k == m - 1 and t == missing - 2:
-                    tip = s0  # the ring's merged tip already exists
-                    down2[tip] = v
+                    tip = s0  # the seam: the ring's closing tip already exists
                     add_cell(v, carry, tip)
                 else:
                     path = new_vertices(p - 2)  # the cell's arcs, then its tip
                     tip = path[-1]
-                    down[tip] = v
                     add_cell(v, carry, *path)
+                down[tip] = v
                 tips.append(tip)
                 carry = tip
 
-            # the closing cell of the fan: shares the boundary edge(s) ahead
-            inner = [v]
+            # the closing cell of the fan: v, carry, its top, then back along
+            # the run of old vertices ahead, which runs on through each vertex
+            # this very cell fills
             pos = k + 1
-            ring = False
-            while True:
-                if pos == m:
-                    inner.append(walk[0])
-                    ring = True
-                    break
-                u = walk[pos]
-                inner.append(u)
-                if ncells[u] + 1 == q:
-                    pos += 1  # u gets full with this very cell: run through it
-                    continue
-                break
-            end = inner[-1]
-            if p == 3:
-                # triangle closing cells reuse the carry tip, merging it onto `end`
-                if ring:
-                    if carry != s0:
-                        raise StructureError("triangle ring closure lost its seam tip")
-                else:
-                    down2[carry] = down[carry]
-                    down[carry] = end
-                add_cell(v, carry, end)
-            else:
-                n_arcs = p - len(inner) - 2
-                if n_arcs < 0:
-                    raise StructureError(
-                        f"belt {belt}: cell run longer than a {p}-gon can cover"
-                    )
-                if ring:
-                    add_cell(v, carry, *new_vertices(n_arcs), s0, *reversed(inner[1:]))
-                    carry = s0
-                else:
-                    path = new_vertices(n_arcs + 1)  # the cell's arcs, then its tip
-                    down[path[-1]] = end
-                    add_cell(v, carry, *path, *reversed(inner[1:]))
-                    carry = path[-1]
+            while pos < m and ncells[walk[pos]] + 1 == q:
+                pos += 1
+            back = walk[pos:k:-1]
+            n = p - len(back) - 2  # the top's length; its last vertex is the next carry
+            if n < 0:
+                raise StructureError(
+                    f"belt {len(self.layers)}: cell run longer than a {p}-gon can cover"
+                )
+            # the top is new, but ends on s0 when the run reaches walk[m], the ring
+            top = () if not n else new_vertices(n) if pos < m else [*new_vertices(n - 1), s0]
+            add_cell(v, carry, *top, *back)
+            if top:
+                carry = top[-1]
+            else:  # a triangle: carry stays, merged onto the run's end below
+                down2[carry] = down[carry]
+            down[carry] = back[0]
 
             # v turns from its previous neighbour through its tips to its next one and down
-            rot[v] = (walk[k - 1], *tips, walk[k + 1 - m], *below)
+            rot[v] = (walk[k - 1], *tips, walk[k + 1], *below)
 
         self.close_belt()
 
@@ -263,8 +242,8 @@ def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> 
         raise ValueError("belts must be >= 1")
     b = _Builder(symbol.p, symbol.q, cap)
     b.first_belt()
-    for i in range(2, belts + 1):
-        b.next_belt(i)
+    for _ in range(belts - 1):
+        b.next_belt()
     return b.finish(symbol)
 
 

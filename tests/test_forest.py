@@ -278,6 +278,7 @@ def test_block_joined_exports_match_a_line_by_line_rendering(p, q, belts, capsys
     f = grow(m, allow_triangles=p == 3)
     assert f.to_dot() == _dot_line_by_line(f)
     assert m.edge_list_text() == _edge_list_line_by_line(m)
+    assert f.spanning_tree_text() == _spanning_line_by_line(f)
     argv = ["export", "--what", "spanning", "--p", str(p), "--q", str(q), "--levels", str(belts)]
     assert main(argv) == 0
     assert capsys.readouterr().out == _spanning_line_by_line(f)

@@ -6,12 +6,14 @@ from typing import Iterator
 
 import pytest
 
-from mosaicforest.errors import SizeLimitError, SphericalSymbolError
+from mosaicforest.errors import SizeLimitError, SphericalSymbolError, StructureError
 from mosaicforest.mosaic import (
     _TEXT_BLOCK,
+    DEFAULT_VERTEX_CAP,
     CheckResult,
     Mosaic,
     ValidationReport,
+    _Builder,
     build,
     text_blocks,
     validate,
@@ -113,17 +115,31 @@ def test_belt_growth_approaches_spectral_ratio():
 
 def test_cell_attachment_kinds():
     # belt_sizes slices the cells by belt; a belt-b cell meets layer b-1 at
-    # one vertex (inside a fan) or along an edge (closing a fan)
-    m = build(SchlafliSymbol(4, 5), 3)
-    starts = list(accumulate(m.belt_sizes, initial=0))
-    assert starts[-1] == len(m.cells)
-    for belt, (lo, hi) in enumerate(zip(starts, starts[1:]), start=1):
-        shared = set()
-        for cell in m.cells[lo:hi]:
-            layers = [next(i for i, layer in enumerate(m.layers) if v in layer) for v in cell]
-            assert set(layers) == {belt - 1, belt}
-            shared.add(layers.count(belt - 1))
-        assert shared == ({1} if belt == 1 else {1, 2})
+    # one vertex (inside a fan), along an edge (closing a fan), or, when q = 3,
+    # along two edges and the layer vertex between them, which it fills
+    for p, q, later in [(4, 5, {1, 2}), (3, 7, {1, 2}), (7, 3, {2, 3})]:
+        m = build(SchlafliSymbol(p, q), 3)
+        starts = list(accumulate(m.belt_sizes, initial=0))
+        assert starts[-1] == len(m.cells)
+        for belt, (lo, hi) in enumerate(zip(starts, starts[1:]), start=1):
+            shared = set()
+            for cell in m.cells[lo:hi]:
+                layers = [next(i for i, layer in enumerate(m.layers) if v in layer) for v in cell]
+                assert set(layers) == {belt - 1, belt}
+                shared.add(layers.count(belt - 1))
+            assert shared == ({1} if belt == 1 else later), (p, q, belt)
+
+
+@pytest.mark.parametrize("p,q", [(4, 5), (3, 7)])
+def test_belt_whose_run_outgrows_a_cell_raises(p, q):
+    # layer 1 with every vertex but the first one cell short of full: the
+    # first vertex's closing cell would run around the whole layer
+    b = _Builder(p, q, DEFAULT_VERTEX_CAP)
+    b.first_belt()
+    for v in b.layers[1][1:]:
+        b.ncells[v] = q - 1
+    with pytest.raises(StructureError, match="belt 2"):
+        b.next_belt()
 
 
 def _without(rotation, w):

@@ -20,6 +20,7 @@ PINNED = {
     (3, 8, 5): "83c99417b0c0d2e7e36f5ed08acf410c9fc27256ea25534fba837e1a43f21557",
     (7, 3, 5): "011f319775bc0f38d8afb5b54405a440168154d3aa6e338c53f820652be52252",
     (10, 3, 4): "378cab23a73b51d80b45ed7d38f2c1838d6cb112928fefce69fa663e93ded74a",
+    (6, 3, 20): "ac4aee12e142192e6047bc3c63b0952a9243289c510f2d618d3a59501d44edfc",
     (4, 4, 6): "c446eef093f086440bc90b9bcf9626c591af40cbfa2fadbfb8f88bbc609f88b7",
     (3, 6, 6): "8774ad872d4d54c2d7965fdbba0ff7c740f47d796f27de0804f11366e3a4ea57",
 }
