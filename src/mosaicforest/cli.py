@@ -52,8 +52,7 @@ from .verify import cross_check
 
 ENV_CAP = "MOSAICFOREST_CAP"
 DEFAULT_VERIFY_SYMBOLS = "4:5,5:4,4:6,6:4,5:5,4:4"
-# keeps the radicand c*c - 4, with c = (p-2)(q-2) - 2, below 10**16, which
-# square_free_split factors in well under a second
+# keeps the radicand c*c - 4, with c = (p-2)(q-2) - 2, below 10**16
 MAX_PQ = 10_000
 # Python refuses to convert an int of more digits than this to a string
 # (sys.get_int_max_str_digits, which early 3.10 releases lack)

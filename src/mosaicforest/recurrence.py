@@ -13,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
+from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .errors import DegenerateForestError, RepeatedEigenvalueError
-from .quadratic import QuadraticNumber, decimal
+from .quadratic import QuadraticNumber, _reduced, decimal, square_free_split
 
 
 class Geometry(Enum):
@@ -101,15 +102,15 @@ class Series(Enum):
     ALL = "ab"
 
 
-def _rows(symbol: SchlafliSymbol) -> Iterator[LayerCounts]:
-    """The rows of `layer_counts` for i = 0, 1, 2, ... without end."""
-    yield LayerCounts(0, 0, 1)
+def _pairs(symbol: SchlafliSymbol) -> Iterator[tuple[int, int]]:
+    """(a_i, b_i) of `layer_counts` for i = 0, 1, 2, ... without end."""
+    yield 0, 1
     p, q = symbol.p, symbol.q
     a, b = q, q * (p - 3)
     m00, m01 = q - 3, q - 2
     m10, m11 = (q - 3) * (p - 3) - 1, (q - 2) * (p - 3) - 1
-    for i in count(1):
-        yield LayerCounts(i, a, b)
+    while True:
+        yield a, b
         a, b = m00 * a + m01 * b, m10 * a + m11 * b
 
 
@@ -123,17 +124,19 @@ def layer_counts(symbol: SchlafliSymbol, levels: int) -> list[LayerCounts]:
     _require_forest_domain(symbol)
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    return list(islice(_rows(symbol), levels + 1))
+    pairs = islice(_pairs(symbol), levels + 1)
+    return [LayerCounts(i, a, b) for i, (a, b) in enumerate(pairs)]
 
 
 def first_level_reaching(symbol: SchlafliSymbol, total: int, levels: int) -> int | None:
     """The first level in 0..levels whose a_i + b_i is at least `total`, or None.
 
-    It walks the recursion of `layer_counts` one row at a time and keeps
+    It walks the recursion of `layer_counts` one pair at a time and keeps
     none, so it stops at that level with the memory of two counts.
     """
     _require_forest_domain(symbol)
-    return next((r.level for r in islice(_rows(symbol), levels + 1) if r.total >= total), None)
+    pairs = enumerate(islice(_pairs(symbol), levels + 1))
+    return next((i for i, (a, b) in pairs if a + b >= total), None)
 
 
 def euclidean_counts(level: int) -> LayerCounts:
@@ -143,12 +146,12 @@ def euclidean_counts(level: int) -> LayerCounts:
     return LayerCounts(level, 8 * level - 4, 4)
 
 
-def _series_value(row: LayerCounts, series: Series) -> int:
+def _series_value(a: int, b: int, series: Series) -> int:
     if series is Series.A:
-        return row.a
+        return a
     if series is Series.B:
-        return row.b
-    return row.total
+        return b
+    return a + b
 
 
 @dataclass(frozen=True)
@@ -195,9 +198,13 @@ def _eigenvalues(symbol: SchlafliSymbol) -> tuple[QuadraticNumber, QuadraticNumb
             f"{symbol} is Euclidean: both eigenvalues equal 1, the closed form "
             "degenerates; use euclidean_counts for the affine formulas"
         )
-    half = Fraction(1, 2)
-    d = c * c - 4
-    return QuadraticNumber(Fraction(c, 2), half, d), QuadraticNumber(Fraction(c, 2), -half, d)
+    # c*c - 4 = (c-2)(c+2): split each factor, then move their common
+    # square-free part g into the square, so no split sees the product
+    s1, f1 = square_free_split(c - 2)
+    s2, f2 = square_free_split(c + 2)
+    g = gcd(f1, f2)
+    s, f = s1 * s2 * g, (f1 // g) * (f2 // g)
+    return _reduced(c, s, 2, f), _reduced(c, -s, 2, f)
 
 
 def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
@@ -210,11 +217,11 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     growth, decay = _eigenvalues(symbol)
     gap = growth - decay
 
-    rows = layer_counts(symbol, 2)
+    _, one, two = islice(_pairs(symbol), 3)
     lead = {}
     sub = {}
     for series in Series:
-        r1, r2 = _series_value(rows[1], series), _series_value(rows[2], series)
+        r1, r2 = _series_value(*one, series), _series_value(*two, series)
         lead[series] = (r2 - decay * r1) / (growth * gap)
         sub[series] = (growth * r1 - r2) / (decay * gap)
         if sub[series] != lead[series].conjugate():
@@ -260,10 +267,14 @@ def closed_form_count(constants: SpectralConstants, level: int, series: Series) 
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    fr = 2 * (constants.lead_coefficients[series] * constants.growth**level).x
-    if fr.denominator != 1:
-        raise ArithmeticError(f"closed form produced non-integer {fr} at level {level}")
-    return fr.numerator
+    value = constants.lead_coefficients[series] * constants.growth**level
+    n, rem = divmod(2 * value._a, value._m)
+    if rem:
+        raise ArithmeticError(
+            f"closed form produced non-integer {Fraction(2 * value._a, value._m)} "
+            f"at level {level}"
+        )
+    return n
 
 
 def growth_ratio(symbol: SchlafliSymbol, level: int, series: Series) -> Fraction:
@@ -274,8 +285,9 @@ def growth_ratio(symbol: SchlafliSymbol, level: int, series: Series) -> Fraction
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    rows = layer_counts(symbol, level + 1)
-    return Fraction(_series_value(rows[level + 1], series), _series_value(rows[level], series))
+    _require_forest_domain(symbol)
+    now, after = islice(_pairs(symbol), level, level + 2)
+    return Fraction(_series_value(*after, series), _series_value(*now, series))
 
 
 def growth_ratio_error(symbol: SchlafliSymbol, level: int, series: Series) -> QuadraticNumber:

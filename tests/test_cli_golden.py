@@ -6,6 +6,7 @@ they were recorded.  Re-record them only when an output change is intended:
     PYTHONPATH=src python tests/test_cli_golden.py
 """
 
+import hashlib
 import io
 import json
 import sys
@@ -51,6 +52,18 @@ CASES["error_export_level_0.txt"] = ["export", "--what", "forest", "--p", "4", "
                                      "--levels", "0"]
 
 
+# Deep exact output, pinned by the sha256 of stdout: every level of these runs
+# goes through Q[sqrt d] arithmetic on values hundreds of digits wide.
+DEEP_DIGESTS = {
+    "probs --p 4 --q 5 --levels 600 --mode both --format csv":
+        "9520b04a89f10a8633e8458283250051fa28b25afc3e2273a63be52b58118b61",
+    "probs --p 5 --q 6 --levels 200 --mode both":
+        "7219a3c7b7316c537c34e2e5d738ebd7e3cb64b8da0654d841b5c4e2068ab387",
+    "constants --p 5 --q 6 --precision 1000 --format jsonl":
+        "e24a55a97c6d7b3fd3e7162a3e7279c46350cd257a06cac32c28ebf91dec5c49",
+}
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -78,6 +91,14 @@ def test_cli_bytes_with_out_file(name, monkeypatch, tmp_path):
         assert list(tmp_path.iterdir()) == []
     else:
         assert target.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(DEEP_DIGESTS))
+def test_deep_output_digest(command, monkeypatch):
+    monkeypatch.delenv("MOSAICFOREST_CAP", raising=False)
+    code, out, err = run(command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_DIGESTS[command]
 
 
 def record() -> None:

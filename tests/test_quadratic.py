@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mosaicforest.quadratic import (
@@ -309,3 +309,290 @@ def test_comparisons_total_order():
     assert z1 < Fraction(38, 10)
     assert abs(z2) == z2
     assert sorted([z1, z2, QuadraticNumber(1)]) == [z2, QuadraticNumber(1), z1]
+
+
+# ------------------------------------------------ the Fraction-pair reference
+
+
+class ReferenceQuadratic:
+    """x + y*sqrt(d) as a pair of Fractions: the oracle for QuadraticNumber.
+
+    Every operation runs on the two rational parts, each with its own gcds,
+    the way QuadraticNumber computed before it moved to one integer triple
+    (a + b*sqrt(d)) / m.  QuadraticNumber must agree with it on every value,
+    result and rendering.
+    """
+
+    __slots__ = ("x", "y", "d")
+
+    def __init__(self, x, y=0, d=1):
+        x, y = Fraction(x), Fraction(y)
+        if y:
+            s, f = square_free_split(d) if d >= 2 else (1, 1)
+            if f == 1:
+                raise ValueError(f"radicand must be a non-square integer >= 2, got {d}")
+            y *= s
+            d = f
+        else:
+            d = 1
+        self.x, self.y, self.d = x, y, d
+
+    def _integer_parts(self):
+        x, y = self.x, self.y
+        return (
+            x.numerator * y.denominator,
+            y.numerator * x.denominator,
+            x.denominator * y.denominator,
+        )
+
+    def _coerce(self, other):
+        return other if isinstance(other, ReferenceQuadratic) else ReferenceQuadratic(other)
+
+    def _join_d(self, other):
+        if self.y and other.y and self.d != other.d:
+            raise ValueError(f"mixed radicands {self.d} and {other.d}")
+        return self.d if self.y else other.d
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return ReferenceQuadratic(self.x + o.x, self.y + o.y, self._join_d(o))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return ReferenceQuadratic(-self.x, -self.y, self.d)
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        d = self._join_d(o)
+        return ReferenceQuadratic(
+            self.x * o.x + self.y * o.y * d, self.x * o.y + self.y * o.x, d
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        norm = self.x * self.x - self.y * self.y * self.d
+        if not norm:
+            raise ZeroDivisionError("division by zero element")
+        return ReferenceQuadratic(self.x / norm, -self.y / norm, self.d)
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        self._join_d(o)
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, n):
+        result = ReferenceQuadratic(1)
+        factor = self if n >= 0 else self.inverse()
+        for _ in range(abs(n)):
+            result = result * factor
+        return result
+
+    def __bool__(self):
+        return bool(self.x or self.y)
+
+    def sign(self):
+        a, b, _ = self._integer_parts()
+        sa, sb = (a > 0) - (a < 0), (b > 0) - (b < 0)
+        if sa * sb >= 0:
+            return sa or sb
+        return sa if a * a > b * b * self.d else sb
+
+    def __abs__(self):
+        return -self if self.sign() < 0 else self
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return (self.x, self.y, self.d) == (o.x, o.y, o.d)
+
+    def __hash__(self):
+        return hash(self.x) if not self.y else hash((self.x, self.y, self.d))
+
+    def _floor_scaled(self, num, den):
+        a, b, m = self._integer_parts()
+        a, b, m = a * num, b * num, m * den
+        root = math.isqrt(b * b * self.d)
+        return (a + root) // m if b >= 0 else (a - root - 1) // m
+
+    def __floor__(self):
+        return self._floor_scaled(1, 1)
+
+    def decimal(self, digits):
+        scale = 10**digits
+        if self.y:
+            n = (self._floor_scaled(2 * scale, 1) + 1) // 2
+        else:
+            n = round(self.x * scale)
+        whole, frac = divmod(abs(n), scale)
+        body = f"{whole}.{frac:0{digits}d}" if digits else str(whole)
+        return "-" + body if n < 0 else body
+
+    def order_of_magnitude(self):
+        """The exponent e with 10**e <= |self| < 10**(e+1), by comparing with powers of 10."""
+        v = abs(self)
+        e = 0
+        while (v - ReferenceQuadratic(Fraction(10) ** e)).sign() < 0:
+            e -= 1
+        while (v - ReferenceQuadratic(Fraction(10) ** (e + 1))).sign() >= 0:
+            e += 1
+        return e
+
+    def __str__(self):
+        x, y = self.x, self.y
+        if not y:
+            return str(x)
+        root = f"sqrt({self.d})" if abs(y) == 1 else f"{abs(y)}*sqrt({self.d})"
+        if not x:
+            return root if y > 0 else f"-{root}"
+        return f"{x} {'+' if y > 0 else '-'} {root}"
+
+
+def assert_canonical(v: QuadraticNumber) -> None:
+    """(a + b*sqrt(d)) / m with m > 0, gcd(m, a, b) == 1, d square-free, d == 1 iff b == 0."""
+    a, b, m, d = v._a, v._b, v._m, v._d
+    assert all(type(part) is int for part in (a, b, m, d))
+    assert m > 0
+    assert math.gcd(m, a, b) == 1
+    assert (d == 1) == (b == 0)
+    assert d == 1 or square_free_split(d)[0] == 1
+
+
+def assert_same(got, ref: ReferenceQuadratic) -> None:
+    assert isinstance(got, QuadraticNumber)
+    assert_canonical(got)
+    assert (got.x, got.y, got.d) == (ref.x, ref.y, ref.d)
+    assert hash(got) == hash(ref)
+
+
+def both(ref: ReferenceQuadratic) -> tuple[QuadraticNumber, ReferenceQuadratic]:
+    return QuadraticNumber(ref.x, ref.y, ref.d), ref
+
+
+@st.composite
+def oracle_values(draw, d):
+    """A value of Q[sqrt(d)], as a reference: small, wide, a 300+ digit power or near-cancelling."""
+    kind = draw(st.sampled_from(["small", "wide", "power", "near"]))
+    if kind == "small":
+        return ReferenceQuadratic(draw(rationals), draw(rationals), d)
+    if kind == "wide":
+        return ReferenceQuadratic(draw(wide_rationals), draw(wide_rationals), d)
+    # powers of (u + v*sqrt(d))/w: parts of several hundred digits by n = 400
+    base = ReferenceQuadratic(
+        Fraction(draw(st.integers(1, 9)), draw(st.integers(2, 9))),
+        Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 9))),
+        d,
+    )
+    power = base ** draw(st.integers(0, 400))
+    if kind == "power":
+        return power
+    # minus a rational within 10**-k of it: the difference cancels k digits
+    k = draw(st.integers(0, 120))
+    close = Fraction(power._floor_scaled(10**k, 1) + draw(st.integers(-1, 2)), 10**k)
+    return power - close
+
+
+@st.composite
+def oracle_pairs(draw):
+    d = draw(st.sampled_from([2, 3, 5, 12, 21, 1932]))
+    return draw(oracle_values(d)), draw(oracle_values(d))
+
+
+def test_reference_agrees_on_a_wide_power():
+    g = ReferenceQuadratic(Fraction(2, 7), Fraction(1, 7), 3)
+    got, ref = both(g**300)
+    assert len(str(ref.x.denominator)) > 250
+    assert_same(got, ref)
+    assert_same(QuadraticNumber(Fraction(2, 7), Fraction(1, 7), 3) ** 300, ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_pairs(), st.integers(min_value=-3, max_value=4), st.integers(0, 40), rationals)
+@example(
+    (ReferenceQuadratic(-1393, 985, 2), ReferenceQuadratic(Fraction(1, 2), Fraction(1, 2), 2)),
+    -3, 3, Fraction(0),
+)
+@example((ReferenceQuadratic(0), ReferenceQuadratic(0, 1, 12)), 0, 0, Fraction(1, 4))
+@example(  # equal a and b over different m
+    (
+        ReferenceQuadratic(Fraction(1, 2), Fraction(1, 2), 3),
+        ReferenceQuadratic(Fraction(1, 3), Fraction(1, 3), 3),
+    ),
+    2, 5, Fraction(1, 3),
+)
+def test_every_operation_matches_the_fraction_pair_reference(pair, n, digits, r):
+    ru, rv = pair
+    (u, ru), (v, rv) = both(ru), both(rv)
+    assert_same(u, ru)
+    assert_same(v, rv)
+    assert_same(u + v, ru + rv)
+    assert_same(u - v, ru - rv)
+    assert_same(u * v, ru * rv)
+    assert_same(-u, -ru)
+    assert_same(abs(u), abs(ru))
+    assert_same(u.conjugate(), ReferenceQuadratic(ru.x, -ru.y, ru.d))
+    assert_same(u + r, ru + r)
+    assert_same(r - u, r - ru)
+    assert_same(u * r, ru * r)
+    if v:
+        assert_same(u / v, ru / rv)
+        assert_same(r / v, r / rv)
+        assert_same(v.inverse(), rv.inverse())
+    if r:
+        assert_same(u / r, ru / r)
+    if u or n >= 0:
+        assert_same(u**n, ru**n)
+    assert (u == v) is (ru == rv)
+    assert (u == r) is (ru == r)
+    assert bool(u) is bool(ru)
+    assert u.sign() == ru.sign()
+    assert math.floor(u) == math.floor(ru)
+    assert u.decimal(digits) == ru.decimal(digits)
+    assert str(u) == str(ru)
+    if u:
+        assert order_of_magnitude(u) == ru.order_of_magnitude()
+
+
+def test_rational_hashes_like_its_fraction():
+    assert hash(QuadraticNumber(Fraction(1, 3))) == hash(Fraction(1, 3))
+    assert hash(QuadraticNumber(Fraction(-7, 2), 0, 5)) == hash(Fraction(-7, 2))
+    assert hash(QuadraticNumber(5)) == hash(5)
+    # sqrt(3)**2 is the rational 3, whatever route reaches it
+    assert hash(QuadraticNumber(0, 1, 3) ** 2) == hash(3)
+
+
+def test_one_value_by_two_routes_has_equal_parts():
+    half_root = QuadraticNumber(Fraction(1, 2), Fraction(1, 2), 3)  # (1 + sqrt(3))/2
+    routes = [
+        half_root**2,  # (4 + 2*sqrt(3))/4
+        QuadraticNumber(1, Fraction(1, 2), 3),
+        QuadraticNumber(1, Fraction(1, 4), 12),
+        (QuadraticNumber(2) + QuadraticNumber(0, 1, 3)) / 2,
+        1 / (4 - 2 * QuadraticNumber(0, 1, 3)),
+        # (2 + sqrt(3))**2 over twice (2 + sqrt(3))
+        QuadraticNumber(7, 4, 3) / (QuadraticNumber(0, 1, 3) * 2 + 4),
+    ]
+    parts = {(v._a, v._b, v._m, v._d) for v in routes}
+    assert parts == {(2, 1, 2, 3)}
+    assert len({hash(v) for v in routes}) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_pairs())
+def test_round_trips_land_on_the_same_parts(pair):
+    u, v = (QuadraticNumber(r.x, r.y, r.d) for r in pair)
+    for w in [(u + v) - v, (u - v) + v, -(-u), u.conjugate().conjugate()] + (
+        [(u * v) / v, (u / v) * v] if v else []
+    ):
+        assert_canonical(w)
+        assert (w._a, w._b, w._m, w._d) == (u._a, u._b, u._m, u._d)
+        assert hash(w) == hash(u)

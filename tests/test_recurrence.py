@@ -1,14 +1,16 @@
+import dataclasses
 import inspect
 import textwrap
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mosaicforest import recurrence
+from mosaicforest import quadratic, recurrence
 from mosaicforest.errors import DegenerateForestError, RepeatedEigenvalueError
-from mosaicforest.quadratic import QuadraticNumber
+from mosaicforest.quadratic import QuadraticNumber, square_free_split
 from mosaicforest.recurrence import (
     Geometry,
     SchlafliSymbol,
@@ -174,6 +176,32 @@ class TestSpectralConstants:
         with pytest.raises(RepeatedEigenvalueError, match="euclidean_counts"):
             spectral_constants(S44)
 
+    def test_radicand_is_split_one_factor_at_a_time(self, monkeypatch):
+        # c*c - 4 has 25 digits here, too many for trial division to finish
+        symbol = SchlafliSymbol(1000000000065, 4)
+        c = symbol.trace
+        seen = []
+
+        def counting_split(n):
+            seen.append(n)
+            return square_free_split(n)
+
+        monkeypatch.setattr(recurrence, "square_free_split", counting_split)
+        monkeypatch.setattr(quadratic, "square_free_split", counting_split)
+        # raises unless K, M and lim b/a equal their eigenvector forms
+        constants = spectral_constants(symbol)
+        assert seen and max(seen) <= c + 2
+        assert constants.radicand == c * c - 4
+        assert constants.growth * constants.decay == 1
+        assert constants.growth + constants.decay == c
+
+    def test_factor_splits_agree_with_the_whole_radicand(self):
+        for c in range(3, 400):
+            growth, decay = recurrence._eigenvalues(SchlafliSymbol(c + 4, 3))  # trace c
+            half = Fraction(1, 2)
+            assert growth == QuadraticNumber(Fraction(c, 2), half, c * c - 4), c
+            assert decay == QuadraticNumber(Fraction(c, 2), -half, c * c - 4), c
+
     def test_decay_is_conjugate_of_growth(self):
         # closed_form_count relies on decay**i being the conjugate of growth**i
         for p in range(4, 13):
@@ -258,6 +286,14 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             closed_form_count(spectral_constants(S45), 0, Series.A)
 
+    def test_non_integer_closed_form_raises(self):
+        c = spectral_constants(S45)
+        lead = dict(c.lead_coefficients)
+        lead[Series.A] += Fraction(1, 3)
+        off = dataclasses.replace(c, lead_coefficients=lead)
+        with pytest.raises(ArithmeticError, match="non-integer .* at level 5"):
+            closed_form_count(off, 5, Series.A)
+
 
 class TestClosedFormSweep:
     @pytest.mark.parametrize("p,q", [(4, 5), (5, 4), (4, 6), (6, 4), (5, 5)])
@@ -283,6 +319,16 @@ class TestGrowthRatio:
     def test_deep_convergence(self):
         err = growth_ratio_error(S45, 100, Series.ALL)
         assert err < Fraction(1, 10**113)
+
+    def test_deep_ratio_keeps_two_rows(self):
+        # the rows before `level` are walked and dropped, never listed
+        tracemalloc.start()
+        try:
+            growth_ratio(S45, 10**4, Series.ALL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"{peak} bytes"
 
     def test_euclidean_allowed_tends_to_one(self):
         # ratios approach 1 instead of a hyperbolic constant
