@@ -11,8 +11,9 @@ cells around each boundary vertex until its cell count reaches q.  The
 inner cells of a fan share exactly one boundary vertex ("vertex"-attached).
 The last cell closes the fan ("edge"-attached): it shares one boundary
 edge, or two consecutive edges when it fills the boundary vertex between
-them, as it does in every q = 3 belt after the first.  New vertices are numbered in creation order along the sweep, which
-makes builds fully deterministic.
+them, as it does in every q = 3 belt after the first.  Each fan's new
+vertices are one run of ids, numbered in creation order along the sweep,
+which makes builds fully deterministic.
 """
 
 from __future__ import annotations
@@ -80,7 +81,9 @@ class _Builder:
 
     Every view of a vertex id (a rotation, a cell, a `down` entry, a belt's
     walk, a fan's tips) is taken from a slice of `ids`, so each id is one
-    int object however many tuples hold it.
+    int object however many tuples hold it.  `ncells` counts cells only
+    where the sweep reads them: it is exact for the new layer and for the
+    old layer ahead of the sweep, and a swept vertex's count is not kept.
     """
 
     def __init__(self, p: int, q: int, cap: int):
@@ -98,25 +101,6 @@ class _Builder:
         self.layers: list[range] = [range(1)]
         self.belt_sizes: list[int] = []
 
-    def new_vertices(self, count: int) -> list[int]:
-        """`count` new vertices of the current belt; refuses vertex id `cap`."""
-        ids = self.ids
-        first = len(ids)
-        if first + count > self.cap:
-            raise SizeLimitError(
-                f"vertex cap {self.cap} exceeded while building belt {len(self.layers)}"
-            )
-        ids += range(first, first + count)
-        self.down += [-1] * count
-        self.ncells += [0] * count
-        return ids[first:]
-
-    def add_cell(self, *verts: int) -> None:
-        self.cells.append(verts)
-        ncells = self.ncells
-        for v in verts:
-            ncells[v] += 1
-
     def close_belt(self) -> None:
         """Record the belt's cell count and its outer layer: the ids it created."""
         self.belt_sizes.append(len(self.cells) - sum(self.belt_sizes))
@@ -126,23 +110,29 @@ class _Builder:
         """q cells around the seed; the seed's rotation is its q spokes."""
         p, q = self.p, self.q
         n = p - 2  # new vertices per cell: a spoke's tip, then p - 3 arcs
-        ring = self.new_vertices(q * n)
+        if 1 + q * n > self.cap:
+            raise SizeLimitError(f"vertex cap {self.cap} exceeded while building belt 1")
+        ids = self.ids
+        ids += range(1, 1 + q * n)
+        ring = ids[1:]
         spokes = ring[::n]
-        for j, tip in enumerate(spokes):
-            self.down[tip] = 0
-            self.add_cell(0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q])
+        # a tip lies on its own cell and the one before, an arc on its own
+        self.down += ([0] + [-1] * (n - 1)) * q
+        self.ncells += ([2] + [1] * (n - 1)) * q
+        self.cells += [(0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q]) for j in range(q)]
         self.rot.append(tuple(spokes))
         self.close_belt()
 
     def next_belt(self) -> None:
-        p, q = self.p, self.q
+        p, q, cap, belt = self.p, self.q, self.cap, len(self.layers)
+        n2 = p - 2  # new vertices per inner cell: its arcs, then its tip
         old = self.layers[-1]
-        rot, down, down2, ncells = self.rot, self.down, self.down2, self.ncells
-        new_vertices, add_cell = self.new_vertices, self.add_cell
+        ids, rot, cells = self.ids, self.rot, self.cells
+        down, down2, ncells = self.down, self.down2, self.ncells
 
         # start the sweep at a vertex that will own at least one radial tip
         start = next(v for v in old if ncells[v] <= q - 2)
-        walk = self.ids[start : old.stop] + self.ids[old.start : start]
+        walk = ids[start : old.stop] + ids[old.start : start]
         m = len(walk)
         # walk[m] closes the cycle and walk[-1] comes before walk[0], so each
         # v = walk[k], k < m, turns from walk[k - 1] to walk[k + 1]
@@ -150,7 +140,12 @@ class _Builder:
         # old's rotations are final once its fans close; rot[v] is written then
         rot += [()] * m
 
-        s0 = new_vertices(1)[0]  # walk[0]'s first tip; the sweep's last fan closes on it
+        # walk[0]'s first tip, which the sweep's last fan closes on; it is
+        # held to the cap with walk[0]'s fan, which always comes next
+        s0 = len(ids)
+        ids.append(s0)
+        down.append(-1)
+        ncells.append(0)
         carry = s0
 
         for k in range(m):
@@ -162,36 +157,48 @@ class _Builder:
                 # already completed by a run cell sweeping past it: no tips
                 rot[v] = (walk[k - 1], walk[k + 1], *below)
                 continue
-            tips = [carry]  # v's radial tips, in fan order
+            ncells[carry] += 1  # for the fan's first cell
 
-            # inner fan cells: share only the vertex v with the old boundary
-            for t in range(missing - 1):
-                if p == 3 and k == m - 1 and t == missing - 2:
-                    tip = s0  # the seam: the ring's closing tip already exists
-                    add_cell(v, carry, tip)
-                else:
-                    path = new_vertices(p - 2)  # the cell's arcs, then its tip
-                    tip = path[-1]
-                    add_cell(v, carry, *path)
-                down[tip] = v
-                tips.append(tip)
-                carry = tip
-
-            # the closing cell of the fan: v, carry, its top, then back along
-            # the run of old vertices ahead, which runs on through each vertex
-            # this very cell fills
+            # the closing cell: v, carry, its top, then back along the run of
+            # old vertices ahead, through each vertex this very cell fills.
+            # Inner cells touch no old vertex but v, so the run comes first
             pos = k + 1
             while pos < m and ncells[walk[pos]] + 1 == q:
                 pos += 1
             back = walk[pos:k:-1]
             n = p - len(back) - 2  # the top's length; its last vertex is the next carry
             if n < 0:
-                raise StructureError(
-                    f"belt {len(self.layers)}: cell run longer than a {p}-gon can cover"
-                )
-            # the top is new, but ends on s0 when the run reaches walk[m], the ring
-            top = () if not n else new_vertices(n) if pos < m else [*new_vertices(n - 1), s0]
-            add_cell(v, carry, *top, *back)
+                raise StructureError(f"belt {belt}: cell run longer than a {p}-gon can cover")
+            for w in back:
+                ncells[w] += 1
+
+            # the fan's new vertices are one run of ids: each inner cell's
+            # arcs and tip, then the top.  When the run reaches walk[m], the
+            # ring, its last vertex is s0: the top's end, or the p = 3 seam tip
+            inner = (missing - 1) * n2
+            ring = pos == m
+            made = inner + n - ring
+            first = len(ids)
+            if first + made > cap:
+                raise SizeLimitError(f"vertex cap {cap} exceeded while building belt {belt}")
+            ids += range(first, first + made)
+            down += [-1] * made
+            ncells += [1] * made  # each for the cell that makes it
+            run = ids[first:]
+            if ring:
+                run.append(s0)
+                ncells[s0] += 1  # for the cell that closes the ring on it
+
+            # inner fan cells: share only the vertex v with the old boundary
+            tip = carry  # v's first radial tip; the inner cells' tips follow it
+            for i in range(0, inner, n2):
+                cells.append((v, carry, *run[i : i + n2]))
+                carry = run[i + n2 - 1]
+                down[carry] = v
+                ncells[carry] += 1  # for the fan's next cell
+
+            top = run[inner:]
+            cells.append((v, carry, *top, *back))
             if top:
                 carry = top[-1]
             else:  # a triangle: carry stays, merged onto the run's end below
@@ -199,7 +206,7 @@ class _Builder:
             down[carry] = back[0]
 
             # v turns from its previous neighbour through its tips to its next one and down
-            rot[v] = (walk[k - 1], *tips, walk[k + 1], *below)
+            rot[v] = (walk[k - 1], tip, *run[n2 - 1 : inner : n2], walk[k + 1], *below)
 
         self.close_belt()
 

@@ -240,6 +240,14 @@ class TestConfig:
         assert code == 2
         assert "cap" in err
 
+    def test_cap_names_the_belt_it_trips_in(self, capsys):
+        # {4,5} at 3 belts has 201 vertices, the last of them made in belt 3
+        argv = ("export", "--what", "mosaic-edges", "--p", "4", "--q", "5", "--levels", "3")
+        code, out, err = run(capsys, *argv, "--cap", "200")
+        assert (code, out, err) == (2, "", "error: vertex cap 200 exceeded while building belt 3\n")
+        code, out, _ = run(capsys, *argv, "--cap", "201")
+        assert code == 0 and out.startswith("# p=4 q=5 belts=3 vertices=201\n")
+
     def test_cap_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MOSAICFOREST_CAP", "100")
         code, _, err = run(

@@ -18,7 +18,7 @@ from mosaicforest.mosaic import (
     text_blocks,
     validate,
 )
-from mosaicforest.recurrence import SchlafliSymbol, layer_counts, spectral_constants
+from mosaicforest.recurrence import Geometry, SchlafliSymbol, layer_counts, spectral_constants
 
 
 def test_belt1_45():
@@ -62,11 +62,122 @@ def test_vertex_cap():
         build(SchlafliSymbol(4, 5), 10, cap=1000)
 
 
-@pytest.mark.parametrize("belts,vertices", [(1, 11), (2, 51)])
-def test_vertex_cap_trips_at_the_same_count_in_every_belt(belts, vertices):
-    with pytest.raises(SizeLimitError, match=f"belt {belts}"):
-        build(SchlafliSymbol(4, 5), belts, cap=vertices - 1)
-    assert build(SchlafliSymbol(4, 5), belts, cap=vertices).vertex_count == vertices
+class ReferenceBuilder(_Builder):
+    """The per-cell belt builder: the oracle for `build`'s fan-at-a-time one.
+
+    Each cell takes its new vertices with `new_vertices`, which holds every
+    allocation to the cap, and joins the map with `add_cell`, which counts
+    it at each of its vertices, so `ncells` is exact everywhere.  It shares
+    `_Builder`'s state, `close_belt` and `finish`.
+    """
+
+    def new_vertices(self, count: int) -> list[int]:
+        ids = self.ids
+        first = len(ids)
+        if first + count > self.cap:
+            raise SizeLimitError(
+                f"vertex cap {self.cap} exceeded while building belt {len(self.layers)}"
+            )
+        ids += range(first, first + count)
+        self.down += [-1] * count
+        self.ncells += [0] * count
+        return ids[first:]
+
+    def add_cell(self, *verts: int) -> None:
+        self.cells.append(verts)
+        for v in verts:
+            self.ncells[v] += 1
+
+    def first_belt(self) -> None:
+        p, q = self.p, self.q
+        n = p - 2
+        ring = self.new_vertices(q * n)
+        spokes = ring[::n]
+        for j, tip in enumerate(spokes):
+            self.down[tip] = 0
+            self.add_cell(0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q])
+        self.rot.append(tuple(spokes))
+        self.close_belt()
+
+    def next_belt(self) -> None:
+        p, q = self.p, self.q
+        old = self.layers[-1]
+        rot, down, down2, ncells = self.rot, self.down, self.down2, self.ncells
+        new_vertices, add_cell = self.new_vertices, self.add_cell
+        start = next(v for v in old if ncells[v] <= q - 2)
+        walk = self.ids[start : old.stop] + self.ids[old.start : start]
+        m = len(walk)
+        walk += walk[0], walk[-1]
+        rot += [()] * m
+        s0 = new_vertices(1)[0]
+        carry = s0
+        for k in range(m):
+            v = walk[k]
+            d = down[v]
+            below = () if d < 0 else (d, down2[v]) if v in down2 else (d,)
+            missing = q - ncells[v] - (1 if k == 0 else 0)
+            if missing <= 0:
+                rot[v] = (walk[k - 1], walk[k + 1], *below)
+                continue
+            tips = [carry]
+            for t in range(missing - 1):
+                if p == 3 and k == m - 1 and t == missing - 2:
+                    tip = s0
+                    add_cell(v, carry, tip)
+                else:
+                    path = new_vertices(p - 2)
+                    tip = path[-1]
+                    add_cell(v, carry, *path)
+                down[tip] = v
+                tips.append(tip)
+                carry = tip
+            pos = k + 1
+            while pos < m and ncells[walk[pos]] + 1 == q:
+                pos += 1
+            back = walk[pos:k:-1]
+            n = p - len(back) - 2
+            if n < 0:
+                raise StructureError(
+                    f"belt {len(self.layers)}: cell run longer than a {p}-gon can cover"
+                )
+            top = () if not n else new_vertices(n) if pos < m else [*new_vertices(n - 1), s0]
+            add_cell(v, carry, *top, *back)
+            if top:
+                carry = top[-1]
+            else:
+                down2[carry] = down[carry]
+            down[carry] = back[0]
+            rot[v] = (walk[k - 1], *tips, walk[k + 1], *below)
+        self.close_belt()
+
+
+def _refusal(builder: type[_Builder], symbol: SchlafliSymbol, belts: int, cap: int) -> str | None:
+    """The SizeLimitError message of a build under `cap`, None if it builds."""
+    b = builder(symbol.p, symbol.q, cap)
+    try:
+        b.first_belt()
+        for _ in range(belts - 1):
+            b.next_belt()
+    except SizeLimitError as e:
+        return str(e)
+    return None
+
+
+# p >= 4, then p = 3 (the seam) and q = 3 (cells that fill a layer vertex)
+@pytest.mark.parametrize(
+    "p,q,belts,vertices", [(4, 5, 1, 11), (4, 5, 2, 51), (3, 7, 6, 1625), (7, 3, 4, 496)]
+)
+def test_vertex_cap_trips_at_the_same_count_in_every_belt(p, q, belts, vertices):
+    symbol = SchlafliSymbol(p, q)
+    with pytest.raises(SizeLimitError, match=f"belt {belts}$"):
+        build(symbol, belts, cap=vertices - 1)
+    assert build(symbol, belts, cap=vertices).vertex_count == vertices
+    # every cap names the belt the per-cell reference names, including caps
+    # that fall inside a fan's run of new vertices, as most of these do
+    for cap in [*range(1, vertices - 1, 1 + vertices // 60), vertices - 1, vertices]:
+        assert _refusal(_Builder, symbol, belts, cap) == _refusal(
+            ReferenceBuilder, symbol, belts, cap
+        ), cap
 
 
 def test_determinism():
@@ -134,12 +245,41 @@ def test_cell_attachment_kinds():
 def test_belt_whose_run_outgrows_a_cell_raises(p, q):
     # layer 1 with every vertex but the first one cell short of full: the
     # first vertex's closing cell would run around the whole layer
-    b = _Builder(p, q, DEFAULT_VERTEX_CAP)
-    b.first_belt()
-    for v in b.layers[1][1:]:
-        b.ncells[v] = q - 1
-    with pytest.raises(StructureError, match="belt 2"):
-        b.next_belt()
+    for builder in (_Builder, ReferenceBuilder):
+        b = builder(p, q, DEFAULT_VERTEX_CAP)
+        b.first_belt()
+        for v in b.layers[1][1:]:
+            b.ncells[v] = q - 1
+        with pytest.raises(StructureError, match=f"^belt 2: cell run longer than a {p}-gon"):
+            b.next_belt()
+
+
+# every non-spherical {p,q} with 3 <= p, q <= 9, then a wider q = 3 and p = 3 symbol each
+REFERENCE_SYMBOLS = [
+    (p, q) for p in range(3, 10) for q in range(3, 10) if (p - 2) * (q - 2) >= 4
+] + [(10, 3), (3, 12)]
+
+
+@pytest.mark.parametrize("p,q", REFERENCE_SYMBOLS)
+def test_build_matches_the_per_cell_reference_builder(p, q):
+    # belt by belt to the deepest one within the budget (the trace recursion
+    # gives each next layer's size from level 2 on); the new layer's cell
+    # counts, which the next belt reads, agree after every belt
+    symbol = SchlafliSymbol(p, q)
+    budget = 100_000 if symbol.geometry is Geometry.EUCLIDEAN else 20_000
+    lean, reference = _Builder(p, q, budget), ReferenceBuilder(p, q, budget)
+    lean.first_belt()
+    reference.first_belt()
+    while True:
+        before, last = lean.layers[-2:]
+        assert lean.ncells[last.start :] == reference.ncells[last.start :]
+        ahead = symbol.trace * len(last) - len(before)
+        if len(lean.layers) > 2 and len(lean.ids) + ahead > budget:
+            break
+        lean.next_belt()
+        reference.next_belt()
+    m, r = lean.finish(symbol), reference.finish(symbol)
+    assert (m.rot, m.cells, m.layers, m.belt_sizes) == (r.rot, r.cells, r.layers, r.belt_sizes)
 
 
 def _without(rotation, w):
