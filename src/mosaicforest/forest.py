@@ -109,10 +109,10 @@ def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
 
     q = 3 is rejected (a level vertex has no spare edge toward the next
     level).  p = 3 needs `allow_triangles=True`: there every vertex above
-    the seed touches two lower vertices, the parent choice is no longer
-    forced, and a deterministic greedy pass (prefer a childless lower
-    neighbour, then the smallest id) picks one; no roots appear beyond the
-    main one.  For p >= 4 a second lower neighbour is a structural
+    the seed touches one lower vertex, or two when it is a fan's last tip,
+    so not every parent is forced; a deterministic greedy pass (prefer a
+    childless lower neighbour, then the smallest id) picks one, and no
+    roots appear beyond the main one.  For p >= 4 a second lower neighbour is a structural
     impossibility and raises StructureError rather than being tie-broken.
     """
     symbol = mosaic.symbol

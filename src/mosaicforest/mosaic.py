@@ -7,13 +7,21 @@ stores its incident neighbours in counter-clockwise rotation order, so faces
 can be recovered by rotation walks and no coordinates are ever needed.
 
 Construction sweeps the current boundary counter-clockwise and fans new
-cells around each boundary vertex until its cell count reaches q.  The
-inner cells of a fan share exactly one boundary vertex ("vertex"-attached).
-The last cell closes the fan ("edge"-attached): it shares one boundary
-edge, or two consecutive edges when it fills the boundary vertex between
-them, as it does in every q = 3 belt after the first.  Each fan's new
-vertices are one run of ids, numbered in creation order along the sweep,
-which makes builds fully deterministic.
+cells around each boundary vertex until it lies on q cells.  The inner
+cells of a fan share exactly one boundary vertex ("vertex"-attached).  The
+last cell closes the fan ("edge"-attached): it shares one boundary edge, or
+two consecutive edges when it fills the boundary vertex between them, as
+it does in every q = 3 belt after the first.  Each fan's new vertices are
+one run of ids, numbered in creation order along the sweep, which makes
+builds fully deterministic.
+
+No cell counts are kept.  Every belt-i cell's first vertex lies on layer
+i - 1 (the fan's vertex), and every layer-i vertex lies on exactly 1 + (its
+neighbours on layer i - 1) cells of belt i.  So a swept vertex with j lower
+neighbours lies on 1 + j cells and on the closing cell of the fan before
+it, and misses q - 2 - j; only q = 3 leaves one short (j = 1).  With p >= 4
+a vertex has at most one lower neighbour; with p = 3 a fan's last tip has
+a second, the lower neighbour of the vertex before it on its layer.
 """
 
 from __future__ import annotations
@@ -81,9 +89,9 @@ class _Builder:
 
     Every view of a vertex id (a rotation, a cell, a `down` entry, a belt's
     walk, a fan's tips) is taken from a slice of `ids`, so each id is one
-    int object however many tuples hold it.  `ncells` counts cells only
-    where the sweep reads them: it is exact for the new layer and for the
-    old layer ahead of the sweep, and a swept vertex's count is not kept.
+    int object however many tuples hold it.  No cell counts are kept: a
+    layer vertex lies on 1 + (its lower neighbours) cells of its belt, read
+    off `down`, with p = 3 also as `down` of the vertex before it.
     """
 
     def __init__(self, p: int, q: int, cap: int):
@@ -94,8 +102,6 @@ class _Builder:
         # is layer by layer, so layer i is the next run of ids
         self.ids = [0]
         self.down = [-1]  # the lower neighbour of a tip, -1 for none
-        self.down2: dict[int, int] = {}  # p = 3: a tip's lower neighbour after `down`
-        self.ncells = [0]
         self.rot: list[tuple[int, ...]] = []  # each written once, when final
         self.cells: list[tuple[int, ...]] = []
         self.layers: list[range] = [range(1)]
@@ -116,9 +122,8 @@ class _Builder:
         ids += range(1, 1 + q * n)
         ring = ids[1:]
         spokes = ring[::n]
-        # a tip lies on its own cell and the one before, an arc on its own
+        # each cell's first new vertex is a spoke's tip, on the seed
         self.down += ([0] + [-1] * (n - 1)) * q
-        self.ncells += ([2] + [1] * (n - 1)) * q
         self.cells += [(0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q]) for j in range(q)]
         self.rot.append(tuple(spokes))
         self.close_belt()
@@ -127,11 +132,11 @@ class _Builder:
         p, q, cap, belt = self.p, self.q, self.cap, len(self.layers)
         n2 = p - 2  # new vertices per inner cell: its arcs, then its tip
         old = self.layers[-1]
-        ids, rot, cells = self.ids, self.rot, self.cells
-        down, down2, ncells = self.down, self.down2, self.ncells
+        ids, down, rot, cells = self.ids, self.down, self.rot, self.cells
 
-        # start the sweep at a vertex that will own at least one radial tip
-        start = next(v for v in old if ncells[v] <= q - 2)
+        # start the sweep at a vertex that is not one cell short, so it owns
+        # a radial tip; only q = 3 leaves one short: one with a lower neighbour
+        start = next(v for v in old if q != 3 or down[v] < 0)
         walk = ids[start : old.stop] + ids[old.start : start]
         m = len(walk)
         # walk[m] closes the cycle and walk[-1] comes before walk[0], so each
@@ -145,32 +150,30 @@ class _Builder:
         s0 = len(ids)
         ids.append(s0)
         down.append(-1)
-        ncells.append(0)
         carry = s0
 
         for k in range(m):
             v = walk[k]
             d = down[v]
-            below = () if d < 0 else (d, down2[v]) if v in down2 else (d,)
-            missing = q - ncells[v] - (1 if k == 0 else 0)
+            e = down[walk[k - 1]] if p == 3 else d  # p = 3: a second lower neighbour
+            below = () if d < 0 else (d,) if e == d else (d, e)
+            # v lies on 1 + len(below) cells and the closing cell of the fan
+            # before it; for walk[0], the one closing the ring
+            missing = q - 2 - len(below)
             if missing <= 0:
                 # already completed by a run cell sweeping past it: no tips
                 rot[v] = (walk[k - 1], walk[k + 1], *below)
                 continue
-            ncells[carry] += 1  # for the fan's first cell
 
             # the closing cell: v, carry, its top, then back along the run of
-            # old vertices ahead, through each vertex this very cell fills.
-            # Inner cells touch no old vertex but v, so the run comes first
+            # one-short old vertices ahead, each of which this very cell fills
             pos = k + 1
-            while pos < m and ncells[walk[pos]] + 1 == q:
+            while q == 3 and pos < m and down[walk[pos]] >= 0:
                 pos += 1
             back = walk[pos:k:-1]
             n = p - len(back) - 2  # the top's length; its last vertex is the next carry
             if n < 0:
                 raise StructureError(f"belt {belt}: cell run longer than a {p}-gon can cover")
-            for w in back:
-                ncells[w] += 1
 
             # the fan's new vertices are one run of ids: each inner cell's
             # arcs and tip, then the top.  When the run reaches walk[m], the
@@ -183,11 +186,9 @@ class _Builder:
                 raise SizeLimitError(f"vertex cap {cap} exceeded while building belt {belt}")
             ids += range(first, first + made)
             down += [-1] * made
-            ncells += [1] * made  # each for the cell that makes it
             run = ids[first:]
             if ring:
                 run.append(s0)
-                ncells[s0] += 1  # for the cell that closes the ring on it
 
             # inner fan cells: share only the vertex v with the old boundary
             tip = carry  # v's first radial tip; the inner cells' tips follow it
@@ -195,15 +196,12 @@ class _Builder:
                 cells.append((v, carry, *run[i : i + n2]))
                 carry = run[i + n2 - 1]
                 down[carry] = v
-                ncells[carry] += 1  # for the fan's next cell
 
             top = run[inner:]
             cells.append((v, carry, *top, *back))
             if top:
                 carry = top[-1]
-            else:  # a triangle: carry stays, merged onto the run's end below
-                down2[carry] = down[carry]
-            down[carry] = back[0]
+            down[carry] = back[0]  # p = 3: the fan's last tip; v is its second lower neighbour
 
             # v turns from its previous neighbour through its tips to its next one and down
             rot[v] = (walk[k - 1], tip, *run[n2 - 1 : inner : n2], walk[k + 1], *below)
@@ -211,19 +209,19 @@ class _Builder:
         self.close_belt()
 
     def finish(self, symbol: SchlafliSymbol) -> Mosaic:
-        down2 = self.down2
+        down, triangles = self.down, self.p == 3
         # the outer layer, the last run of ids, has no tips: each vertex turns
-        # from its previous neighbour to its next one and down; its rotations
-        # are read off shifted iterators over one slice of `ids`
+        # from its previous neighbour u to its next one and down (p = 3: and
+        # down[u] if it differs), read off shifted iterators over its ids
         first = self.layers[-1].start
         outer = self.ids[first:]
-        del self.ids, self.ncells  # read no more; freed before the rotations are made
+        del self.ids  # read no more; freed before the rotations are made
         m = len(outer)
         before = chain(islice(outer, m - 1, None), islice(outer, m - 1))
         after = chain(islice(outer, 1, None), islice(outer, 1))
         self.rot += (
-            (u, w) if d < 0 else (u, w, d, down2[v]) if v in down2 else (u, w, d)
-            for u, v, w, d in zip(before, outer, after, islice(self.down, first, None))
+            (u, w) if d < 0 else (u, w, d, down[u]) if triangles and down[u] != d else (u, w, d)
+            for u, w, d in zip(before, after, islice(down, first, None))
         )
         return Mosaic(
             symbol=symbol,

@@ -67,9 +67,17 @@ class ReferenceBuilder(_Builder):
 
     Each cell takes its new vertices with `new_vertices`, which holds every
     allocation to the cap, and joins the map with `add_cell`, which counts
-    it at each of its vertices, so `ncells` is exact everywhere.  It shares
-    `_Builder`'s state, `close_belt` and `finish`.
+    it at each of its vertices, so `ncells` is exact everywhere.  It keeps
+    the state the lean builder derives: those counts, and `down2`, the
+    second lower neighbour of each p = 3 tip that has one, which its own
+    `finish` reads.  It shares `_Builder`'s `ids`, `down`, `rot`, `cells`,
+    `layers`, `belt_sizes` and `close_belt`.
     """
+
+    def __init__(self, p: int, q: int, cap: int):
+        super().__init__(p, q, cap)
+        self.ncells = [0]
+        self.down2: dict[int, int] = {}
 
     def new_vertices(self, count: int) -> list[int]:
         ids = self.ids
@@ -150,6 +158,14 @@ class ReferenceBuilder(_Builder):
             rot[v] = (walk[k - 1], *tips, walk[k + 1], *below)
         self.close_belt()
 
+    def finish(self, symbol: SchlafliSymbol) -> Mosaic:
+        outer = self.ids[self.layers[-1].start :]
+        for u, v, w in zip(outer[-1:] + outer[:-1], outer, outer[1:] + outer[:1]):
+            d = self.down[v]
+            below = () if d < 0 else (d, self.down2[v]) if v in self.down2 else (d,)
+            self.rot.append((u, w, *below))
+        return Mosaic(symbol, self.rot, self.layers, self.cells, self.belt_sizes)
+
 
 def _refusal(builder: type[_Builder], symbol: SchlafliSymbol, belts: int, cap: int) -> str | None:
     """The SizeLimitError message of a build under `cap`, None if it builds."""
@@ -208,6 +224,23 @@ def test_triangle_tiling_has_parents_everywhere():
             assert any(w in m.layers[i - 1] for w in m.rot[v])
 
 
+@pytest.mark.parametrize("q,belts", [(7, 6), (8, 5), (6, 12), (12, 4)])
+def test_triangle_vertices_have_one_or_two_consecutive_lower_neighbours(q, belts):
+    # p = 3: only a fan's last tip has two lower neighbours, and they are
+    # neighbours on the layer below; read off the rotations and layers alone
+    m = build(SchlafliSymbol(3, q), belts)
+    seen = set()
+    for lower, layer in zip(m.layers, m.layers[1:]):
+        for v in layer:
+            below = [w - lower.start for w in m.rot[v] if w in lower]
+            seen.add(len(below))
+            assert len(below) in (1, 2), v
+            if len(below) == 2:
+                a, b = below
+                assert (a - b) % len(lower) in (1, len(lower) - 1), v
+    assert seen == {1, 2}
+
+
 def test_lower_neighbour_unique_for_p_ge_4():
     m = build(SchlafliSymbol(5, 5), 3)
     for i in range(1, len(m.layers)):
@@ -241,17 +274,29 @@ def test_cell_attachment_kinds():
             assert shared == ({1} if belt == 1 else later), (p, q, belt)
 
 
-@pytest.mark.parametrize("p,q", [(4, 5), (3, 7)])
+# only q = 3 leaves a vertex one cell short, so only there can a run grow
+@pytest.mark.parametrize("p,q", [(7, 3), (6, 3)])
 def test_belt_whose_run_outgrows_a_cell_raises(p, q):
     # layer 1 with every vertex but the first one cell short of full: the
-    # first vertex's closing cell would run around the whole layer
-    for builder in (_Builder, ReferenceBuilder):
-        b = builder(p, q, DEFAULT_VERTEX_CAP)
+    # first vertex's closing cell would run around the whole layer.  The
+    # lean builder reads a vertex's cells off `down`, the reference off `ncells`
+    lean = _Builder(p, q, DEFAULT_VERTEX_CAP)
+    reference = ReferenceBuilder(p, q, DEFAULT_VERTEX_CAP)
+    builders = lean, reference
+    for b in builders:
         b.first_belt()
-        for v in b.layers[1][1:]:
-            b.ncells[v] = q - 1
-        with pytest.raises(StructureError, match=f"^belt 2: cell run longer than a {p}-gon"):
+    first, *rest = lean.layers[1]
+    lean.down[first] = -1
+    reference.ncells[first] = q - 2
+    for v in rest:
+        lean.down[v] = 0
+        reference.ncells[v] = q - 1
+    messages = set()
+    for b in builders:
+        with pytest.raises(StructureError, match=f"^belt 2: cell run longer than a {p}-gon") as e:
             b.next_belt()
+        messages.add(str(e.value))
+    assert len(messages) == 1
 
 
 # every non-spherical {p,q} with 3 <= p, q <= 9, then a wider q = 3 and p = 3 symbol each
@@ -263,8 +308,9 @@ REFERENCE_SYMBOLS = [
 @pytest.mark.parametrize("p,q", REFERENCE_SYMBOLS)
 def test_build_matches_the_per_cell_reference_builder(p, q):
     # belt by belt to the deepest one within the budget (the trace recursion
-    # gives each next layer's size from level 2 on); the new layer's cell
-    # counts, which the next belt reads, agree after every belt
+    # gives each next layer's size from level 2 on); after every belt the
+    # reference's exact cell count of each new-layer vertex, which the lean
+    # builder no longer keeps, is 1 + its number of lower neighbours
     symbol = SchlafliSymbol(p, q)
     budget = 100_000 if symbol.geometry is Geometry.EUCLIDEAN else 20_000
     lean, reference = _Builder(p, q, budget), ReferenceBuilder(p, q, budget)
@@ -272,7 +318,8 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
     reference.first_belt()
     while True:
         before, last = lean.layers[-2:]
-        assert lean.ncells[last.start :] == reference.ncells[last.start :]
+        down, down2, ncells = reference.down, reference.down2, reference.ncells
+        assert all(ncells[v] == 1 + (down[v] >= 0) + (v in down2) for v in last)
         ahead = symbol.trace * len(last) - len(before)
         if len(lean.layers) > 2 and len(lean.ids) + ahead > budget:
             break
@@ -280,6 +327,44 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
         reference.next_belt()
     m, r = lean.finish(symbol), reference.finish(symbol)
     assert (m.rot, m.cells, m.layers, m.belt_sizes) == (r.rot, r.cells, r.layers, r.belt_sizes)
+
+
+def _deepest_build(symbol: SchlafliSymbol, budget: int) -> Mosaic:
+    """The build to the deepest belt within `budget` vertices, sized by the
+    trace recursion, which gives each next layer's size from level 2 on."""
+    sizes = build(symbol, 2).layer_sizes
+    while sum(sizes) + symbol.trace * sizes[-1] - sizes[-2] <= budget:
+        sizes.append(symbol.trace * sizes[-1] - sizes[-2])
+    m = build(symbol, len(sizes) - 1)
+    assert m.layer_sizes == sizes
+    return m
+
+
+def _belts(m: Mosaic) -> Iterator[tuple[range, range, list[tuple[int, ...]]]]:
+    """Each belt's inner layer, its outer layer and its cells."""
+    starts = list(accumulate(m.belt_sizes, initial=0))
+    for i, (lo, hi) in enumerate(zip(starts, starts[1:]), start=1):
+        yield m.layers[i - 1], m.layers[i], m.cells[lo:hi]
+
+
+@pytest.mark.parametrize("p,q", REFERENCE_SYMBOLS)
+def test_each_cell_starts_on_the_layer_below_its_belt(p, q):
+    m = _deepest_build(SchlafliSymbol(p, q), 5_000)
+    for lower, _, cells in _belts(m):
+        assert all(c[0] in lower for c in cells), lower
+
+
+@pytest.mark.parametrize("p,q", REFERENCE_SYMBOLS)
+def test_each_layer_vertex_lies_on_one_more_cell_than_its_lower_neighbours(p, q):
+    # the count the builder reads a vertex's missing cells from
+    m = _deepest_build(SchlafliSymbol(p, q), 5_000)
+    for lower, layer, cells in _belts(m):
+        on = dict.fromkeys(layer, 0)
+        for v in chain.from_iterable(cells):
+            if v in on:
+                on[v] += 1
+        for v in layer:
+            assert on[v] == 1 + sum(w in lower for w in m.rot[v]), v
 
 
 def _without(rotation, w):
