@@ -1,10 +1,18 @@
 """Layered tree forests grown on a built mosaic.
 
 Trees are grown level by level using the maximum number of edges between
-consecutive levels: every level-i vertex with a neighbour on level i-1 gets
-exactly one such neighbour as its parent (for p >= 4 that neighbour is
-forced), no edges are added inside a level, and vertices with no lower
-neighbour become roots of new trees.  The seed vertex is the main root.
+consecutive levels: every level-i vertex with a neighbour on level i-1 takes
+the first such neighbour in its rotation as its parent, no edges are added
+inside a level, and vertices with no lower neighbour become roots of new
+trees.  The seed vertex is the main root.
+
+For p >= 4 a vertex has at most one lower neighbour.  For p = 3 a fan's last
+tip has two, and its rotation lists the next fan's vertex first.  That vertex
+has no child yet, while the fan's own vertex already has one, so the rule
+picks what a greedy choice "a lower neighbour without a child, then the
+smallest id" picks, and every vertex below the outer level gets a child.  At
+a layer's first id neither has a child, and the first in rotation is also
+the smaller id.
 """
 
 from __future__ import annotations
@@ -107,19 +115,20 @@ class Forest:
 def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
     """Grow the layered forest on every level of `mosaic`.
 
-    q = 3 is rejected (a level vertex has no spare edge toward the next
-    level).  p = 3 needs `allow_triangles=True`: there every vertex above
-    the seed touches one lower vertex, or two when it is a fan's last tip,
-    so not every parent is forced; a deterministic greedy pass (prefer a
-    childless lower neighbour, then the smallest id) picks one, and no
-    roots appear beyond the main one.  For p >= 4 a second lower neighbour is a structural
-    impossibility and raises StructureError rather than being tie-broken.
+    Every vertex above the seed with a lower neighbour takes the first one in
+    its rotation as its parent; the others are roots.  q = 3 is rejected: a
+    level vertex has at most one edge toward the next level, so no tree
+    branches.  p = 3 needs `allow_triangles=True`: there a fan's last tip
+    has two lower neighbours, so not every parent is forced, and no roots
+    appear beyond the main one.  For p >= 4 a second lower neighbour is a
+    structural impossibility and raises StructureError rather than being
+    tie-broken.
     """
     symbol = mosaic.symbol
     if symbol.q == 3:
         raise DegenerateForestError(
-            f"{symbol}: with q = 3 every level vertex spends its whole degree on "
-            "its own level and below; there are no trees to grow"
+            f"{symbol}: with q = 3 a level vertex has at most one edge toward "
+            "the next level, so no tree branches; there are no trees to grow"
         )
     if symbol.p == 3 and not allow_triangles:
         raise DegenerateForestError(
@@ -135,33 +144,22 @@ def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
     for i in range(1, len(mosaic.layers)):
         lower = mosaic.layers[i - 1]
         lo, hi = lower.start, lower.stop
-        adopted: set[int] = set()  # level i-1 vertices given a child so far
         for v in mosaic.layers[i]:
-            # scan for the lower neighbours without building a list per vertex
-            u = None  # the first in rotation order
-            more = False
+            u = None  # the first lower neighbour in rotation order
             for w in rot[v]:
                 if lo <= w < hi:
                     if u is None:
                         u = w
-                    else:
-                        more = True
+                    elif p >= 4:
+                        below = sum(lo <= x < hi for x in rot[v])
+                        raise StructureError(
+                            f"vertex {v} on level {i} has {below} lower neighbours; "
+                            f"parenthood must be forced for p >= 4"
+                        )
             if u is None:
                 root_level[v] = i
-                continue
-            if more:
-                below = [w for w in rot[v] if lo <= w < hi]
-                if p >= 4:
-                    raise StructureError(
-                        f"vertex {v} on level {i} has {len(below)} lower neighbours; "
-                        f"parenthood must be forced for p >= 4"
-                    )
-                # p = 3: prefer a childless lower neighbour, then the smallest id
-                childless = [w for w in below if w not in adopted]
-                u = min(childless) if childless else min(below)
-            if p == 3:
-                adopted.add(u)
-            parent[v] = u
-            root_level[v] = root_level[u]
+            else:
+                parent[v] = u
+                root_level[v] = root_level[u]
 
     return Forest(mosaic=mosaic, parent=parent, root_level=root_level)

@@ -171,6 +171,19 @@ def test_q3_rejected():
         grow(m)
 
 
+@pytest.mark.parametrize("p,q,belts", [(7, 3, 5), (10, 3, 4), (6, 3, 6)])
+def test_q3_vertex_has_one_edge_up_less_its_lower_neighbours(p, q, belts):
+    # why q = 3 grows no trees: above the seed, a level vertex has at most one
+    # edge toward the next level, and none when it has a lower neighbour
+    m = build(SchlafliSymbol(p, q), belts)
+    layers = m.layers
+    for i in range(1, belts):
+        for v in layers[i]:
+            below = sum(w in layers[i - 1] for w in m.rot[v])
+            above = sum(w in layers[i + 1] for w in m.rot[v])
+            assert above == 1 - below, (v, i)
+
+
 def test_double_lower_neighbour_is_hard_error():
     # a second lower neighbour cannot happen on a real build for p >= 4;
     # if the map claims one, growing must fail rather than tie-break
@@ -220,6 +233,79 @@ def test_p3_greedy_is_deterministic():
     f1 = grow(m, allow_triangles=True)
     f2 = grow(m, allow_triangles=True)
     assert f1.parent == f2.parent
+
+
+@pytest.mark.parametrize(
+    "p,q,levels",
+    [(3, 6, 12), (3, 7, 8), (3, 8, 6), (3, 12, 4), (4, 5, 6), (5, 4, 6), (4, 4, 8), (6, 5, 4)],
+)
+def test_parent_is_the_first_lower_neighbour_in_rotation_order(p, q, levels):
+    m = build(SchlafliSymbol(p, q), levels)
+    f = grow(m, allow_triangles=p == 3)
+    layers = m.layers
+    for i in range(1, levels + 1):
+        lower = layers[i - 1]
+        for v in layers[i]:
+            u = next((w for w in m.rot[v] if w in lower), None)
+            assert f.parent[v] == u, (v, i)
+            assert f.root_level[v] == (i if u is None else f.root_level[u])
+    children = Counter(f.parent)
+    for layer in layers[:-1]:
+        assert all(children[v] for v in layer)
+
+
+@pytest.mark.parametrize(
+    "p,q,levels", [(4, 5, 6), (5, 4, 6), (4, 7, 5), (6, 6, 4), (5, 5, 5), (4, 4, 8)]
+)
+def test_tree_width_law_holds_root_by_root(p, q, levels):
+    # a non-main root born on level j has (q-2)(q-3)^(d-1) descendants on level j+d
+    f = grow(build(SchlafliSymbol(p, q), levels))
+    layers = f.mosaic.layers
+    root = list(range(f.mosaic.vertex_count))
+    for layer in layers[1:]:  # a parent's root is known before its child's
+        for v in layer:
+            if f.parent[v] is not None:
+                root[v] = root[f.parent[v]]
+    for i in range(2, levels + 1):
+        widths = Counter(root[v] for v in layers[i])
+        for j in range(1, i):
+            for r in layers[j]:
+                if f.parent[r] is None:
+                    assert widths[r] == (q - 2) * (q - 3) ** (i - j - 1), (r, j, i)
+
+
+def _read_spanning_text(text):
+    """Parse a spanning-tree export into (header fields, tree pairs, connector pairs)."""
+    head, *lines = text.splitlines()
+    assert head.startswith("# spanning-tree ")
+    fields = dict(kv.split("=") for kv in head.split()[2:])
+    tree, connectors = [], []
+    for line in lines:
+        u, v, *tag = line.split()
+        assert tag in ([], ["connector"]), line
+        (connectors if tag else tree).append((int(u), int(v)))
+    return {k: int(x) for k, x in fields.items()}, tree, connectors
+
+
+@pytest.mark.parametrize("p,q,levels", [(4, 5, 5), (5, 4, 5), (4, 4, 6), (6, 5, 3), (3, 7, 6)])
+def test_spanning_tree_text_reads_back_as_one_spanning_tree(p, q, levels):
+    m = build(SchlafliSymbol(p, q), levels)
+    header, tree, connectors = _read_spanning_text(
+        grow(m, allow_triangles=p == 3).spanning_tree_text()
+    )
+    assert header == {"p": p, "q": q, "levels": levels, "vertices": m.vertex_count}
+    n = header["vertices"]
+    assert len(tree) + len(connectors) == n - 1
+    assert union_find_spanning(n, tree + connectors) == (True, 1)
+    level_of = [i for i, layer in enumerate(m.layers) for _ in layer]
+    for u, v in tree:
+        assert u in m.rot[v] and level_of[u] == level_of[v] - 1, (u, v)
+    children = {v for _, v in tree}
+    roots = [v for v in range(1, n) if v not in children]
+    assert sorted(u for u, _ in connectors) == roots  # one connector per non-seed root
+    for u, v in connectors:
+        layer = m.layers[level_of[u]]
+        assert v == layer[(layer.index(u) + 1) % len(layer)], (u, v)
 
 
 class TestDotExport:
@@ -284,14 +370,13 @@ def test_block_joined_exports_match_a_line_by_line_rendering(p, q, belts, capsys
     assert capsys.readouterr().out == _spanning_line_by_line(f)
 
 
-# the `adopted` set serves only the p = 3 tie-break; for p >= 4 grow's peak is
-# the parent and root-level lists it returns
-@pytest.mark.parametrize("p,q,levels", [(6, 5, 4), (4, 5, 6)])
-def test_grow_peak_memory_is_what_it_keeps_for_p_at_least_4(p, q, levels):
+# grow's peak is the parent and root-level lists it returns, for every p
+@pytest.mark.parametrize("p,q,levels", [(6, 5, 4), (4, 5, 6), (3, 7, 8), (3, 8, 6)])
+def test_grow_peak_memory_is_what_it_keeps(p, q, levels):
     m = build(SchlafliSymbol(p, q), levels)
     tracemalloc.start()
     try:
-        f = grow(m)
+        f = grow(m, allow_triangles=p == 3)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
