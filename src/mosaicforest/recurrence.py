@@ -6,6 +6,11 @@ tree) and B vertices (roots of fresh trees).  Their counts (a_i, b_i) obey a
 2x2 integer linear recursion; this module computes the sequences exactly, the
 eigen-decomposed closed forms over Q[sqrt(trace^2 - 4)], and the limiting
 growth constants.
+
+The recursion's matrix has determinant 1 and trace c, so by Cayley-Hamilton
+each series also obeys x_{i+1} = c*x_i - x_{i-1} from level 1 on; that is the
+recursion the kernel steps, and `growth_ratio` jumps along it to level i in
+O(log i) multiplications.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping
@@ -81,7 +85,7 @@ def _require_forest_domain(symbol: SchlafliSymbol) -> None:
         raise DegenerateForestError(f"{symbol}: {reason}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LayerCounts:
     """Exact counts on one level: `a` tree-extending vertices, `b` roots."""
 
@@ -102,16 +106,30 @@ class Series(Enum):
     ALL = "ab"
 
 
-def _pairs(symbol: SchlafliSymbol) -> Iterator[tuple[int, int]]:
-    """(a_i, b_i) of `layer_counts` for i = 0, 1, 2, ... without end."""
-    yield 0, 1
+def _start(symbol: SchlafliSymbol) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """(a_1, b_1), (a_2, b_2) and the trace c of the level-recursion matrix.
+
+    c is read off the matrix entries, not `SchlafliSymbol.trace`, which the
+    closed form is built on, so the two routes stay independent.
+    """
     p, q = symbol.p, symbol.q
     a, b = q, q * (p - 3)
     m00, m01 = q - 3, q - 2
     m10, m11 = (q - 3) * (p - 3) - 1, (q - 2) * (p - 3) - 1
+    return (a, b), (m00 * a + m01 * b, m10 * a + m11 * b), m00 + m11
+
+
+def _pairs(symbol: SchlafliSymbol) -> Iterator[tuple[int, int]]:
+    """(a_i, b_i) of `layer_counts` for i = 0, 1, 2, ... without end.
+
+    From level 2 on each series steps by x' = c*x - x_prev.
+    """
+    yield 0, 1
+    (a0, b0), (a, b), c = _start(symbol)
+    yield a0, b0
     while True:
         yield a, b
-        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+        a0, a, b0, b = a, c * a - a0, b, c * b - b0
 
 
 def layer_counts(symbol: SchlafliSymbol, levels: int) -> list[LayerCounts]:
@@ -119,13 +137,13 @@ def layer_counts(symbol: SchlafliSymbol, levels: int) -> list[LayerCounts]:
 
     Level 0 is the seed vertex (a=0, b=1); level 1 holds q A vertices and
     q(p-3) roots; from level 1 on the counts follow the linear recursion
-    a' = (q-3)a + (q-2)b, b' = ((q-3)(p-3)-1)a + ((q-2)(p-3)-1)b.
+    a' = (q-3)a + (q-2)b, b' = ((q-3)(p-3)-1)a + ((q-2)(p-3)-1)b, so each
+    series also obeys x_{i+1} = c*x_i - x_{i-1} with c the matrix's trace.
     """
     _require_forest_domain(symbol)
     if levels < 0:
         raise ValueError("levels must be >= 0")
-    pairs = islice(_pairs(symbol), levels + 1)
-    return [LayerCounts(i, a, b) for i, (a, b) in enumerate(pairs)]
+    return [LayerCounts(i, a, b) for i, (a, b) in zip(range(levels + 1), _pairs(symbol))]
 
 
 def first_level_reaching(symbol: SchlafliSymbol, total: int, levels: int) -> int | None:
@@ -135,7 +153,7 @@ def first_level_reaching(symbol: SchlafliSymbol, total: int, levels: int) -> int
     none, so it stops at that level with the memory of two counts.
     """
     _require_forest_domain(symbol)
-    pairs = enumerate(islice(_pairs(symbol), levels + 1))
+    pairs = zip(range(levels + 1), _pairs(symbol))
     return next((i for i, (a, b) in pairs if a + b >= total), None)
 
 
@@ -217,7 +235,7 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     growth, decay = _eigenvalues(symbol)
     gap = growth - decay
 
-    _, one, two = islice(_pairs(symbol), 3)
+    one, two, _ = _start(symbol)
     lead = {}
     sub = {}
     for series in Series:
@@ -259,15 +277,11 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
     )
 
 
-def closed_form_count(constants: SpectralConstants, level: int, series: Series) -> int:
-    """Evaluate lead*growth**i + sub*decay**i exactly; the result is an integer.
+def _closed_form_integer(value: QuadraticNumber, level: int) -> int:
+    """value + value.conjugate() for value = lead*growth**level: its count.
 
-    sub and decay are the conjugates of lead and growth, so the sum is twice
-    the rational part of lead*growth**i.
+    That sum is twice the rational part of `value`, and must be an integer.
     """
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    value = constants.lead_coefficients[series] * constants.growth**level
     n, rem = divmod(2 * value._a, value._m)
     if rem:
         raise ArithmeticError(
@@ -277,17 +291,48 @@ def closed_form_count(constants: SpectralConstants, level: int, series: Series) 
     return n
 
 
+def closed_form_count(constants: SpectralConstants, level: int, series: Series) -> int:
+    """Evaluate lead*growth**i + sub*decay**i exactly; the result is an integer.
+
+    sub and decay are the conjugates of lead and growth, so the sum is twice
+    the rational part of lead*growth**i.
+    """
+    if level < 1:
+        raise ValueError("level must be >= 1")
+    value = constants.lead_coefficients[series] * constants.growth**level
+    return _closed_form_integer(value, level)
+
+
+def _jump(symbol: SchlafliSymbol, level: int, series: Series) -> tuple[int, int]:
+    """(r_level, r_level+1) of `series` for level >= 1 in O(log level) multiplications.
+
+    From level 1 on r_{1+k} = U_k*r_2 - U_{k-1}*r_1, where U_0 = 0, U_1 = 1
+    and U_{k+1} = c*U_k - U_{k-1}.  Fast doubling reads (U_{2k-1}, U_{2k})
+    off (U_{k-1}, U_k) as (U_k^2 - U_{k-1}^2, U_k*(c*U_k - 2*U_{k-1})).
+    """
+    one, two, c = _start(symbol)
+    r1, r2 = _series_value(*one, series), _series_value(*two, series)
+    u0, u1 = -1, 0  # (U_{k-1}, U_k) at k = 0
+    for bit in bin(level - 1)[2:]:
+        u0, u1 = u1 * u1 - u0 * u0, u1 * (c * u1 - 2 * u0)
+        if bit == "1":
+            u0, u1 = u1, c * u1 - u0
+    # now k = level - 1
+    return u1 * r2 - u0 * r1, (c * u1 - u0) * r2 - u1 * r1
+
+
 def growth_ratio(symbol: SchlafliSymbol, level: int, series: Series) -> Fraction:
     """Exact ratio r_{i+1}/r_i of consecutive counts.
 
-    Euclidean symbols are allowed; their ratios tend to 1 instead of a
-    hyperbolic growth constant.
+    It jumps to the level in O(log level) multiplications.  Euclidean
+    symbols are allowed; their ratios tend to 1 instead of a hyperbolic
+    growth constant.
     """
     if level < 1:
         raise ValueError("level must be >= 1")
     _require_forest_domain(symbol)
-    now, after = islice(_pairs(symbol), level, level + 2)
-    return Fraction(_series_value(*after, series), _series_value(*now, series))
+    now, after = _jump(symbol, level, series)
+    return Fraction(after, now)
 
 
 def growth_ratio_error(symbol: SchlafliSymbol, level: int, series: Series) -> QuadraticNumber:

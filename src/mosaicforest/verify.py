@@ -8,13 +8,16 @@ of the routes; agreement is strong evidence for all of them.
 
 from __future__ import annotations
 
+from itertools import accumulate, repeat
+from operator import mul
+
 from .forest import Forest
 from .mosaic import CheckResult, ValidationReport
 from .probability import exact_distribution
 from .recurrence import (
     Geometry,
     Series,
-    closed_form_count,
+    _closed_form_integer,
     euclidean_counts,
     layer_counts,
     spectral_constants,
@@ -55,10 +58,13 @@ def cross_check(forest: Forest) -> ValidationReport:
         checks.append(CheckResult("closed-form", ok, "affine closed form vs recursion"))
     else:
         constants = spectral_constants(symbol)
+        leads = [constants.lead_coefficients[s] for s in (Series.A, Series.B, Series.ALL)]
+        # growth**i by one multiplication per level; the three series share it
+        powers = accumulate(repeat(constants.growth, CLOSED_FORM_LEVELS), mul)
         ok = all(
-            [closed_form_count(constants, i, s) for s in (Series.A, Series.B, Series.ALL)]
+            [_closed_form_integer(lead * power, i) for lead in leads]
             == [rows[i].a, rows[i].b, rows[i].total]
-            for i in range(1, CLOSED_FORM_LEVELS + 1)
+            for i, power in enumerate(powers, 1)
         )
         checks.append(
             CheckResult(

@@ -61,6 +61,9 @@ DEEP_DIGESTS = {
         "7219a3c7b7316c537c34e2e5d738ebd7e3cb64b8da0654d841b5c4e2068ab387",
     "constants --p 5 --q 6 --precision 1000 --format jsonl":
         "e24a55a97c6d7b3fd3e7162a3e7279c46350cd257a06cac32c28ebf91dec5c49",
+    # the deepest level `counts` accepts on {4,5}
+    "counts --p 4 --q 5 --levels 7517 --format csv":
+        "064cc1a223716e8ed79480f61b6f6691e3a77cfbb7e544fd6792d75374fbc9f6",
 }
 
 

@@ -3,9 +3,10 @@ import inspect
 import textwrap
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mosaicforest import quadratic, recurrence
@@ -35,6 +36,19 @@ S44 = SchlafliSymbol(4, 4)
 REF_A_45 = [0, 5, 25, 95, 355, 1325, 4945, 18455, 68875, 257045, 959305]
 REF_B_45 = [1, 5, 15, 55, 205, 765, 2855, 10655, 39765, 148405, 553855]
 REF_T_45 = [1, 10, 40, 150, 560, 2090, 7800, 29110, 108640, 405450, 1513160]
+
+
+def reference_pairs(symbol):
+    """The first-order matrix step (a, b) -> M(a, b), kept as the oracle for `_pairs`."""
+    yield 0, 1
+    p, q = symbol.p, symbol.q
+    a, b = q, q * (p - 3)
+    m00, m01 = q - 3, q - 2
+    m10, m11 = (q - 3) * (p - 3) - 1, (q - 2) * (p - 3) - 1
+    while True:
+        yield a, b
+        a, b = m00 * a + m01 * b, m10 * a + m11 * b
+
 
 symbols_grid = st.builds(
     SchlafliSymbol, st.integers(min_value=4, max_value=12), st.integers(min_value=4, max_value=12)
@@ -321,7 +335,7 @@ class TestGrowthRatio:
         assert err < Fraction(1, 10**113)
 
     def test_deep_ratio_keeps_two_rows(self):
-        # the rows before `level` are walked and dropped, never listed
+        # the jump to `level` holds a few integers at a time, never a row list
         tracemalloc.start()
         try:
             growth_ratio(S45, 10**4, Series.ALL)
@@ -366,6 +380,56 @@ class TestGrowthRatio:
         for symbol in (SchlafliSymbol(5, 4), SchlafliSymbol(6, 5)):
             errors = [growth_ratio_error(symbol, i, Series.ALL) for i in range(2, 15)]
             assert all(errors[k + 1] < errors[k] for k in range(len(errors) - 1))
+
+
+class TestKernel:
+    """`_pairs` steps x' = c*x - x_prev and `growth_ratio` jumps; the matrix step is the oracle."""
+
+    @pytest.mark.parametrize("p,q", [(p, q) for p in range(4, 13) for q in range(4, 13)])
+    def test_pairs_match_matrix_step(self, p, q):
+        symbol = SchlafliSymbol(p, q)
+        got = list(islice(recurrence._pairs(symbol), 301))
+        assert got == list(islice(reference_pairs(symbol), 301))
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=30),
+        st.integers(min_value=4, max_value=30),
+        st.integers(min_value=1, max_value=2000),
+        st.sampled_from(Series),
+    )
+    @example(4, 4, 1, Series.A)
+    @example(4, 4, 2000, Series.B)
+    @example(4, 5, 1, Series.ALL)
+    @example(30, 30, 2000, Series.ALL)
+    def test_ratio_jump_matches_matrix_step(self, p, q, level, series):
+        symbol = SchlafliSymbol(p, q)
+        now, after = islice(reference_pairs(symbol), level, level + 2)
+        value = recurrence._series_value
+        want = Fraction(value(*after, series), value(*now, series))
+        assert growth_ratio(symbol, level, series) == want
+
+    def test_deep_ratio_matches_closed_form(self):
+        c, level = spectral_constants(S45), 10**5
+        want = Fraction(
+            closed_form_count(c, level + 1, Series.ALL), closed_form_count(c, level, Series.ALL)
+        )
+        assert growth_ratio(S45, level, Series.ALL) == want
+
+    @pytest.mark.parametrize("shift", [1, -1, 3])
+    def test_kernel_does_not_read_symbol_trace(self, shift, monkeypatch):
+        # the closed form is built on `trace`; the kernel takes c from the
+        # matrix entries, so a wrong trace breaks the closed form alone
+        true_trace = SchlafliSymbol.trace.fget
+        monkeypatch.setattr(SchlafliSymbol, "trace", property(lambda s: true_trace(s) + shift))
+        for symbol in (S45, S44, SchlafliSymbol(5, 4), SchlafliSymbol(7, 7)):
+            got = list(islice(recurrence._pairs(symbol), 200))
+            assert got == list(islice(reference_pairs(symbol), 200)), symbol
+            now, after = islice(reference_pairs(symbol), 150, 152)
+            assert growth_ratio(symbol, 150, Series.ALL) == Fraction(sum(after), sum(now))
+        for symbol in (S45, SchlafliSymbol(5, 4), SchlafliSymbol(7, 7)):
+            with pytest.raises(ArithmeticError):
+                spectral_constants(symbol)
 
 
 class TestCumulativeRootRatio:

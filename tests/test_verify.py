@@ -1,6 +1,10 @@
+import dataclasses
+from fractions import Fraction
+
 import pytest
 
-from mosaicforest import SchlafliSymbol, build, cross_check, grow
+from mosaicforest import SchlafliSymbol, Series, build, cross_check, grow, verify
+from mosaicforest.recurrence import spectral_constants
 
 NAMES = ["layer-sizes", "forest-counts", "closed-form", "histogram"]
 
@@ -35,3 +39,29 @@ def test_unparented_vertex_fails_only_forest_counts():
     forest.parent[victim] = None
     report = cross_check(forest)
     assert [c.name for c in report.failures()] == ["forest-counts"]
+
+
+@pytest.mark.parametrize("shift,series", [(1, Series.A), (1, Series.B), (-1, Series.ALL)])
+def test_shifted_lead_fails_only_closed_form(shift, series, monkeypatch):
+    # an integer shift keeps every closed-form count an integer but moves it
+    def shifted(symbol):
+        c = spectral_constants(symbol)
+        lead = dict(c.lead_coefficients)
+        lead[series] += shift
+        return dataclasses.replace(c, lead_coefficients=lead)
+
+    monkeypatch.setattr(verify, "spectral_constants", shifted)
+    report = cross_check(grown(4, 5, 3))
+    assert [c.name for c in report.failures()] == ["closed-form"]
+
+
+def test_non_integer_lead_raises_as_closed_form_count_does(monkeypatch):
+    def off(symbol):
+        c = spectral_constants(symbol)
+        lead = dict(c.lead_coefficients)
+        lead[Series.B] += Fraction(1, 3)
+        return dataclasses.replace(c, lead_coefficients=lead)
+
+    monkeypatch.setattr(verify, "spectral_constants", off)
+    with pytest.raises(ArithmeticError, match="non-integer .* at level 1$"):
+        cross_check(grown(4, 5, 3))
