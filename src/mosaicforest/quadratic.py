@@ -3,16 +3,17 @@
 A value is one integer triple (a, b, m) meaning (a + b*sqrt(d)) / m, with d
 a fixed square-free integer >= 2 (1 for a rational value), m > 0 and
 gcd(m, a, b) == 1, so equal values have equal parts.  Every operation reads
-and writes the integers and reduces its result once.  Comparisons, floors
-and decimal renderings are all exact integer arithmetic; no floating point
-enters anywhere, which is what makes assertions at the 1e-113 scale
-possible.
+and writes the integers and reduces its result once.  Every quotient (`/`,
+`inverse()`, negative powers) is the conjugate over the norm in `_over`, and
+`<=`, `>` and `>=` derive from `__lt__`.  Comparisons, floors and decimal
+renderings are all exact integer arithmetic; no floating point enters
+anywhere, which is what makes assertions at the 1e-113 scale possible.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import gcd, isqrt
 
 Rational = int | Fraction
@@ -43,6 +44,7 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
+@total_ordering
 class QuadraticNumber:
     """Immutable exact number (a + b*sqrt(d)) / m on integers in lowest terms.
 
@@ -162,26 +164,18 @@ class QuadraticNumber:
 
     __rmul__ = __mul__
 
-    def _norm(self) -> int:
-        """a*a - b*b*d: m*m times the product of the value and its conjugate."""
-        norm = self._a * self._a - self._b * self._b * self._d
-        if not norm:
-            raise ZeroDivisionError("division by zero element")
-        return norm
-
     def inverse(self) -> "QuadraticNumber":
-        m = self._m
-        return _reduced(m * self._a, -m * self._b, self._norm(), self._d)
+        return 1 / self
 
     def _over(self, o: "QuadraticNumber") -> "QuadraticNumber":
         """self / o: multiply by o's conjugate over o's norm."""
         d = self._join_d(o)
         a, b, c, e, n = self._a, self._b, o._a, o._b, o._m
-        if not e:
-            if not c:
-                raise ZeroDivisionError("division by zero element")
-            return _reduced(a * n, b * n, self._m * c, d)
-        return _reduced(n * (a * c - b * e * d), n * (b * c - a * e), self._m * o._norm(), d)
+        # c*c - e*e*d: n*n times the product of o and its conjugate
+        norm = c * c - e * e * d
+        if not norm:
+            raise ZeroDivisionError("division by zero element")
+        return _reduced(n * (a * c - b * e * d), n * (b * c - a * e), self._m * norm, d)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -199,7 +193,7 @@ class QuadraticNumber:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
+            return (1 / self) ** -n
         # square and multiply (a + b*sqrt(d)) on integers; divide by m**n once
         a, b, d = self._a, self._b, self._d
         ra, rb = 1, 0
@@ -245,15 +239,6 @@ class QuadraticNumber:
 
     def __lt__(self, other):
         return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __hash__(self):
         if not self._b:

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import DegenerateForestError, RepeatedEigenvalueError
 from .quadratic import QuadraticNumber, _reduced, decimal, square_free_split
@@ -85,8 +85,7 @@ def _require_forest_domain(symbol: SchlafliSymbol) -> None:
         raise DegenerateForestError(f"{symbol}: {reason}")
 
 
-@dataclass(frozen=True, slots=True)
-class LayerCounts:
+class LayerCounts(NamedTuple):
     """Exact counts on one level: `a` tree-extending vertices, `b` roots."""
 
     level: int

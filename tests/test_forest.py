@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -306,6 +307,80 @@ def test_spanning_tree_text_reads_back_as_one_spanning_tree(p, q, levels):
     for u, v in connectors:
         layer = m.layers[level_of[u]]
         assert v == layer[(layer.index(u) + 1) % len(layer)], (u, v)
+
+
+_DOT_NODE = re.compile(
+    r'  v(\d+) \[label="(\d+) L(\d+) ([AB])" shape=(?:circle|box|doublecircle)\];'
+)
+_DOT_EDGE = re.compile(r"  v(\d+) -> v(\d+);")
+
+
+def _read_dot(text):
+    """Parse a `to_dot` export into ({id: level}, {id: "A" or "B"}, {child: parent})."""
+    head, node_attrs, *lines, close = text.splitlines()
+    assert head.startswith('digraph "forest_') and close == "}"
+    assert node_attrs == "  node [fontsize=10];"
+    level, label, parent = {}, {}, {}
+    for line in lines:
+        if node := _DOT_NODE.fullmatch(line):
+            v, same, i, ab = node.groups()
+            assert v == same, line
+            level[int(v)], label[int(v)] = int(i), ab
+        else:
+            u, v = map(int, _DOT_EDGE.fullmatch(line).groups())
+            assert v not in parent, line
+            parent[v] = u
+    return level, label, parent
+
+
+def _dot_counts_and_histograms(text):
+    """Per level, (a_i, b_i) from the A/B labels and the root-level histogram
+    from walking each vertex's edges up to a B node; a walk that meets an A
+    node with no edge in ends under root level None."""
+    level, label, parent = _read_dot(text)
+    depth = max(level.values())
+    counts = [[0, 0] for _ in range(depth + 1)]
+    hists = [Counter() for _ in range(depth + 1)]
+    for v, i in level.items():
+        counts[i][label[v] == "B"] += 1
+        u = v
+        while u is not None and label[u] == "A":
+            u = parent.get(u)
+        hists[i][None if u is None else level[u]] += 1
+    return [tuple(c) for c in counts], [dict(h) for h in hists]
+
+
+@pytest.mark.parametrize(
+    "p,q,levels", [(4, 5, 6), (5, 4, 6), (4, 7, 4), (6, 6, 3), (4, 4, 6), (3, 7, 6)]
+)
+def test_dot_reads_back_to_layer_counts_and_the_exact_law(p, q, levels):
+    symbol = SchlafliSymbol(p, q)
+    m = build(symbol, levels)
+    text = grow(m, allow_triangles=p == 3).to_dot()
+    level, label, parent = _read_dot(text)
+    assert sorted(level) == list(range(m.vertex_count))
+    assert sorted(parent) == sorted(v for v, ab in label.items() if ab == "A")
+    assert all(level[u] == level[v] - 1 for v, u in parent.items())
+    if p == 3:  # one tree: every vertex above the seed extends it
+        sizes = [len(layer) for layer in m.layers]
+        counts = [(0, 1)] + [(n, 0) for n in sizes[1:]]
+        hists = [{0: n} for n in sizes]
+    else:
+        rows = layer_counts(symbol, levels)
+        counts = [(r.a, r.b) for r in rows]
+        hists = [{0: 1}] + [
+            {j: w for j, w in enumerate(exact_distribution(symbol, i, rows).weights) if w}
+            for i in range(1, levels + 1)
+        ]
+    assert _dot_counts_and_histograms(text) == (counts, hists)
+    # negative controls: one swapped label, one dropped edge line
+    swapped = text.replace(f' L{levels} A" shape=circle', f' L{levels} B" shape=box', 1)
+    *kept, last_edge, close = text.splitlines(keepends=True)
+    assert _DOT_EDGE.fullmatch(last_edge.rstrip("\n"))
+    dropped = "".join(kept) + close
+    for broken in (swapped, dropped):
+        assert broken != text
+        assert _dot_counts_and_histograms(broken) != (counts, hists)
 
 
 class TestDotExport:

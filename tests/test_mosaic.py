@@ -619,6 +619,39 @@ def test_edges_cover_rotations():
     assert all((min(u, v), max(u, v)) in edges for u in range(m.vertex_count) for v in m.rot[u])
 
 
+def _read_edge_list(text):
+    """Parse an edge-list export into (header fields, list of (u, v) pairs)."""
+    head, *lines = text.splitlines()
+    assert head.startswith("# ")
+    fields = {k: int(x) for k, x in (kv.split("=") for kv in head.split()[1:])}
+    return fields, [tuple(map(int, line.split())) for line in lines]
+
+
+def _edge_list_agrees(text, mosaic):
+    """Euler's formula V - E + (cells + 1) = 2 with V from the header and E
+    from the lines, and the same undirected edges as `rot`."""
+    fields, pairs = _read_edge_list(text)
+    rot_edges = {(min(u, v), max(u, v)) for u, nbrs in enumerate(mosaic.rot) for v in nbrs}
+    faces = sum(mosaic.belt_sizes) + 1  # the cells and the outer face
+    return fields["vertices"] - len(pairs) + faces == 2 and sorted(rot_edges) == pairs
+
+
+@pytest.mark.parametrize(
+    "p,q,belts",
+    [(4, 5, 6), (5, 4, 6), (4, 7, 4), (6, 6, 3), (4, 4, 6), (3, 7, 6), (7, 3, 6), (6, 3, 6)],
+)
+def test_edge_list_reads_back_to_euler_and_rot(p, q, belts):
+    m = build(SchlafliSymbol(p, q), belts)
+    text = m.edge_list_text()
+    fields, _ = _read_edge_list(text)
+    assert fields == {"p": p, "q": q, "belts": belts, "vertices": m.vertex_count}
+    assert _edge_list_agrees(text, m)
+    # negative control: one dropped edge line
+    lines = text.splitlines(keepends=True)
+    dropped = "".join(lines[:-1])
+    assert not _edge_list_agrees(dropped, m)
+
+
 
 def reference_validate(mosaic: Mosaic) -> ValidationReport:
     """`validate` over Python lists, one cell at a time: the oracle for its reports.

@@ -553,6 +553,13 @@ def test_every_operation_matches_the_fraction_pair_reference(pair, n, digits, r)
         assert_same(u**n, ru**n)
     assert (u == v) is (ru == rv)
     assert (u == r) is (ru == r)
+    # each ordering against the sign of the reference difference, r reflected too
+    for (x, y), s in [
+        ((u, v), (ru - rv).sign()),
+        ((u, r), (ru - r).sign()),
+        ((r, u), -(ru - r).sign()),
+    ]:
+        assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
     assert bool(u) is bool(ru)
     assert u.sign() == ru.sign()
     assert math.floor(u) == math.floor(ru)
