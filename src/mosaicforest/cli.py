@@ -123,37 +123,34 @@ def _require_printable(symbol: SchlafliSymbol, level: int) -> None:
 
 
 def _table(out: io.StringIO, fmt: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write a markdown table (header, dash separator, rows) or a CSV block."""
+    """Write `rows` under `header` as a markdown table, a CSV block or JSON lines.
+
+    A row shorter than the header leaves its last cells empty, and its JSON
+    record leaves their keys out.
+    """
+    if fmt == "jsonl":
+        for row in rows:
+            print(json.dumps(dict(zip(header, row)), sort_keys=True), file=out)
+        return
+    start, sep, end = ("| ", " | ", " |") if fmt == "markdown" else ("", ",", "")
+    print(start + sep.join(header) + end, file=out)
     if fmt == "markdown":
-        print("| " + " | ".join(header) + " |", file=out)
         print("|" + "|".join("-" * (len(label) + 2) for label in header) + "|", file=out)
-        for row in rows:
-            print("| " + " | ".join(map(str, row)) + " |", file=out)
-    else:
-        print(",".join(header), file=out)
-        for row in rows:
-            print(",".join(map(str, row)), file=out)
-
-
-def _jsonl(out: io.StringIO, records: Iterable[dict]) -> None:
-    for rec in records:
-        print(json.dumps(rec, sort_keys=True), file=out)
+    for row in rows:
+        cells = [*map(str, row)] + [""] * (len(header) - len(row))
+        print(start + sep.join(cells) + end, file=out)
 
 
 def _emit_counts(args: argparse.Namespace, out: io.StringIO) -> None:
     symbol = _symbol(args.p, args.q)
     level = _levels(args)
     _require_printable(symbol, level)
-    rows = [(r.level, r.a, r.b, r.total) for r in layer_counts(symbol, level)]
-    if args.fmt == "jsonl":
-        _jsonl(
-            out,
-            ({"level": i, "a": str(a), "b": str(b), "total": str(t)} for i, a, b, t in rows),
-        )
-    elif args.fmt == "markdown":
-        _table(out, args.fmt, ("i", "a_i", "b_i", "a_i+b_i"), rows)
+    if args.fmt == "markdown":
+        header = ("i", "a_i", "b_i", "a_i+b_i")
     else:
-        _table(out, args.fmt, ("level", "a", "b", "total"), rows)
+        header = ("level", "a", "b", "total")
+    rows = [(r.level, str(r.a), str(r.b), str(r.total)) for r in layer_counts(symbol, level)]
+    _table(out, args.fmt, header, rows)
 
 
 def _emit_constants(args: argparse.Namespace, out: io.StringIO) -> None:
@@ -163,28 +160,32 @@ def _emit_constants(args: argparse.Namespace, out: io.StringIO) -> None:
     if args.precision > MAX_DIGITS:
         raise UnsupportedSymbolError(f"precision must be <= {MAX_DIGITS}, got {args.precision}")
     constants = spectral_constants(symbol)
-    short, full = constants.decimals(6), constants.decimals(args.precision)
-    named = constants.named()
-    rows = [(name, str(value), short[name], full[name]) for name, value in named.items()]
-    if args.fmt == "jsonl":
-        _jsonl(out, ({"name": n, "exact": e, "decimal": d} for n, e, _, d in rows))
-    elif args.fmt == "markdown":
+    full = constants.decimals(args.precision)
+    named = constants.named().items()
+    if args.fmt == "markdown":
         title = f"constants for {symbol} (trace {constants.trace}, radicand {constants.radicand})"
         print(title, file=out)
-        _table(out, args.fmt, ("name", "exact", "6 decimals", "full precision"), rows)
+        short = constants.decimals(6)
+        header = ("name", "exact", "6 decimals", "full precision")
+        rows = [(name, value, short[name], full[name]) for name, value in named]
     else:
-        quoted = [(n, f'"{e}"', d) for n, e, _, d in rows]
-        _table(out, args.fmt, ("name", "exact", "decimal"), quoted)
+        header = ("name", "exact", "decimal")
+        quote = '"{}"' if args.fmt == "csv" else "{}"
+        rows = [(name, quote.format(value), full[name]) for name, value in named]
+    _table(out, args.fmt, header, rows)
 
 
-def _prob_rows(d: RootDistribution, js: range) -> Iterator[tuple]:
-    """(kind, j, mass, numerator, denominator, count); the limiting law has the last three empty."""
+def _prob_rows(d: RootDistribution, js: range, nested: bool) -> Iterator[tuple]:
+    """(kind, j, mass); the exact law adds its fraction (one cell if `nested`) and count."""
     masses = d.decimals(6)
-    exact = d.kind is DistributionKind.EXACT
     for j in js:
-        m = d.point_mass(j)
-        tail = (str(m.numerator), str(m.denominator), str(d.weights[j])) if exact else ("",) * 3
-        yield (d.kind.value, j, masses[j], *tail)
+        row = (d.kind.value, j, masses[j])
+        if d.kind is DistributionKind.EXACT:
+            m = d.point_mass(j)
+            fraction = {"numerator": str(m.numerator), "denominator": str(m.denominator)}
+            row += (fraction,) if nested else tuple(fraction.values())
+            row += (str(d.weights[j]),)
+        yield row
 
 
 def _emit_probs(args: argparse.Namespace, out: io.StringIO) -> None:
@@ -204,29 +205,20 @@ def _emit_probs(args: argparse.Namespace, out: io.StringIO) -> None:
             rows = [(j, masses[j], decimal(d.cumulative_below(j), 6)) for j in js]
             _table(out, args.fmt, ("j", "mass", "cumulative_below"), rows)
     else:
-        rows = [row for d in dists for row in _prob_rows(d, js)]
-        if args.fmt == "csv":
-            header = ("kind", "j", "mass", "numerator", "denominator", "count")
-            _table(out, args.fmt, header, rows)
-        else:
-            records = []
-            for kind, j, mass, num, den, count in rows:
-                rec: dict = {"kind": kind, "j": j, "mass": mass}
-                if kind == DistributionKind.EXACT.value:
-                    rec.update(exact={"numerator": num, "denominator": den}, count=count)
-                records.append(rec)
-            _jsonl(out, records)
+        nested = args.fmt == "jsonl"
+        fraction = ("exact",) if nested else ("numerator", "denominator")
+        rows = [row for d in dists for row in _prob_rows(d, js, nested)]
+        _table(out, args.fmt, ("kind", "j", "mass", *fraction, "count"), rows)
     if args.mode == "both":
         report = distribution_error_report(dists[0], dists[1])
         rows = [(r.root_level, r.difference.decimal(12), r.order) for r in reversed(report.rows)]
-        if args.fmt == "jsonl":
-            _jsonl(out, ({"j": j, "abs_error": e, "order": o} for j, e, o in rows))
-        elif args.fmt == "markdown":
+        if args.fmt == "markdown":
             print(file=out)
-            orders = [(j, e, "0" if o is None else f"1e{o}") for j, e, o in rows]
-            _table(out, args.fmt, ("j", "abs error", "order"), orders)
+            header = ("j", "abs error", "order")
+            rows = [(j, e, "0" if o is None else f"1e{o}") for j, e, o in rows]
         else:
-            _table(out, args.fmt, ("error_j", "abs_error", "order"), rows)
+            header = ("error_j" if args.fmt == "csv" else "j", "abs_error", "order")
+        _table(out, args.fmt, header, rows)
 
 
 def _check_symbol(

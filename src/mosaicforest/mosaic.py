@@ -22,6 +22,14 @@ neighbours lies on 1 + j cells and on the closing cell of the fan before
 it, and misses q - 2 - j; only q = 3 leaves one short (j = 1).  With p >= 4
 a vertex has at most one lower neighbour; with p = 3 a fan's last tip has
 a second, the lower neighbour of the vertex before it on its layer.
+
+Two conventions of every build hold for readers of a finished `Mosaic`:
+(a) the cells of belt i+1 come in runs that share their first vertex, one
+run per layer-i vertex whose fan makes cells; the run heads are distinct
+layer-i vertices in cyclic layer order, ascending ids with at most one
+wrap, at the vertex where the sweep started;
+(b) every rotation entry of a layer-(i+1) vertex whose id is below
+`layers[i+1].start` lies on layer i.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -150,6 +151,129 @@ class TestProbs:
         )
         assert code == 0
         assert "| 0 | 0.100000 | 0.100000 |" in out  # 1/(2i) = 1/10
+
+
+# --- the three formats of one command carry the same values ---------------
+
+FORMAT_SYMBOLS = ((4, 5), (5, 4), (4, 7), (6, 6), (7, 4))
+FORMAT_LEVELS = (1, 2, 9, 40)
+
+
+def _outputs(capsys, *argv):
+    """stdout of `argv` in markdown, CSV and JSON lines, in that order."""
+    outs = []
+    for fmt in ("markdown", "csv", "jsonl"):
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, ""), (argv, fmt, err)
+        outs.append(out)
+    return outs
+
+
+def _markdown_tables(text):
+    """Each markdown table as (the line above it, its body rows split into cells)."""
+    tables, above, rows = [], "", None
+    for line in text.splitlines():
+        if line.startswith("|-"):
+            rows = []
+            tables.append((above, rows))
+        elif not line.startswith("| "):
+            above, rows = line, None
+        elif rows is not None:
+            rows.append(line[2:-2].split(" | "))
+    return tables
+
+
+def _csv_tables(text):
+    """Each CSV block as (its header, its rows); a block starts at a header line."""
+    tables = []
+    for row in csv.reader(io.StringIO(text)):
+        if row[0] in ("level", "name", "kind", "error_j"):
+            tables.append((row, []))
+        else:
+            tables[-1][1].append(row)
+    return tables
+
+
+class TestFormatsAgree:
+    @pytest.mark.parametrize("level", FORMAT_LEVELS)
+    @pytest.mark.parametrize("p, q", FORMAT_SYMBOLS + ((4, 4),))
+    def test_counts(self, capsys, p, q, level):
+        md, text, jl = _outputs(capsys, "counts", "--p", str(p), "--q", str(q),
+                                "--levels", str(level))
+        [(_, md_rows)] = _markdown_tables(md)
+        [(header, csv_rows)] = _csv_tables(text)
+        assert header == ["level", "a", "b", "total"]
+        records = [json.loads(line) for line in jl.splitlines()]
+        json_rows = [[str(r["level"]), r["a"], r["b"], r["total"]] for r in records]
+        assert all(type(r["level"]) is int for r in records)
+        assert md_rows == csv_rows == json_rows
+        assert len(md_rows) == level + 1
+
+    @pytest.mark.parametrize("precision", (6, 40))
+    @pytest.mark.parametrize("p, q", FORMAT_SYMBOLS)
+    def test_constants(self, capsys, p, q, precision):
+        md, text, jl = _outputs(capsys, "constants", "--p", str(p), "--q", str(q),
+                                "--precision", str(precision))
+        [(title, md_rows)] = _markdown_tables(md)
+        assert title.startswith(f"constants for {{{p},{q}}}")
+        [(header, csv_rows)] = _csv_tables(text)
+        assert header == ["name", "exact", "decimal"]
+        assert all(f',"{exact}",' in text for _, exact, _ in csv_rows)
+        records = [json.loads(line) for line in jl.splitlines()]
+        json_rows = [[r["name"], r["exact"], r["decimal"]] for r in records]
+        assert [[n, e, full] for n, e, _, full in md_rows] == csv_rows == json_rows
+        assert all(len(full.split(".")[1]) == precision for _, _, full in csv_rows)
+
+    @pytest.mark.parametrize("level", FORMAT_LEVELS)
+    @pytest.mark.parametrize(
+        "p, q, mode",
+        [(*pq, mode) for pq in FORMAT_SYMBOLS for mode in ("asymptotic", "exact", "both")]
+        + [(4, 4, "exact")],  # {4,4} has no limiting law
+    )
+    def test_probs(self, capsys, p, q, level, mode):
+        md, text, jl = _outputs(capsys, "probs", "--p", str(p), "--q", str(q),
+                                "--levels", str(level), "--mode", mode)
+        kinds = ("asymptotic", "exact") if mode == "both" else (mode,)
+        md_tables, csv_tables = _markdown_tables(md), _csv_tables(text)
+        records = [json.loads(line) for line in jl.splitlines()]
+        laws = [r for r in records if "kind" in r]
+        assert len(md_tables) == len(kinds) + (mode == "both")
+        assert len(csv_tables) == 1 + (mode == "both")
+
+        md_laws = []
+        for kind, (title, rows) in zip(kinds, md_tables):
+            assert title == f"{kind} root-level distribution for {{{p},{q}}}, level {level}"
+            md_laws += [[kind, j, mass] for j, mass, _ in rows]
+        header, csv_rows = csv_tables[0]
+        assert header == ["kind", "j", "mass", "numerator", "denominator", "count"]
+        assert [r[:3] for r in csv_rows] == md_laws
+        assert [[r["kind"], str(r["j"]), r["mass"]] for r in laws] == md_laws
+        for row, rec in zip(csv_rows, laws):
+            if rec["kind"] == "exact":
+                exact = rec["exact"]
+                assert row[3:] == [exact["numerator"], exact["denominator"], rec["count"]]
+                assert set(rec) == {"kind", "j", "mass", "exact", "count"}
+            else:
+                assert row[3:] == ["", "", ""]
+                assert set(rec) == {"kind", "j", "mass"}
+
+        if mode == "both":
+            errors = [r for r in records if "abs_error" in r]
+            assert len(records) == len(laws) + len(errors)
+            # an order is 1e{o} in markdown, o in CSV and JSON; none is 0, None and null
+            md_errors = [
+                [int(j), e, None if o == "0" else int(o.removeprefix("1e"))]
+                for j, e, o in md_tables[-1][1]
+            ]
+            header, csv_errors = csv_tables[-1]
+            assert header == ["error_j", "abs_error", "order"]
+            assert [
+                [int(j), e, None if o == "None" else int(o)] for j, e, o in csv_errors
+            ] == md_errors
+            assert [[r["j"], r["abs_error"], r["order"]] for r in errors] == md_errors
+            assert len(md_errors) == level + 1
+        else:
+            assert records == laws
 
 
 class TestVerify:

@@ -288,25 +288,37 @@ def _read_spanning_text(text):
     return {k: int(x) for k, x in fields.items()}, tree, connectors
 
 
+def _spanning_text_agrees(text, mosaic):
+    """Whether a spanning-tree export reads back as one spanning tree of
+    `mosaic`: |E| = |V| - 1 and connected, each tree pair a mosaic edge from
+    the layer below, and exactly one connector per non-seed root, to the next
+    vertex of its layer."""
+    header, tree, connectors = _read_spanning_text(text)
+    n = header["vertices"]
+    level_of = [i for i, layer in enumerate(mosaic.layers) for _ in layer]
+    children = {v for _, v in tree}
+    roots = [v for v in range(1, n) if v not in children]
+
+    def next_on_layer(u):
+        layer = mosaic.layers[level_of[u]]
+        return layer[(layer.index(u) + 1) % len(layer)]
+
+    return (
+        len(tree) + len(connectors) == n - 1
+        and union_find_spanning(n, tree + connectors) == (True, 1)
+        and all(u in mosaic.rot[v] and level_of[u] == level_of[v] - 1 for u, v in tree)
+        and sorted(u for u, _ in connectors) == roots
+        and all(v == next_on_layer(u) for u, v in connectors)
+    )
+
+
 @pytest.mark.parametrize("p,q,levels", [(4, 5, 5), (5, 4, 5), (4, 4, 6), (6, 5, 3), (3, 7, 6)])
 def test_spanning_tree_text_reads_back_as_one_spanning_tree(p, q, levels):
     m = build(SchlafliSymbol(p, q), levels)
-    header, tree, connectors = _read_spanning_text(
-        grow(m, allow_triangles=p == 3).spanning_tree_text()
-    )
+    text = grow(m, allow_triangles=p == 3).spanning_tree_text()
+    header, _, _ = _read_spanning_text(text)
     assert header == {"p": p, "q": q, "levels": levels, "vertices": m.vertex_count}
-    n = header["vertices"]
-    assert len(tree) + len(connectors) == n - 1
-    assert union_find_spanning(n, tree + connectors) == (True, 1)
-    level_of = [i for i, layer in enumerate(m.layers) for _ in layer]
-    for u, v in tree:
-        assert u in m.rot[v] and level_of[u] == level_of[v] - 1, (u, v)
-    children = {v for _, v in tree}
-    roots = [v for v in range(1, n) if v not in children]
-    assert sorted(u for u, _ in connectors) == roots  # one connector per non-seed root
-    for u, v in connectors:
-        layer = m.layers[level_of[u]]
-        assert v == layer[(layer.index(u) + 1) % len(layer)], (u, v)
+    assert _spanning_text_agrees(text, m)
 
 
 _DOT_NODE = re.compile(

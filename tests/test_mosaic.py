@@ -599,6 +599,37 @@ def test_edge_coverage_names_the_lowest_dart():
     assert failures["edge-coverage"] == f"edge ({seed}, {tip}): 1 cells, expected 2"
 
 
+CONVENTION_BUILDS = [
+    (4, 5, 5), (5, 4, 5), (6, 6, 4), (4, 4, 6), (3, 7, 6),
+    (3, 8, 5), (3, 12, 4), (7, 3, 5), (6, 3, 5), (10, 3, 4),
+]
+
+
+@pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
+def test_belt_cells_run_by_head_in_cyclic_layer_order(p, q, belts):
+    # the module docstring's convention (a)
+    m = build(SchlafliSymbol(p, q), belts)
+    starts = [0, *accumulate(m.belt_sizes)]
+    for i in range(belts):
+        firsts = [cell[0] for cell in m.cells[starts[i] : starts[i + 1]]]
+        heads = [v for k, v in enumerate(firsts) if k == 0 or firsts[k - 1] != v]
+        assert len(set(heads)) == len(heads), i
+        assert all(v in m.layers[i] for v in heads), i
+        ascending = sorted(heads)
+        wrap = ascending.index(heads[0])
+        assert heads == ascending[wrap:] + ascending[:wrap], i
+
+
+@pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
+def test_rotation_entries_below_a_layer_lie_on_the_layer_before(p, q, belts):
+    # the module docstring's convention (b)
+    m = build(SchlafliSymbol(p, q), belts)
+    for i in range(belts):
+        layer, below = m.layers[i + 1], m.layers[i]
+        for v in layer:
+            assert all(u in below for u in m.rot[v] if u < layer.start), (i + 1, v)
+
+
 def test_edge_list_export():
     m = build(SchlafliSymbol(4, 5), 2)
     text = m.edge_list_text()
