@@ -262,11 +262,12 @@ def _emit_verify(args: argparse.Namespace, out: io.StringIO) -> int:
 def _emit_export(args: argparse.Namespace, out: io.StringIO) -> None:
     s = _symbol(args.p, args.q)
     levels = _levels(args, least=1)
-    m = mosaic_mod.build(s, levels, cap=args.cap)
     if args.what == "mosaic-edges":
-        out.write(m.edge_list_text())
+        out.write(mosaic_mod.build(s, levels, cap=args.cap).edge_list_text())
         return
-    f = forest_mod.grow(m, allow_triangles=(s.p == 3))
+    # p = 3 grows anyway; q = 3 is refused here, before its mosaic is built
+    forest_mod._require_growable(s, allow_triangles=True)
+    f = forest_mod.grow(mosaic_mod.build(s, levels, cap=args.cap), allow_triangles=True)
     out.write(f.to_dot() if args.what == "forest" else f.spanning_tree_text())
 
 

@@ -24,6 +24,7 @@ from itertools import chain
 
 from .errors import DegenerateForestError, StructureError
 from .mosaic import Mosaic, text_blocks
+from .recurrence import SchlafliSymbol
 
 
 @dataclass
@@ -112,6 +113,20 @@ class Forest:
         return "".join(text_blocks(chain((header,), nodes, edges, ("}\n",))))
 
 
+def _require_growable(symbol: SchlafliSymbol, allow_triangles: bool) -> None:
+    """Raise DegenerateForestError where `grow` refuses `symbol`, before any build."""
+    if symbol.q == 3:
+        raise DegenerateForestError(
+            f"{symbol}: with q = 3 a level vertex has at most one edge toward "
+            "the next level, so no tree branches; there are no trees to grow"
+        )
+    if symbol.p == 3 and not allow_triangles:
+        raise DegenerateForestError(
+            f"{symbol}: with p = 3 parents are not forced and no roots appear "
+            "beyond the main one; pass allow_triangles=True to grow anyway"
+        )
+
+
 def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
     """Grow the layered forest on every level of `mosaic`.
 
@@ -125,16 +140,7 @@ def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:
     tie-broken.
     """
     symbol = mosaic.symbol
-    if symbol.q == 3:
-        raise DegenerateForestError(
-            f"{symbol}: with q = 3 a level vertex has at most one edge toward "
-            "the next level, so no tree branches; there are no trees to grow"
-        )
-    if symbol.p == 3 and not allow_triangles:
-        raise DegenerateForestError(
-            f"{symbol}: with p = 3 parents are not forced and no roots appear "
-            "beyond the main one; pass allow_triangles=True to grow anyway"
-        )
+    _require_growable(symbol, allow_triangles)
     p = symbol.p
     rot = mosaic.rot
     n = mosaic.vertex_count

@@ -1,13 +1,15 @@
 """Root-level probability distributions for a vertex picked on level i.
 
 Pick a vertex uniformly among the a_i + b_i vertices of level i and ask on
-which level the root of its tree sits.  Two models are provided:
+which level the root of its tree sits.  Both laws are one cascade: a head
+on level i, a tail on each level below it that shrinks by a fixed ratio,
+and a base on level 0.
 
-* the exact finite-i distribution, whose weights are the level's vertex
-  counts per root level, derived from the forced tree fan-outs (the main
-  root has q children, other roots q-2, A vertices q-3), and
-* the limiting model driven by the constants K = root_share and
-  M = step_share, whose masses telescope to 1 identically.
+* The exact law counts the level's vertices per root level from the forced
+  tree fan-outs (the main root has q children, other roots q-2, A vertices
+  q-3): head b_i, tails b_j*(q-2), ratio q-3 and base q.
+* The limiting law, for K = root_share and M = step_share, has head K,
+  tails (1-K)*M, ratio 1-M and base 1-K; its masses sum to 1 identically.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .quadratic import QuadraticNumber, decimal, order_of_magnitude
@@ -80,30 +83,27 @@ class RootDistribution:
         return [decimal(m, digits) for m in self.masses]
 
 
-def asymptotic_distribution(constants: SpectralConstants, level: int) -> RootDistribution:
-    """Limiting root-level law: mass K at level i, then a geometric cascade.
-
-    mass(i) = K, mass(j) = (1-K)*M*(1-M)**(i-j-1) for 0 < j < i, and
-    mass(0) = (1-K)*(1-M)**(i-1).  The masses sum to 1 identically.
+def _cascade(head, tails: Sequence, base, ratio) -> tuple:
+    """Weights of root levels 0..i, for i = len(tails) + 1: `head` on level i,
+    tails[j-1] * ratio**(i-1-j) on each level 0 < j < i and base * ratio**(i-1) on 0.
     """
+    powers = accumulate(repeat(ratio, len(tails)), mul, initial=1)
+    # levels i-1 .. 1 take ratio**0 .. ratio**(i-2); zip stops at the last
+    # tail, so the next power, ratio**(i-1), is the base's
+    down = [t * r for t, r in zip(reversed(tails), powers)]
+    return (base * next(powers), *reversed(down), head)
+
+
+def asymptotic_distribution(constants: SpectralConstants, level: int) -> RootDistribution:
+    """Limiting root-level law: the exact cascade with b_j/(a_i+b_i) -> K*g**(j-i)."""
     if level < 1:
         raise ValueError("level must be >= 1")
-    share = constants.root_share
-    step = constants.step_share
-    rest = 1 - share
-    keep = 1 - step
-    masses: list[Mass] = [None] * (level + 1)  # type: ignore[list-item]
-    masses[level] = share
-    running = rest * step
-    for j in range(level - 1, 0, -1):
-        masses[j] = running
-        running = running * keep
-    masses[0] = rest * keep ** (level - 1)
+    share, step = constants.root_share, constants.step_share
     return RootDistribution(
         symbol=constants.symbol,
         level=level,
         kind=DistributionKind.ASYMPTOTIC,
-        weights=tuple(masses),
+        weights=_cascade(share, [(1 - share) * step] * (level - 1), 1 - share, 1 - step),
     )
 
 
@@ -112,12 +112,7 @@ def exact_distribution(
     level: int,
     counts: Sequence[LayerCounts] | None = None,
 ) -> RootDistribution:
-    """Exact root-level law for a uniformly chosen level-`level` vertex.
-
-    The main root keeps q(q-3)**(i-1) descendants on level i; a root born on
-    level j keeps b_j*(q-2)*(q-3)**(i-j-1); the level's own roots are their
-    own roots.  These counts are the weights, and they sum to a_i + b_i.
-    """
+    """Exact root-level law: the level-i vertices per root level, over a_i + b_i."""
     if level < 1:
         raise ValueError("level must be >= 1")
     _require_forest_domain(symbol)
@@ -125,24 +120,16 @@ def exact_distribution(
         counts = layer_counts(symbol, level)
     if len(counts) <= level:
         raise ValueError(f"counts must cover levels 0..{level}")
-    q = symbol.q
-    denom = counts[level].total
-    # from j = level - 1 down, each weight carries one more factor q - 3
-    numerators = [counts[level].b]
-    power = 1  # (q - 3) ** (level - j - 1)
-    for j in range(level - 1, 0, -1):
-        numerators.append(counts[j].b * (q - 2) * power)
-        power *= q - 3
-    numerators.append(q * power)
-    numerators.reverse()
-    total = sum(numerators)
+    q, denom = symbol.q, counts[level].total
+    weights = _cascade(counts[level].b, [counts[j].b * (q - 2) for j in range(1, level)], q, q - 3)
+    total = sum(weights)
     if total != denom:
         raise ArithmeticError(f"exact masses summed to {Fraction(total, denom)}, not 1")
     return RootDistribution(
         symbol=symbol,
         level=level,
         kind=DistributionKind.EXACT,
-        weights=tuple(numerators),
+        weights=weights,
         total=denom,
     )
 

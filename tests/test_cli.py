@@ -349,6 +349,20 @@ class TestExport:
         assert lines[0] == "# p=4 q=5 belts=2 vertices=51"
         assert len(lines) - 1 == 80
 
+    @pytest.mark.parametrize("p,levels", [(7, 3), (10, 2)])
+    @pytest.mark.parametrize("what", ["forest", "spanning"])
+    def test_q3_forest_exports_refused_before_the_build(self, capsys, what, p, levels):
+        # a cap of 10 trips in belt 1, so only a refusal made before the build reads as grow's
+        argv = ("--p", str(p), "--q", "3", "--levels", str(levels), "--cap", "10")
+        code, out, err = run(capsys, "export", "--what", what, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {{{p},3}}: with q = 3 a level vertex has at most one edge toward "
+            "the next level, so no tree branches; there are no trees to grow\n"
+        )
+        code, _, err = run(capsys, "export", "--what", "mosaic-edges", *argv)
+        assert (code, err) == (2, "error: vertex cap 10 exceeded while building belt 1\n")
+
 
 class TestConfig:
     def test_determinism_byte_identical(self, capsys):

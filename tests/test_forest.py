@@ -275,6 +275,44 @@ def test_tree_width_law_holds_root_by_root(p, q, levels):
                     assert widths[r] == (q - 2) * (q - 3) ** (i - j - 1), (r, j, i)
 
 
+def _rotations_from_the_forest(forest):
+    """Each vertex's rotation rebuilt from layers and parents alone, by id.
+
+    For p, q >= 4 the seed lists its children, and every other vertex lists
+    its previous vertex on its layer, its children, its next vertex on its
+    layer and its parent if it has one; children go in ascending id.
+    """
+    parent = forest.parent
+    children = [[] for _ in parent]
+    for v, u in enumerate(parent):
+        if u is not None:
+            children[u].append(v)
+    yield tuple(children[0])
+    for layer in forest.mosaic.layers[1:]:
+        for k, v in enumerate(layer):
+            up = () if parent[v] is None else (parent[v],)
+            yield (layer[k - 1], *children[v], layer[(k + 1) % len(layer)], *up)
+
+
+@pytest.mark.parametrize(
+    "p,q,levels",
+    [(4, 5, 6), (5, 4, 6), (4, 7, 4), (6, 6, 3), (5, 5, 4), (7, 4, 4), (4, 4, 30),
+     (6, 4, 5), (4, 6, 5), (8, 8, 2), (9, 5, 3), (5, 9, 3), (10, 10, 2)],
+)  # p = 3 is left out: a fan's last tip lists two lower neighbours
+def test_rotations_are_the_forest_read_around_each_vertex(p, q, levels):
+    f = grow(build(SchlafliSymbol(p, q), levels))
+    assert f.mosaic.rot == list(_rotations_from_the_forest(f))
+
+
+def test_reversed_rotations_break_the_rotation_forest_identity():
+    m = build(SchlafliSymbol(4, 5), 3)
+    for v in range(0, m.vertex_count, 7):
+        m.rot[v] = m.rot[v][::-1]
+    f = grow(m)  # one lower neighbour each: the parents do not change
+    wrong = sum(r != want for r, want in zip(m.rot, _rotations_from_the_forest(f)))
+    assert (wrong, m.vertex_count) == (29, 201)
+
+
 def _read_spanning_text(text):
     """Parse a spanning-tree export into (header fields, tree pairs, connector pairs)."""
     head, *lines = text.splitlines()

@@ -1,9 +1,11 @@
-"""Source mutants that a test-only reader must catch.
+"""Source mutants that a test-only reader, `validate` or `cross_check` must catch.
 
 Each mutant is a patched copy of one function's or method's source, compiled
 in its module's namespace.  The export it makes must disagree with the
 reader that checks that export, not only with a digest of its bytes, while
-the unpatched export agrees.
+the unpatched export agrees.  A mutant of a layer must fail a named check of
+`validate` or `cross_check`, or make one of them raise, while the unpatched
+run passes both.
 """
 
 import inspect
@@ -14,9 +16,14 @@ import pytest
 from test_forest import _dot_counts_and_histograms, _spanning_text_agrees
 from test_mosaic import _edge_list_agrees
 
+from mosaicforest import forest as forest_mod
+from mosaicforest import mosaic as mosaic_mod
+from mosaicforest import probability, recurrence
 from mosaicforest.forest import Forest, grow
 from mosaicforest.mosaic import Mosaic, build
+from mosaicforest.quadratic import QuadraticNumber
 from mosaicforest.recurrence import SchlafliSymbol, layer_counts
+from mosaicforest.verify import cross_check
 
 SYMBOLS = [(4, 5, 5), (5, 4, 5), (4, 7, 4), (6, 6, 3)]
 
@@ -58,3 +65,78 @@ def test_edge_list_without_its_order_filter_is_caught(p, q, levels):
     assert _edge_list_agrees(m.edge_list_text(), m)
     both_ways = mutant(Mosaic.edge_list_text, " if u < v)", ")")
     assert not _edge_list_agrees(both_ways(m), m)
+
+
+def _failures(p, q, levels):
+    """Names of the failed `validate` and `cross_check` checks.
+
+    Each layer is reached through its module attribute, which a mutant
+    replaces; the package's re-exports keep the original functions.
+    """
+    m = mosaic_mod.build(SchlafliSymbol(p, q), levels)
+    checked = (mosaic_mod.validate(m), cross_check(forest_mod.grow(m)))
+    return tuple([c.name for c in report.failures()] for report in checked)
+
+
+# q >= 5: with q = 4 the cascade's ratio q - 3 is 1, and its mutant is equivalent
+LAYER_SYMBOLS = [(4, 5, 4), (6, 6, 3)]
+SWEEP = "*run[n2 - 1 : inner : n2]"
+
+
+@pytest.mark.parametrize("p,q,levels", LAYER_SYMBOLS)
+@pytest.mark.parametrize(
+    "owner,name,old,new,failed",
+    [
+        # builder: a vertex lists its first tip after its other tips; only
+        # validate sees it until verify checks the rotation-forest identity
+        pytest.param(
+            mosaic_mod._Builder, "next_belt", f"tip, {SWEEP}", f"{SWEEP}, tip",
+            (["rotation-faces"], []), id="builder",
+        ),
+        # grower: a new root is filed one level too low
+        pytest.param(
+            forest_mod, "grow", "root_level[v] = i\n", "root_level[v] = i - 1\n",
+            ([], ["histogram"]), id="grower",
+        ),
+        # level recursion: each step of b, from level 3 on, adds one
+        pytest.param(
+            recurrence, "_pairs", "c * b - b0", "c * b - b0 + 1",
+            ([], ["layer-sizes", "forest-counts", "closed-form", "histogram"]), id="recursion",
+        ),
+    ],
+)
+def test_layer_mutant_fails_a_check(owner, name, old, new, failed, p, q, levels, monkeypatch):
+    assert _failures(p, q, levels) == ([], [])
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name), old, new))
+    assert _failures(p, q, levels) == failed
+
+
+@pytest.mark.parametrize("p,q,levels", LAYER_SYMBOLS)
+@pytest.mark.parametrize(
+    "owner,name,old,new,error,message",
+    [
+        # level recursion: the matrix entry m10 loses its - 1
+        pytest.param(
+            recurrence, "_start", "(q - 3) * (p - 3) - 1,", "(q - 3) * (p - 3),",
+            ArithmeticError, "root_nonroot_limit is not its eigenvector form",
+            id="recursion-start",
+        ),
+        # Q[sqrt d]: a sum subtracts the other's radical part
+        pytest.param(
+            QuadraticNumber, "_plus", "b * t + e * s", "b * t - e * s",
+            ZeroDivisionError, "division by zero element", id="quadratic",
+        ),
+        # root-level laws: the main root's base takes one ratio too many
+        pytest.param(
+            probability, "_cascade", "base * next(powers)", "base * next(powers) * ratio",
+            ArithmeticError, "exact masses summed to", id="laws",
+        ),
+    ],
+)
+def test_layer_mutant_makes_cross_check_raise(
+    owner, name, old, new, error, message, p, q, levels, monkeypatch
+):
+    assert _failures(p, q, levels) == ([], [])
+    monkeypatch.setattr(owner, name, mutant(getattr(owner, name), old, new))
+    with pytest.raises(error, match=message):
+        _failures(p, q, levels)

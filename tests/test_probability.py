@@ -110,6 +110,18 @@ class TestAsymptotic:
         d = asymptotic_distribution(spectral_constants(S45), 3)
         assert d.kind is DistributionKind.ASYMPTOTIC
 
+    @pytest.mark.parametrize(
+        "p,q", [(p, q) for p in range(4, 9) for q in range(4, 9) if (p, q) != (4, 4)]
+    )
+    def test_limit_is_the_exact_cascade_with_ratio_q3_over_g(self, p, q):
+        # the exact cascade has ratio q-3 and tails b_j*(q-2); over a_i+b_i,
+        # with b_j/(a_i+b_i) -> K*g**(j-i), its ratio tends to (q-3)/g and
+        # its tails to K*(q-2)/g
+        c = spectral_constants(SchlafliSymbol(p, q))
+        share, step, g = c.root_share, c.step_share, c.growth
+        assert 1 - step == (q - 3) / g
+        assert (1 - share) * step == share * (q - 2) / g
+
 
 class TestExact:
     def test_reference_main_root_masses(self):
