@@ -336,9 +336,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _deliver(text: str, path: str) -> None:
-    """Write `text` to stdout for '-', else to a temporary file beside `path` renamed over it."""
+    """Write `text` to stdout for '-', else to `path`, through a symlink to its target.
+
+    A FIFO or a device is written straight into.  A regular file or a new path
+    gets a temporary file beside it renamed over it, so it is whole or untouched.
+    """
     if path == "-":
         sys.stdout.write(text)
+        return
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     fh = open(tmp, "x", encoding="utf-8")

@@ -6,8 +6,11 @@ gcd(m, a, b) == 1, so equal values have equal parts.  Every operation reads
 and writes the integers and reduces its result once.  Every quotient (`/`,
 `inverse()`, negative powers) is the conjugate over the norm in `_over`, and
 `<=`, `>` and `>=` derive from `__lt__`.  Comparisons, floors and decimal
-renderings are all exact integer arithmetic; no floating point enters
-anywhere, which is what makes assertions at the 1e-113 scale possible.
+renderings are all exact integer arithmetic.  Operands of the operators,
+`decimal` and `order_of_magnitude` pass through `_coerce` and constructor
+parts must be rational, so anything but an int, a Fraction or a
+QuadraticNumber raises TypeError: no floating point enters anywhere, which
+is what makes assertions at the 1e-113 scale possible.
 """
 
 from __future__ import annotations
@@ -44,6 +47,19 @@ def _sgn(x) -> int:
     return (x > 0) - (x < 0)
 
 
+def _operator(method):
+    """`method` with its operand taken through `_coerce`, or NotImplemented for another type."""
+
+    def operator(self, other):
+        try:
+            other = _coerce(other)
+        except TypeError:
+            return NotImplemented
+        return method(self, other)
+
+    return operator
+
+
 @total_ordering
 class QuadraticNumber:
     """Immutable exact number (a + b*sqrt(d)) / m on integers in lowest terms.
@@ -56,6 +72,8 @@ class QuadraticNumber:
     __slots__ = ("_a", "_b", "_m", "_d")
 
     def __init__(self, x: Rational, y: Rational = 0, d: int = 1):
+        if not (isinstance(x, Rational) and isinstance(y, Rational)):
+            raise TypeError(f"parts must be int or Fraction, got {x!r} and {y!r}")
         x = Fraction(x)
         y = Fraction(y)
         if y:
@@ -92,17 +110,6 @@ class QuadraticNumber:
     def conjugate(self) -> "QuadraticNumber":
         return _canonical(self._a, -self._b, self._m, self._d)
 
-    # -- coercion ----------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, QuadraticNumber):
-            return other
-        if isinstance(other, int):
-            return _canonical(other, 0, 1, 1)
-        if isinstance(other, Fraction):
-            return _canonical(other.numerator, 0, other.denominator, 1)
-        return None
-
     def _join_d(self, other: "QuadraticNumber") -> int:
         if self._b and other._b and self._d != other._d:
             raise ValueError(f"mixed radicands {self._d} and {other._d}")
@@ -110,10 +117,8 @@ class QuadraticNumber:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operator
+    def __add__(self, o):
         return self._plus(o._a, o._b, o._m, self._join_d(o))
 
     __radd__ = __add__
@@ -121,20 +126,14 @@ class QuadraticNumber:
     def __neg__(self):
         return _canonical(-self._a, -self._b, self._m, self._d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._minus(o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o._minus(self)
-
     def _minus(self, o: "QuadraticNumber") -> "QuadraticNumber":
         return self._plus(-o._a, -o._b, o._m, self._join_d(o))
+
+    __sub__ = _operator(_minus)
+
+    @_operator
+    def __rsub__(self, o):
+        return o._minus(self)
 
     def _plus(self, c: int, e: int, n: int, d: int) -> "QuadraticNumber":
         """self + (c + e*sqrt(d)) / n, where c, e and n are canonical parts.
@@ -154,10 +153,8 @@ class QuadraticNumber:
             a, b, g = a // h, b // h, g // h
         return _canonical(a, b, s * t * g, d if b else 1)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operator
+    def __mul__(self, o):
         d = self._join_d(o)
         a, b, c, e = self._a, self._b, o._a, o._b
         return _reduced(a * c + b * e * d, a * e + b * c, self._m * o._m, d)
@@ -177,16 +174,10 @@ class QuadraticNumber:
             raise ZeroDivisionError("division by zero element")
         return _reduced(n * (a * c - b * e * d), n * (b * c - a * e), self._m * norm, d)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._over(o)
+    __truediv__ = _operator(_over)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operator
+    def __rtruediv__(self, o):
         return o._over(self)
 
     def __pow__(self, n: int):
@@ -224,15 +215,10 @@ class QuadraticNumber:
         return sa if a * a > b * b * self._d else sb
 
     def _cmp(self, other) -> int:
-        o = self._coerce(other)
-        if o is None:
-            raise TypeError(f"cannot compare QuadraticNumber with {type(other)!r}")
-        return self._minus(o).sign()
+        return self._minus(_coerce(other)).sign()
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_operator
+    def __eq__(self, o):
         return (
             self._a == o._a and self._b == o._b and self._m == o._m and self._d == o._d
         )
@@ -328,10 +314,20 @@ def _reduced(a: int, b: int, m: int, d: int) -> QuadraticNumber:
     return _canonical(a, b, m, d if b else 1)
 
 
+def _coerce(value) -> QuadraticNumber:
+    """`value` as a QuadraticNumber: the one way an int or a Fraction operand gets in."""
+    if isinstance(value, QuadraticNumber):
+        return value
+    if isinstance(value, int):
+        return _canonical(value, 0, 1, 1)
+    if isinstance(value, Fraction):
+        return _canonical(value.numerator, 0, value.denominator, 1)
+    raise TypeError(f"expected int, Fraction or QuadraticNumber, got {type(value).__name__}")
+
+
 def decimal(value: Rational | QuadraticNumber, digits: int) -> str:
     """`value` as a fixed-point decimal string, round-half-even at `digits` places."""
-    v = value if isinstance(value, QuadraticNumber) else QuadraticNumber(value)
-    return v.decimal(digits)
+    return _coerce(value).decimal(digits)
 
 
 # floor(log10(2) * 2**32): bits times this, shifted right by 32, estimate
@@ -346,8 +342,7 @@ def order_of_magnitude(value) -> int:
     one; one exact floor of |value| / 10**e then settles it, so the cost
     does not grow with |e|.
     """
-    v = value if isinstance(value, QuadraticNumber) else QuadraticNumber(value)
-    v = abs(v)
+    v = abs(_coerce(value))
     if not v:
         raise ValueError("zero has no order of magnitude")
     a, b, m, d = v._a, v._b, v._m, v._d

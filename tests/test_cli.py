@@ -72,6 +72,36 @@ class TestCounts:
         assert target.read_text().startswith("level,a,b,total\n")
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_out_through_a_symlink_writes_its_target(self, capsys, tmp_path):
+        argv = ("counts", "--p", "4", "--q", "5", "--levels", "2")
+        _, expected, _ = run(capsys, *argv)
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        code, out, _ = run(capsys, *argv, "--out", str(link))
+        assert (code, out) == (0, "")
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert target.read_text() == expected
+        assert sorted(tmp_path.iterdir()) == [link, target]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_out_to_a_fifo_writes_into_it(self, capsys, tmp_path):
+        argv = ("counts", "--p", "4", "--q", "5", "--levels", "2")
+        _, expected, _ = run(capsys, *argv)
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        # a reader is open first, so neither end blocks; the table fits the pipe buffer
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            code, out, _ = run(capsys, *argv, "--out", str(fifo))
+            got = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert (code, out) == (0, "")
+        assert fifo.is_fifo()
+        assert got == expected.encode()
+        assert list(tmp_path.iterdir()) == [fifo]
+
 
 class TestConstants:
     def test_markdown_has_exact_and_decimal(self, capsys):

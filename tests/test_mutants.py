@@ -18,7 +18,7 @@ from test_mosaic import _edge_list_agrees
 
 from mosaicforest import forest as forest_mod
 from mosaicforest import mosaic as mosaic_mod
-from mosaicforest import probability, recurrence
+from mosaicforest import probability, quadratic, recurrence
 from mosaicforest.forest import Forest, grow
 from mosaicforest.mosaic import Mosaic, build
 from mosaicforest.quadratic import QuadraticNumber
@@ -130,6 +130,17 @@ def test_layer_mutant_fails_a_check(owner, name, old, new, failed, p, q, levels,
         pytest.param(
             probability, "_cascade", "base * next(powers)", "base * next(powers) * ratio",
             ArithmeticError, "exact masses summed to", id="laws",
+        ),
+        # Q[sqrt d]: a Fraction operand is read upside down
+        pytest.param(
+            quadratic, "_coerce", "_canonical(value.numerator, 0, value.denominator, 1)",
+            "_canonical(value.denominator, 0, value.numerator, 1)",
+            ArithmeticError, "step_share is not its eigenvector form", id="coerce-fraction",
+        ),
+        # Q[sqrt d]: an int operand is read as its negation
+        pytest.param(
+            quadratic, "_coerce", "_canonical(value, 0, 1, 1)", "_canonical(-value, 0, 1, 1)",
+            ArithmeticError, "root_nonroot_limit is not its eigenvector form", id="coerce-int",
         ),
     ],
 )

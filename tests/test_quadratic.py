@@ -1,4 +1,6 @@
 import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -309,6 +311,59 @@ def test_comparisons_total_order():
     assert z1 < Fraction(38, 10)
     assert abs(z2) == z2
     assert sorted([z1, z2, QuadraticNumber(1)]) == [z2, QuadraticNumber(1), z1]
+
+
+# ------------------------------------------------ one coercion rule for every operand
+
+ARITHMETIC = [operator.add, operator.sub, operator.mul, operator.truediv]
+QN_OPERANDS = [QuadraticNumber(Fraction(-2, 3)), QuadraticNumber(1, Fraction(1, 2), 5)]
+
+
+def outcome(op, u, v):
+    """op(u, v), or the type of the ArithmeticError it raises."""
+    try:
+        return op(u, v)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("v", QN_OPERANDS, ids=["rational", "irrational"])
+@pytest.mark.parametrize("r", [0, 1, -7, Fraction(5, 3), Fraction(-1, 4)], ids=repr)
+def test_int_or_fraction_operand_acts_as_its_quadratic_number(v, r):
+    rq = QuadraticNumber(r)
+    for op in ARITHMETIC + [operator.eq]:
+        assert outcome(op, v, r) == outcome(op, v, rq), op
+        assert outcome(op, r, v) == outcome(op, rq, v), op
+    assert (v < r) == (v < rq) and (r < v) == (rq < v)
+
+
+@pytest.mark.parametrize("v", QN_OPERANDS, ids=["rational", "irrational"])
+@pytest.mark.parametrize("other", [0.5, "1/3", Decimal("0.1"), 1j, None], ids=repr)
+def test_inexact_operand_is_refused(v, other):
+    for op in ARITHMETIC:
+        with pytest.raises(TypeError):
+            op(v, other)
+        with pytest.raises(TypeError):
+            op(other, v)
+    with pytest.raises(TypeError):
+        v < other
+    assert not v == other and not other == v
+
+
+@pytest.mark.parametrize(
+    "call,args",
+    [
+        pytest.param(QuadraticNumber, (0.1,), id="QuadraticNumber(0.1)"),
+        pytest.param(QuadraticNumber, ("1/3",), id="QuadraticNumber('1/3')"),
+        pytest.param(QuadraticNumber, (Decimal("0.1"),), id="QuadraticNumber(Decimal('0.1'))"),
+        pytest.param(QuadraticNumber, (1, 0.5, 2), id="QuadraticNumber(1, 0.5, 2)"),
+        pytest.param(decimal, (0.1, 20), id="decimal(0.1, 20)"),
+        pytest.param(order_of_magnitude, ("5",), id="order_of_magnitude('5')"),
+    ],
+)
+def test_inexact_value_is_refused(call, args):
+    with pytest.raises(TypeError):
+        call(*args)
 
 
 # ------------------------------------------------ the Fraction-pair reference
