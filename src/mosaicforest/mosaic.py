@@ -16,12 +16,13 @@ one run of ids, numbered in creation order along the sweep, which makes
 builds fully deterministic.
 
 No cell counts are kept.  Every belt-i cell's first vertex lies on layer
-i - 1 (the fan's vertex), and every layer-i vertex lies on exactly 1 + (its
-neighbours on layer i - 1) cells of belt i.  So a swept vertex with j lower
-neighbours lies on 1 + j cells and on the closing cell of the fan before
-it, and misses q - 2 - j; only q = 3 leaves one short (j = 1).  With p >= 4
-a vertex has at most one lower neighbour; with p = 3 a fan's last tip has
-a second, the lower neighbour of the vertex before it on its layer.
+i - 1 (the fan's vertex), and every layer-i vertex lies on 1 + j cells of
+belt i, where j counts its neighbours on layer i - 1: j <= 1 for p >= 4,
+and with p = 3 a fan's last tip has a second, the lower neighbour of the
+vertex before it.  Closing belt i writes each layer-i rotation without
+tips: previous and next neighbour on the layer, then the j lower ones.  The
+next sweep finds the vertex on those cells and the closing cell before it,
+so it misses q - 2 - j, q less that length; only q = 3 leaves one short.
 
 Two conventions of every build hold for readers of a finished `Mosaic`:
 (a) the cells of belt i+1 come in runs that share their first vertex, one
@@ -56,6 +57,11 @@ def text_blocks(lines: Iterable[str]) -> Iterator[str]:
     lines = iter(lines)
     while block := list(islice(lines, _TEXT_BLOCK)):
         yield "".join(block)
+
+
+def _blocks(seq: list, lo: int, hi: int) -> Iterator:
+    """seq[lo:hi], a block at a time; `islice` would step through seq[:lo] first."""
+    return chain.from_iterable(seq[i : min(i + _BLOCK, hi)] for i in range(lo, hi, _BLOCK))
 
 
 class Mosaic:
@@ -97,9 +103,10 @@ class _Builder:
 
     Every view of a vertex id (a rotation, a cell, a `down` entry, a belt's
     walk, a fan's tips) is taken from a slice of `ids`, so each id is one
-    int object however many tuples hold it.  No cell counts are kept: a
-    layer vertex lies on 1 + (its lower neighbours) cells of its belt, read
-    off `down`, with p = 3 also as `down` of the vertex before it.
+    int object however many tuples hold it.  No cell counts are kept: the
+    sweep reads the cells a vertex misses off its tip-less rotation's
+    length.  After each belt, `rot`, `cells`, `layers` and `belt_sizes`
+    are that many belts' finished map.
     """
 
     def __init__(self, p: int, q: int, cap: int):
@@ -110,15 +117,25 @@ class _Builder:
         # is layer by layer, so layer i is the next run of ids
         self.ids = [0]
         self.down = [-1]  # the lower neighbour of a tip, -1 for none
-        self.rot: list[tuple[int, ...]] = []  # each written once, when final
+        self.rot: list[tuple[int, ...]] = []  # tip-less until the next sweep
         self.cells: list[tuple[int, ...]] = []
         self.layers: list[range] = [range(1)]
         self.belt_sizes: list[int] = []
 
     def close_belt(self) -> None:
-        """Record the belt's cell count and its outer layer: the ids it created."""
+        """Record the belt's cell count and its outer layer, the ids it made,
+        with their tip-less rotations: each turns from its previous neighbour
+        u to its next one and down (p = 3: and down[u] if it differs)."""
+        ids, down, triangles = self.ids, self.down, self.p == 3
+        first, stop = self.layers[-1].stop, len(ids)
         self.belt_sizes.append(len(self.cells) - sum(self.belt_sizes))
-        self.layers.append(range(self.layers[-1].stop, len(self.ids)))
+        self.layers.append(range(first, stop))
+        before = chain(ids[-1:], _blocks(ids, first, stop - 1))
+        after = chain(_blocks(ids, first + 1, stop), ids[first : first + 1])
+        self.rot += (
+            (u, w) if d < 0 else (u, w, d, down[u]) if triangles and down[u] != d else (u, w, d)
+            for u, w, d in zip(before, after, _blocks(down, first, stop))
+        )
 
     def first_belt(self) -> None:
         """q cells around the seed; the seed's rotation is its q spokes."""
@@ -144,14 +161,10 @@ class _Builder:
 
         # start the sweep at a vertex that is not one cell short, so it owns
         # a radial tip; only q = 3 leaves one short: one with a lower neighbour
-        start = next(v for v in old if q != 3 or down[v] < 0)
+        start = next(v for v in old if len(rot[v]) < q)
         walk = ids[start : old.stop] + ids[old.start : start]
         m = len(walk)
-        # walk[m] closes the cycle and walk[-1] comes before walk[0], so each
-        # v = walk[k], k < m, turns from walk[k - 1] to walk[k + 1]
-        walk += walk[0], walk[-1]
-        # old's rotations are final once its fans close; rot[v] is written then
-        rot += [()] * m
+        walk.append(walk[0])  # walk[m] closes the cycle
 
         # walk[0]'s first tip, which the sweep's last fan closes on; it is
         # held to the cap with walk[0]'s fan, which always comes next
@@ -162,21 +175,18 @@ class _Builder:
 
         for k in range(m):
             v = walk[k]
-            d = down[v]
-            e = down[walk[k - 1]] if p == 3 else d  # p = 3: a second lower neighbour
-            below = () if d < 0 else (d,) if e == d else (d, e)
-            # v lies on 1 + len(below) cells and the closing cell of the fan
+            turn = rot[v]  # tip-less: previous and next neighbour, then the lower ones
+            # v lies on len(turn) - 1 cells and the closing cell of the fan
             # before it; for walk[0], the one closing the ring
-            missing = q - 2 - len(below)
+            missing = q - len(turn)
             if missing <= 0:
                 # already completed by a run cell sweeping past it: no tips
-                rot[v] = (walk[k - 1], walk[k + 1], *below)
                 continue
 
             # the closing cell: v, carry, its top, then back along the run of
             # one-short old vertices ahead, each of which this very cell fills
             pos = k + 1
-            while q == 3 and pos < m and down[walk[pos]] >= 0:
+            while q == 3 and pos < m and len(rot[walk[pos]]) == 3:
                 pos += 1
             back = walk[pos:k:-1]
             n = p - len(back) - 2  # the top's length; its last vertex is the next carry
@@ -211,33 +221,10 @@ class _Builder:
                 carry = top[-1]
             down[carry] = back[0]  # p = 3: the fan's last tip; v is its second lower neighbour
 
-            # v turns from its previous neighbour through its tips to its next one and down
-            rot[v] = (walk[k - 1], tip, *run[n2 - 1 : inner : n2], walk[k + 1], *below)
+            # v's tips go after its previous neighbour, the rotation's first entry
+            rot[v] = (turn[0], tip, *run[n2 - 1 : inner : n2], *turn[1:])
 
         self.close_belt()
-
-    def finish(self, symbol: SchlafliSymbol) -> Mosaic:
-        down, triangles = self.down, self.p == 3
-        # the outer layer, the last run of ids, has no tips: each vertex turns
-        # from its previous neighbour u to its next one and down (p = 3: and
-        # down[u] if it differs), read off shifted iterators over its ids
-        first = self.layers[-1].start
-        outer = self.ids[first:]
-        del self.ids  # read no more; freed before the rotations are made
-        m = len(outer)
-        before = chain(islice(outer, m - 1, None), islice(outer, m - 1))
-        after = chain(islice(outer, 1, None), islice(outer, 1))
-        self.rot += (
-            (u, w) if d < 0 else (u, w, d, down[u]) if triangles and down[u] != d else (u, w, d)
-            for u, w, d in zip(before, after, islice(down, first, None))
-        )
-        return Mosaic(
-            symbol=symbol,
-            rot=self.rot,
-            layers=self.layers,
-            cells=self.cells,
-            belt_sizes=self.belt_sizes,
-        )
 
 
 def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> Mosaic:
@@ -257,7 +244,7 @@ def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> 
     b.first_belt()
     for _ in range(belts - 1):
         b.next_belt()
-    return b.finish(symbol)
+    return Mosaic(symbol, b.rot, b.layers, b.cells, b.belt_sizes)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,9 @@ for _p, _q, _levels in (("3", "7", "3"), ("4", "5", "2")):
     for _what in ("forest", "spanning", "mosaic-edges"):
         CASES[f"export_{_what}_{_p}_{_q}_L{_levels}.txt"] = [
             "export", "--what", _what, "--p", _p, "--q", _q, "--levels", _levels]
+# q = 3: cells that fill a layer vertex, which the other exports never make
+CASES["export_mosaic-edges_7_3_L3.txt"] = ["export", "--what", "mosaic-edges", "--p", "7",
+                                           "--q", "3", "--levels", "3"]
 CASES["error_counts_3_7.txt"] = ["counts", "--p", "3", "--q", "7", "--levels", "4"]
 CASES["error_counts_negative_levels.txt"] = ["counts", "--p", "4", "--q", "5", "--levels", "-1"]
 CASES["error_constants_4_4.txt"] = ["constants", "--p", "4", "--q", "4"]

@@ -71,13 +71,18 @@ class ReferenceBuilder(_Builder):
     the state the lean builder derives: those counts, and `down2`, the
     second lower neighbour of each p = 3 tip that has one, which its own
     `finish` reads.  It shares `_Builder`'s `ids`, `down`, `rot`, `cells`,
-    `layers`, `belt_sizes` and `close_belt`.
+    `layers` and `belt_sizes`, but keeps its own `close_belt`, which writes
+    no rotation: its `next_belt` and `finish` write each one once.
     """
 
     def __init__(self, p: int, q: int, cap: int):
         super().__init__(p, q, cap)
         self.ncells = [0]
         self.down2: dict[int, int] = {}
+
+    def close_belt(self) -> None:
+        self.belt_sizes.append(len(self.cells) - sum(self.belt_sizes))
+        self.layers.append(range(self.layers[-1].stop, len(self.ids)))
 
     def new_vertices(self, count: int) -> list[int]:
         ids = self.ids
@@ -279,17 +284,18 @@ def test_cell_attachment_kinds():
 def test_belt_whose_run_outgrows_a_cell_raises(p, q):
     # layer 1 with every vertex but the first one cell short of full: the
     # first vertex's closing cell would run around the whole layer.  The
-    # lean builder reads a vertex's cells off `down`, the reference off `ncells`
+    # lean builder reads a vertex's cells off its rotation's length, the
+    # reference off `ncells`
     lean = _Builder(p, q, DEFAULT_VERTEX_CAP)
     reference = ReferenceBuilder(p, q, DEFAULT_VERTEX_CAP)
     builders = lean, reference
     for b in builders:
         b.first_belt()
     first, *rest = lean.layers[1]
-    lean.down[first] = -1
+    lean.rot[first] = lean.rot[first][:2]
     reference.ncells[first] = q - 2
     for v in rest:
-        lean.down[v] = 0
+        lean.rot[v] = (*lean.rot[v][:2], 0)
         reference.ncells[v] = q - 1
     messages = set()
     for b in builders:
@@ -325,8 +331,30 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
             break
         lean.next_belt()
         reference.next_belt()
-    m, r = lean.finish(symbol), reference.finish(symbol)
-    assert (m.rot, m.cells, m.layers, m.belt_sizes) == (r.rot, r.cells, r.layers, r.belt_sizes)
+    r = reference.finish(symbol)
+    assert (lean.rot, lean.cells, lean.layers, lean.belt_sizes) == (
+        r.rot, r.cells, r.layers, r.belt_sizes
+    )
+
+
+@pytest.mark.parametrize(
+    "p,q,belts",
+    [(4, 5, 5), (5, 4, 5), (6, 6, 3), (4, 4, 6), (3, 7, 6), (3, 12, 4), (7, 3, 5), (6, 3, 5)]
+    + [(10, 3, 4)],
+)
+def test_each_closed_belt_is_a_finished_map(p, q, belts):
+    # the builder holds no rotation back for later: after every belt its
+    # state is the map that many belts build
+    symbol = SchlafliSymbol(p, q)
+    b = _Builder(p, q, DEFAULT_VERTEX_CAP)
+    b.first_belt()
+    for i in range(1, belts + 1):
+        if i > 1:
+            b.next_belt()
+        m = build(symbol, i)
+        assert (b.rot, b.cells, b.layers, b.belt_sizes) == (
+            m.rot, m.cells, m.layers, m.belt_sizes
+        ), i
 
 
 def _deepest_build(symbol: SchlafliSymbol, budget: int) -> Mosaic:

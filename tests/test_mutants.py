@@ -93,6 +93,12 @@ SWEEP = "*run[n2 - 1 : inner : n2]"
             mosaic_mod._Builder, "next_belt", f"tip, {SWEEP}", f"{SWEEP}, tip",
             (["rotation-faces"], []), id="builder",
         ),
+        # builder: a vertex with no lower neighbour turns from its next
+        # neighbour to its previous one until the sweep gives it tips
+        pytest.param(
+            mosaic_mod._Builder, "close_belt", "(u, w) if d < 0", "(w, u) if d < 0",
+            (["rotation-faces"], []), id="builder-turn",
+        ),
         # grower: a new root is filed one level too low
         pytest.param(
             forest_mod, "grow", "root_level[v] = i\n", "root_level[v] = i - 1\n",
@@ -109,6 +115,21 @@ def test_layer_mutant_fails_a_check(owner, name, old, new, failed, p, q, levels,
     assert _failures(p, q, levels) == ([], [])
     monkeypatch.setattr(owner, name, mutant(getattr(owner, name), old, new))
     assert _failures(p, q, levels) == failed
+
+
+@pytest.mark.parametrize("p,q,levels", [(3, 7, 5), (3, 8, 4)])
+def test_triangle_builder_mutant_fails_validate(p, q, levels, monkeypatch):
+    # p = 3: a fan's last tip drops its second lower neighbour.  By default
+    # grow refuses p = 3, so cross_check has no forest and only validate sees it
+    def failed():
+        return [c.name for c in mosaic_mod.validate(build(SchlafliSymbol(p, q), levels)).failures()]
+
+    assert failed() == []
+    old, new = "(u, w, d, down[u]) if triangles", "(u, w, d) if triangles"
+    monkeypatch.setattr(
+        mosaic_mod._Builder, "close_belt", mutant(mosaic_mod._Builder.close_belt, old, new)
+    )
+    assert failed() == ["interior-degree", "rotation-faces", "edge-coverage", "euler"]
 
 
 @pytest.mark.parametrize("p,q,levels", LAYER_SYMBOLS)
