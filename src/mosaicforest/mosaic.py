@@ -13,7 +13,9 @@ last cell closes the fan ("edge"-attached): it shares one boundary edge, or
 two consecutive edges when it fills the boundary vertex between them, as
 it does in every q = 3 belt after the first.  Each fan's new vertices are
 one run of ids, numbered in creation order along the sweep, which makes
-builds fully deterministic.
+builds fully deterministic.  The cells are one flat list of ids, p per cell
+in build order; `Mosaic.cells` is a read-only view that yields each as a
+tuple.
 
 No cell counts are kept.  Every belt-i cell's first vertex lies on layer
 i - 1 (the fan's vertex), and every layer-i vertex lies on 1 + j cells of
@@ -37,10 +39,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice
-from operator import add, contains, eq, itemgetter, ne
+from operator import add, contains, eq, ne
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
 from .recurrence import Geometry, SchlafliSymbol
@@ -64,6 +66,36 @@ def _blocks(seq: list, lo: int, hi: int) -> Iterator:
     return chain.from_iterable(seq[i : min(i + _BLOCK, hi)] for i in range(lo, hi, _BLOCK))
 
 
+class _Cells(Sequence):
+    """Read-only p-tuples over `flat`, p ids per cell, holding its own id objects;
+    a slice gives a list of them, and the view equals any sequence of the same tuples."""
+
+    __slots__ = ("flat", "p")
+
+    def __init__(self, flat: list[int], p: int):
+        self.flat, self.p = flat, p
+
+    def __len__(self) -> int:
+        return len(self.flat) // self.p
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        n = len(self)
+        if not -n <= k < n:
+            raise IndexError("cell index out of range")
+        lo = k % n * self.p
+        return tuple(self.flat[lo : lo + self.p])
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        return zip(*[iter(self.flat)] * self.p)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class Mosaic:
     """A built tiling patch: rotation system, layer id runs, cells."""
 
@@ -71,7 +103,7 @@ class Mosaic:
         self.symbol: SchlafliSymbol = symbol
         self.rot: list[tuple[int, ...]] = rot  # CCW neighbour order per vertex
         self.layers: list[range] = layers  # layer i's ids, its boundary cycle in CCW order
-        self.cells: list[tuple[int, ...]] = cells  # CCW vertex cycles, belt by belt
+        self.cells: Sequence[tuple[int, ...]] = cells  # CCW cycles by belt; `build` gives a view
         self.belt_sizes: list[int] = belt_sizes  # cells per belt, index 0 = belt 1
 
     @property
@@ -103,10 +135,11 @@ class _Builder:
 
     Every view of a vertex id (a rotation, a cell, a `down` entry, a belt's
     walk, a fan's tips) is taken from a slice of `ids`, so each id is one
-    int object however many tuples hold it.  No cell counts are kept: the
-    sweep reads the cells a vertex misses off its tip-less rotation's
-    length.  After each belt, `rot`, `cells`, `layers` and `belt_sizes`
-    are that many belts' finished map.
+    int object however many tuples and lists hold it.  `cells` is one flat
+    list, p ids per cell, extended a cell at a time.  No cell counts are
+    kept: the sweep reads the cells a vertex misses off its tip-less
+    rotation's length.  After each belt, `rot`, `cells`, `layers` and
+    `belt_sizes` are that many belts' finished map.
     """
 
     def __init__(self, p: int, q: int, cap: int):
@@ -118,7 +151,7 @@ class _Builder:
         self.ids = [0]
         self.down = [-1]  # the lower neighbour of a tip, -1 for none
         self.rot: list[tuple[int, ...]] = []  # tip-less until the next sweep
-        self.cells: list[tuple[int, ...]] = []
+        self.cells: list[int] = []  # p ids per cell, in build order
         self.layers: list[range] = [range(1)]
         self.belt_sizes: list[int] = []
 
@@ -128,7 +161,7 @@ class _Builder:
         u to its next one and down (p = 3: and down[u] if it differs)."""
         ids, down, triangles = self.ids, self.down, self.p == 3
         first, stop = self.layers[-1].stop, len(ids)
-        self.belt_sizes.append(len(self.cells) - sum(self.belt_sizes))
+        self.belt_sizes.append(len(self.cells) // self.p - sum(self.belt_sizes))
         self.layers.append(range(first, stop))
         before = chain(ids[-1:], _blocks(ids, first, stop - 1))
         after = chain(_blocks(ids, first + 1, stop), ids[first : first + 1])
@@ -149,7 +182,8 @@ class _Builder:
         spokes = ring[::n]
         # each cell's first new vertex is a spoke's tip, on the seed
         self.down += ([0] + [-1] * (n - 1)) * q
-        self.cells += [(0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q]) for j in range(q)]
+        for j in range(q):
+            self.cells += (0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q])
         self.rot.append(tuple(spokes))
         self.close_belt()
 
@@ -211,12 +245,12 @@ class _Builder:
             # inner fan cells: share only the vertex v with the old boundary
             tip = carry  # v's first radial tip; the inner cells' tips follow it
             for i in range(0, inner, n2):
-                cells.append((v, carry, *run[i : i + n2]))
+                cells += (v, carry, *run[i : i + n2])
                 carry = run[i + n2 - 1]
                 down[carry] = v
 
             top = run[inner:]
-            cells.append((v, carry, *top, *back))
+            cells += (v, carry, *top, *back)
             if top:
                 carry = top[-1]
             down[carry] = back[0]  # p = 3: the fan's last tip; v is its second lower neighbour
@@ -244,7 +278,7 @@ def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> 
     b.first_belt()
     for _ in range(belts - 1):
         b.next_belt()
-    return Mosaic(symbol, b.rot, b.layers, b.cells, b.belt_sizes)
+    return Mosaic(symbol, b.rot, b.layers, _Cells(b.cells, symbol.p), b.belt_sizes)
 
 
 @dataclass(frozen=True)
@@ -289,14 +323,19 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     not, takes the same pairing and coverage route: a dart whose head does
     not list its tail has reverse -1, and a dart on no edge counts no cell.
     Only the count of cell sides per dart has a fallback, a cell at a time,
-    for cells that cannot be read as columns of faces.
+    for cells that cannot be read as columns of faces.  The cells are one flat
+    list of ids, a built view's own or a list of tuples flattened once.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
     n = len(rot)
     heads = list(chain.from_iterable(rot))
     darts = len(heads)
-    flat = list(chain.from_iterable(cells))
+    if isinstance(cells, _Cells) and cells.p == p:
+        flat, columns = cells.flat, True
+    else:
+        flat = list(chain.from_iterable(cells))
+        columns = all(map(p.__eq__, map(len, cells)))
     checks: list[CheckResult] = []
 
     def report(name: str, failure: str | None) -> None:
@@ -314,7 +353,6 @@ def validate(mosaic: Mosaic) -> ValidationReport:
         cells_at = dict.fromkeys(chain(range(n), strangers), 0)
 
     # cells of p entries each can be read as p columns (see _sides_by_columns)
-    columns = all(map(p.__eq__, map(len, cells)))
     if columns and not strangers and all(map(p.__eq__, map(len, map(set, cells)))):
         failure = None
     else:
@@ -342,7 +380,7 @@ def validate(mosaic: Mosaic) -> ValidationReport:
         if v is None
         else f"vertex {v} has degree {len(rot[v])} and {cells_at[v]} cells (expected {q})",
     )
-    del flat, cells_at
+    del cells_at
 
     # per vertex, not per dart: a list indexes faster than an array
     first = list(accumulate(map(len, rot), initial=0))
@@ -356,7 +394,7 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     # successor map chains its sides in order and no other side shares them
     sides = None
     if columns and broken is None:
-        sides = _sides_by_columns(cells, p, at, first, heads, succ)
+        sides = _sides_by_columns(flat, p, at, first, heads, succ)
     stray = bad = None
     if sides is None:
         sides = [0] * darts
@@ -489,7 +527,7 @@ def _dart_maps(
 
 
 def _sides_by_columns(
-    cells: list[tuple[int, ...]],
+    flat: list[int],
     p: int,
     at: list[tuple[int, ...]] | dict[int, tuple[int, ...]],
     first: list[int],
@@ -498,14 +536,16 @@ def _sides_by_columns(
 ) -> list[int] | None:
     """Cell sides per dart when every p-gon is a face of `succ`, else None.
 
-    The sides are taken one column at a time, a dart per cell: side 0 is
-    looked up, side j is succ of side j - 1 and must end at the cell's vertex
-    j + 1, and succ of side p - 1 must end at vertex 1, so it is side 0.
+    The cells are `flat`, p ids each, and column j is `flat[j::p]`.  The
+    sides are taken one column at a time, a dart per cell: side 0 is looked
+    up, side j is succ of side j - 1 and must end at the cell's vertex j + 1,
+    and succ of side p - 1 must end at vertex 1, so it is side 0.
     """
     col = array("q")
     try:
-        for lo in range(0, len(cells), _BLOCK):
-            col.extend([at[c[0]].index(c[1]) + first[c[0]] for c in cells[lo : lo + _BLOCK]])
+        for lo in range(0, len(flat), _BLOCK * p):
+            block = flat[lo : lo + _BLOCK * p]
+            col.extend([at[a].index(b) + first[a] for a, b in zip(block[::p], block[1::p])])
     except ValueError:  # a first side that is no dart, or names a stranger
         return None
     sides = [0] * len(succ)
@@ -513,7 +553,7 @@ def _sides_by_columns(
         for d in col:
             sides[d] += 1
         col = array("q", map(succ.__getitem__, col))
-        if not all(map(eq, map(heads.__getitem__, col), map(itemgetter((j + 1) % p), cells))):
+        if not all(map(eq, map(heads.__getitem__, col), flat[(j + 1) % p :: p])):
             return None
     return sides
 

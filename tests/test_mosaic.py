@@ -14,6 +14,7 @@ from mosaicforest.mosaic import (
     Mosaic,
     ValidationReport,
     _Builder,
+    _Cells,
     build,
     text_blocks,
     validate,
@@ -70,9 +71,10 @@ class ReferenceBuilder(_Builder):
     it at each of its vertices, so `ncells` is exact everywhere.  It keeps
     the state the lean builder derives: those counts, and `down2`, the
     second lower neighbour of each p = 3 tip that has one, which its own
-    `finish` reads.  It shares `_Builder`'s `ids`, `down`, `rot`, `cells`,
-    `layers` and `belt_sizes`, but keeps its own `close_belt`, which writes
-    no rotation: its `next_belt` and `finish` write each one once.
+    `finish` reads.  It shares `_Builder`'s `ids`, `down`, `rot`, `layers`
+    and `belt_sizes`, but keeps its own `close_belt`, which writes no
+    rotation: its `next_belt` and `finish` write each one once.  Its `cells`
+    is a list of tuples, so no cell writer is shared with `_Builder`'s flat list.
     """
 
     def __init__(self, p: int, q: int, cap: int):
@@ -333,7 +335,7 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
         reference.next_belt()
     r = reference.finish(symbol)
     assert (lean.rot, lean.cells, lean.layers, lean.belt_sizes) == (
-        r.rot, r.cells, r.layers, r.belt_sizes
+        r.rot, list(chain.from_iterable(r.cells)), r.layers, r.belt_sizes
     )
 
 
@@ -353,7 +355,7 @@ def test_each_closed_belt_is_a_finished_map(p, q, belts):
             b.next_belt()
         m = build(symbol, i)
         assert (b.rot, b.cells, b.layers, b.belt_sizes) == (
-            m.rot, m.cells, m.layers, m.belt_sizes
+            m.rot, list(chain.from_iterable(m.cells)), m.layers, m.belt_sizes
         ), i
 
 
@@ -607,6 +609,7 @@ CORRUPTIONS = {
 def test_corrupted_mosaic_fails_validation_naming_vertex(corruption):
     corrupt, failing = CORRUPTIONS[corruption]
     m = build(SchlafliSymbol(4, 5), 3)
+    m.cells = list(m.cells)  # the built view is read-only
     named = corrupt(m) or {}
     report = validate(m)
     assert [c.name for c in report.checks] == CHECKS
@@ -619,6 +622,7 @@ def test_corrupted_mosaic_fails_validation_naming_vertex(corruption):
 
 def test_edge_coverage_names_the_lowest_dart():
     m = build(SchlafliSymbol(4, 5), 3)
+    m.cells = list(m.cells)  # the built view is read-only
     seed, tip, _, next_tip = m.cells.pop(3)
     # both seed edges of the dropped cell lose a side; tip precedes next_tip
     # in the seed's rotation, so (seed, tip) is the lower dart
@@ -627,10 +631,61 @@ def test_edge_coverage_names_the_lowest_dart():
     assert failures["edge-coverage"] == f"edge ({seed}, {tip}): 1 cells, expected 2"
 
 
+# the corruptions that leave some cell with other than p entries, which a
+# flat p-strided list cannot hold
+RAGGED = {"empty-cell", "one-vertex-cell"}
+
+
+def _with_cells(m: Mosaic, cells) -> Mosaic:
+    """A copy of `m` with its own rotation, layer and belt lists and `cells`."""
+    return Mosaic(m.symbol, list(m.rot), list(m.layers), cells, list(m.belt_sizes))
+
+
+@pytest.mark.parametrize("corruption", sorted(set(CORRUPTIONS) - RAGGED))
+def test_corrupted_view_and_list_of_tuples_get_the_same_report(corruption):
+    # the column route reads a built view's flat list and a flattened list
+    # of tuples the same way, corrupted or not
+    m = build(SchlafliSymbol(4, 5), 3)
+    listed = _with_cells(m, list(m.cells))
+    CORRUPTIONS[corruption][0](listed)
+    assert all(len(c) == 4 for c in listed.cells)
+    viewed = _with_cells(listed, _Cells(list(chain.from_iterable(listed.cells)), 4))
+    assert str(validate(viewed)) == str(validate(listed))
+
+
 CONVENTION_BUILDS = [
     (4, 5, 5), (5, 4, 5), (6, 6, 4), (4, 4, 6), (3, 7, 6),
     (3, 8, 5), (3, 12, 4), (7, 3, 5), (6, 3, 5), (10, 3, 4),
 ]
+
+
+@pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
+def test_cells_view_reads_like_the_list_of_tuples(p, q, belts):
+    m = build(SchlafliSymbol(p, q), belts)
+    cells = list(m.cells)
+    n = len(cells)
+    assert len(m.cells) == n == sum(m.belt_sizes)
+    assert all(type(c) is tuple and len(c) == p for c in cells)
+    assert (m.cells[-1], m.cells[-n]) == (cells[-1], cells[0])
+    for k in (n, -n - 1):
+        with pytest.raises(IndexError):
+            m.cells[k]
+    starts = list(accumulate(m.belt_sizes, initial=0))
+    for lo, hi in zip(starts, starts[1:]):
+        assert m.cells[lo:hi] == cells[lo:hi]
+    assert type(m.cells[:1]) is list and m.cells[::-3] == cells[::-3]
+    assert m.cells == cells and cells == m.cells
+    assert m.cells != cells[:-1] and cells[1:] != m.cells
+    with pytest.raises(TypeError):
+        m.cells[0] = cells[0]
+
+
+@pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
+def test_built_view_and_list_of_tuples_get_the_same_report(p, q, belts):
+    m = build(SchlafliSymbol(p, q), belts)
+    report = str(validate(m))
+    assert report == str(validate(_with_cells(m, list(m.cells))))
+    assert "FAIL" not in report
 
 
 @pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
@@ -935,6 +990,18 @@ def test_build_peak_memory_is_at_most_170_bytes_per_vertex():
     finally:
         tracemalloc.stop()
     assert peak <= 170 * m.vertex_count, f"{peak / m.vertex_count:.0f} B per vertex"
+
+
+def test_triangle_build_peak_memory_is_at_most_200_bytes_per_vertex():
+    # the p = 3 branch makes more cells per vertex, so it gains most from
+    # storing them as one flat list of ids; a tuple per cell took about 240
+    tracemalloc.start()
+    try:
+        m = build(SchlafliSymbol(3, 7), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * m.vertex_count, f"{peak / m.vertex_count:.0f} B per vertex"
 
 
 B = _TEXT_BLOCK

@@ -99,6 +99,13 @@ SWEEP = "*run[n2 - 1 : inner : n2]"
             mosaic_mod._Builder, "close_belt", "(u, w) if d < 0", "(w, u) if d < 0",
             (["rotation-faces"], []), id="builder-turn",
         ),
+        # builder: a fan's closing cell lists its tip before its vertex, so
+        # it runs clockwise; cross_check reads no cells and does not see it
+        pytest.param(
+            mosaic_mod._Builder, "next_belt", "cells += (v, carry, *top, *back)",
+            "cells += (carry, v, *top, *back)",
+            (["rotation-faces", "edge-coverage"], []), id="builder-closing-cell",
+        ),
         # grower: a new root is filed one level too low
         pytest.param(
             forest_mod, "grow", "root_level[v] = i\n", "root_level[v] = i - 1\n",

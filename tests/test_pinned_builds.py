@@ -28,10 +28,10 @@ PINNED = {
 
 def _pinned_parts(p: int, q: int, belts: int) -> tuple:
     m = build(SchlafliSymbol(p, q), belts)
-    # the lists the digests were recorded from: each layer's ids, each vertex's layer
+    # the lists the digests were recorded from: the cells, each layer's ids, each vertex's layer
     layers = [list(layer) for layer in m.layers]
     level_of = [i for i, layer in enumerate(layers) for _ in layer]
-    parts = ([list(r) for r in m.rot], m.cells, layers, m.belt_sizes, level_of)
+    parts = ([list(r) for r in m.rot], list(m.cells), layers, m.belt_sizes, level_of)
     if q == 3:
         return parts  # no forest grows on a q = 3 mosaic
     f = grow(m, allow_triangles=p == 3)
