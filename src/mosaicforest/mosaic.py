@@ -41,8 +41,8 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, count, islice
-from operator import add, contains, eq, ne
+from itertools import accumulate, chain, islice
+from operator import add, eq
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
 from .recurrence import Geometry, SchlafliSymbol
@@ -306,6 +306,11 @@ class ValidationReport:
         )
 
 
+_CHECKS = (
+    "cell-size", "interior-degree", "rotation-faces", "boundary-cycle", "edge-coverage", "euler"
+)
+
+
 def validate(mosaic: Mosaic) -> ValidationReport:
     """Run the structural invariant checks and report each outcome.
 
@@ -316,261 +321,210 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     first[u] + i.  A malformed map (say, a neighbour listed on one side only,
     or an id that names no vertex) fails a check; it never raises.
 
-    The per-dart maps are `array('q')`s.  Passes over whole arrays decide
-    whether the darts pair up into edges, whether every cell is a face and
-    whether every edge lies on its count of cells; only a failed pass is
-    followed by a scan for the lowest offender.  Every map, malformed or
-    not, takes the same pairing and coverage route: a dart whose head does
-    not list its tail has reverse -1, and a dart on no edge counts no cell.
-    Only the count of cell sides per dart has a fallback, a cell at a time,
-    for cells that cannot be read as columns of faces.  The cells are one flat
-    list of ids, a built view's own or a list of tuples flattened once.
+    A verdict, `_holds`, decides by passes over whole arrays whether every
+    check passes; only when one fails does `_explain` name the offenders.
+    """
+    if _holds(mosaic):
+        return ValidationReport(tuple(CheckResult(name, True) for name in _CHECKS))
+    return _explain(mosaic)
+
+
+def _holds(mosaic: Mosaic) -> bool:
+    """Whether `mosaic` passes every check of `validate`; False at the first failed pass.
+
+    The per-dart maps are `array('q')`s filled a block at a time; the cells
+    are one flat list of ids, a built view's own or a list of tuples
+    flattened once.  No pass names an offender, and none walks the outer
+    face: once rev pairs the darts, each cell is a face of p distinct ids,
+    no dart is on two cells and each edge on its count of cells, the darts
+    on no cell are one per boundary step and make one face round the layer.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
     n = len(rot)
     heads = list(chain.from_iterable(rot))
     darts = len(heads)
-    if isinstance(cells, _Cells) and cells.p == p:
-        flat, columns = cells.flat, True
-    else:
-        flat = list(chain.from_iterable(cells))
-        columns = all(map(p.__eq__, map(len, cells)))
-    checks: list[CheckResult] = []
-
-    def report(name: str, failure: str | None) -> None:
-        checks.append(CheckResult(name, failure is None, failure or ""))
-
-    # an id that names no vertex reads as a vertex with no neighbours and no
-    # cells: at[v] is the rotation of v, () for such an id; this check runs
-    # before any id enters a typed array
-    if all(0 <= min(ids) and max(ids) < n for ids in (heads, outer, flat) if ids):
-        strangers: set[int] = set()
-        at, cells_at = rot, [0] * n
-    else:
-        strangers = {v for v in chain(heads, outer, flat) if not 0 <= v < n}
-        at = dict(enumerate(rot)) | dict.fromkeys(strangers, ())
-        cells_at = dict.fromkeys(chain(range(n), strangers), 0)
-
-    # cells of p entries each can be read as p columns (see _sides_by_columns)
-    if columns and not strangers and all(map(p.__eq__, map(len, map(set, cells)))):
-        failure = None
-    else:
-        misfits = (
-            c for c in cells if len(c) != p or len(set(c)) != p or not strangers.isdisjoint(c)
-        )
-        bad = next(misfits, None)
-        if bad is None:
-            failure = None
-        elif strangers.isdisjoint(bad):
-            failure = f"cell {bad} is not a {p}-gon"
-        else:
-            stranger = next(v for v in bad if v in strangers)
-            failure = f"cell {bad} names {stranger}, outside 0..{n - 1}"
-    report("cell-size", failure)
-
+    built = isinstance(cells, _Cells) and cells.p == p
+    flat = cells.flat if built else list(chain.from_iterable(cells))
+    if not all(0 <= min(ids) and max(ids) < n for ids in (heads, outer, flat) if ids):
+        return False  # first: no later pass may index by, or store, an id outside 0..n-1
+    if len(flat) != p * len(cells) or not all(map(p.__eq__, map(len, map(set, cells)))):
+        return False
+    cells_at = [0] * n
     for v in flat:
         cells_at[v] += 1
     # the interior is every layer below the outer one: the ids before it
-    interior = range(n)[: n - len(outer)]
-    v = next((v for v in interior if len(rot[v]) != q or cells_at[v] != q), None)
-    report(
-        "interior-degree",
-        None
-        if v is None
-        else f"vertex {v} has degree {len(rot[v])} and {cells_at[v]} cells (expected {q})",
-    )
+    if not all(len(rot[v]) == q and cells_at[v] == q for v in range(n)[: n - len(outer)]):
+        return False
     del cells_at
 
-    # per vertex, not per dart: a list indexes faster than an array
+    # rev[d] is the dart back along d, at the first entry of d's tail in the
+    # head's rotation.  A head that lists a tail twice sends two darts to
+    # one, so rev pairs the darts of each edge exactly when it reaches all.
     first = list(accumulate(map(len, rot), initial=0))
-
-    def dart(d: int) -> tuple[int, int]:
-        return bisect_right(first, d) - 1, heads[d]
-
-    rev, succ, broken = _dart_maps(rot, at, heads, first)
-
-    # sides[d] counts the cell sides along dart d; a cell is a face when the
-    # successor map chains its sides in order and no other side shares them
-    sides = None
-    if columns and broken is None:
-        sides = _sides_by_columns(flat, p, at, first, heads, succ)
-    stray = bad = None
-    if sides is None:
-        sides = [0] * darts
-        for vs in cells:
-            ds = [
-                first[a] + at[a].index(b) if b in at[a] else -1
-                for a, b in zip(vs, vs[1:] + vs[:1])
-            ]
-            if -1 in ds:
-                k = ds.index(-1)
-                stray = stray or tuple(sorted((vs[k], vs[(k + 1) % len(vs)])))
-                bad = bad or vs
-                ds = [d for d in ds if d >= 0]
-            elif bad is None and broken is None and [succ[d] for d in ds] != ds[1:] + ds[:1]:
-                bad = vs
-            for d in ds:
-                sides[d] += 1
-
-    # the outer layer as one mark per vertex; all 0 when it names a stranger
-    on_outer = bytearray(n)
-    if not strangers or strangers.isdisjoint(outer):
-        for v in outer:
-            on_outer[v] = 1
-
-    if broken is not None:
-        u, v = dart(broken)
-        fault = f"{v} does not list {u}" if rev[broken] < 0 else f"{u} lists {v} twice"
-        if v in strangers:
-            fault = f"{v} is outside 0..{n - 1}"
-        failure = f"dart ({u}, {v}): {fault}"
-    elif bad is not None:
-        failure = f"cell {bad} is not a face of the rotation system"
-    elif max(sides, default=0) > 1:
-        d = next(d for d, k in enumerate(sides) if k > 1)
-        failure = f"dart {dart(d)} lies on {sides[d]} cells"
-    else:
-        # the darts on no cell must form one face: the outer one, which meets
-        # the outer vertices and no other
-        free = sides.count(0)
-        walk = _face(succ, sides.index(0)) if free else array("q")
-        on_walk = bytearray(n)
-        for d in walk:
-            on_walk[heads[d]] = 1
-        face = len(walk) == free == len(outer) and on_walk == on_outer
-        failure = None if face else f"the {free} darts on no cell are not the outer face"
-    report("rotation-faces", failure)
-
-    # the dart of each step a -> b along the outer cycle that a lists; a
-    # stranger on the cycle lists nothing, so its step is missing
-    ahead = chain(outer[1:], outer[:1])
-    steps = array("q", (first[a] + at[a].index(b) for a, b in zip(outer, ahead) if b in at[a]))
-    simple = len(steps) == len(outer) == on_outer.count(1)
-    report("boundary-cycle", None if simple else "outer boundary is not a simple adjacent cycle")
-
-    # an edge is a pair of darts that are each other's reverse, and each of
-    # its darts wants its count of cells: 1 on a boundary step, else 2.
-    # Tails ascend with the dart index, so the lowest miscounted dart names
-    # its edge from u < v.
-    loose: list[int] = []
-    if broken is not None or any(map(contains, rot, range(n))):
-        # a one-sided, repeated or self-listed entry lies on no edge: its dart
-        # becomes its own reverse, on no cell and wanting none
-        loose = [d for d, e in enumerate(rev) if e < 0 or e == d or rev[e] != d]
-        rev, sides = rev[:], sides[:]
-        for d in loose:
-            rev[d] = d
-            sides[d] = 0
-    edges = (darts - len(loose)) // 2
-    want = bytearray(b"\2") * darts
-    for d in steps:
-        want[d] = want[rev[d]] = 1
-    for d in loose:
-        want[d] = 0
-    d = _first_miscounted(sides, rev, want)
-    failure = None
-    if d is not None:
-        failure = f"edge {dart(d)}: {sides[d] + sides[rev[d]]} cells, expected {want[d]}"
-    if failure is None and stray is not None:
-        failure = f"edge {stray}: a cell side with no rotation edge"
-    report("edge-coverage", failure)
-
-    v_, e_, f_ = mosaic.vertex_count, edges, len(cells) + 1
-    report("euler", None if v_ - e_ + f_ == 2 else f"V-E+F = {v_}-{e_}+{f_} != 2")
-
-    return ValidationReport(tuple(checks))
-
-
-def _dart_maps(
-    rot: list[tuple[int, ...]],
-    at: list[tuple[int, ...]] | dict[int, tuple[int, ...]],
-    heads: list[int],
-    first: list[int],
-) -> tuple[array, array | None, int | None]:
-    """`validate`'s rev and succ, and the lowest dart that rev does not pair.
-
-    rev[d] is the dart back along d, at the first entry of d's tail in the
-    head's rotation, or -1 where the head (`at[v]` for head v) does not list
-    the tail.  Faces turn clockwise at the head: succ[d] is the dart just
-    before rev[d] there; it is made only when rev pairs every dart.  Both are
-    filled a block at a time, so no list of ints longer than a block is made.
-    """
-    n, darts = len(rot), len(heads)
     rev = array("q")
-    for lo in range(0, n, _BLOCK):
-        tails = range(lo, min(lo + _BLOCK, n))
-        # the index comes first: a stranger head raises ValueError before
-        # it can index `first`
-        try:
-            block = [at[v].index(u) + first[v] for u in tails for v in rot[u]]
-        except ValueError:  # a head that does not list its tail
-            block = [at[v].index(u) + first[v] if u in at[v] else -1 for u in tails for v in rot[u]]
-        rev.extend(block)
-    # a head that lists a tail twice sends two darts to one, and a -1 marks
-    # only the extra slot past the last dart; either leaves a dart unreached,
-    # so rev pairs the darts of each edge exactly when it reaches every dart
-    reached = bytearray(darts + 1)
+    try:
+        for lo in range(0, n, _BLOCK):
+            tails = range(lo, min(lo + _BLOCK, n))
+            rev.extend([rot[v].index(u) + first[v] for u in tails for v in rot[u]])
+    except ValueError:  # a head that does not list its tail
+        return False
+    reached = bytearray(darts)
     for e in rev:
         reached[e] = 1
-    if reached.index(0) < darts:
-        # the lowest dart d with rev[rev[d]] != d.  Where rev[d] is -1 this
-        # reads rev[-1], the last dart's reverse, and that is never d: d
-        # would then run back along the last dart, so d's head would list
-        # d's tail.
-        return rev, None, next(compress(count(), map(ne, map(rev.__getitem__, rev), count())))
+    if 0 in reached:
+        return False
+    del reached
+    # faces turn clockwise at the head: succ[d] is the dart just before rev[d] there
     succ = array("q")
     for lo in range(0, darts, _BLOCK):
         ends = zip(rev[lo : lo + _BLOCK], heads[lo : lo + _BLOCK])
         succ.extend([e - 1 if e > first[v] else first[v + 1] - 1 for e, v in ends])
-    return rev, succ, None
 
-
-def _sides_by_columns(
-    flat: list[int],
-    p: int,
-    at: list[tuple[int, ...]] | dict[int, tuple[int, ...]],
-    first: list[int],
-    heads: list[int],
-    succ: array,
-) -> list[int] | None:
-    """Cell sides per dart when every p-gon is a face of `succ`, else None.
-
-    The cells are `flat`, p ids each, and column j is `flat[j::p]`.  The
-    sides are taken one column at a time, a dart per cell: side 0 is looked
-    up, side j is succ of side j - 1 and must end at the cell's vertex j + 1,
-    and succ of side p - 1 must end at vertex 1, so it is side 0.
-    """
+    # each cell is a face, a column of cells at a time (column j is flat[j::p]):
+    # side 0 is looked up, side j is succ of side j - 1 and ends at the cell's
+    # vertex j + 1, and succ of side p - 1 ends at vertex 1, so it is side 0
     col = array("q")
     try:
         for lo in range(0, len(flat), _BLOCK * p):
             block = flat[lo : lo + _BLOCK * p]
-            col.extend([at[a].index(b) + first[a] for a, b in zip(block[::p], block[1::p])])
-    except ValueError:  # a first side that is no dart, or names a stranger
-        return None
-    sides = [0] * len(succ)
+            col.extend([rot[a].index(b) + first[a] for a, b in zip(block[::p], block[1::p])])
+    except ValueError:  # a first side that is no dart
+        return False
+    sides = [0] * darts  # the cell sides along each dart
     for j in range(1, p + 1):
         for d in col:
             sides[d] += 1
         col = array("q", map(succ.__getitem__, col))
         if not all(map(eq, map(heads.__getitem__, col), flat[(j + 1) % p :: p])):
-            return None
-    return sides
+            return False
+    del col
+    if max(sides, default=0) > 1:
+        return False
+
+    # the outer layer is a cycle of distinct vertices along darts
+    on_outer = bytearray(n)
+    for v in outer:
+        on_outer[v] = 1
+    if on_outer.count(1) != len(outer):
+        return False
+    ahead = chain(outer[1:], outer[:1])
+    try:
+        steps = array("q", (rot[a].index(b) + first[a] for a, b in zip(outer, ahead)))
+    except ValueError:  # a step that is no dart
+        return False
+    # each edge is on 1 cell if a boundary step runs along it, else on 2; a
+    # self-loop is its own reverse and no cell's side, so it is on none
+    want = bytearray(b"\2") * darts
+    for d in steps:
+        want[d] = want[rev[d]] = 1
+    if not all(map(eq, map(add, sides, map(sides.__getitem__, rev)), want)):
+        return False
+    return n - darts // 2 + len(cells) + 1 == 2
 
 
-def _face(succ: array, start: int) -> array:
-    """The darts of the face through `start`, in successor order from it."""
-    walk = array("q", [start])
-    d = succ[start]
-    while d != start:
-        walk.append(d)
-        d = succ[d]
-    return walk
+def _explain(mosaic: Mosaic) -> ValidationReport:
+    """`validate`'s report, each failed check naming its lowest offender.
 
+    One plain route, a cell side at a time.  An id that names no vertex reads
+    as a vertex with no neighbours and no cells: at[v] is its rotation, ()
+    for such an id.  rev and succ are `array('q')`s; rev[d] is -1 where the
+    head does not list the tail.  Tails ascend with the dart index, so an
+    edge's lower dart names it from u <= v.
+    """
+    p, q = mosaic.symbol.p, mosaic.symbol.q
+    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
+    n = len(rot)
+    heads = list(chain.from_iterable(rot))
+    strangers = {v for v in chain(heads, outer, chain.from_iterable(cells)) if not 0 <= v < n}
+    at = dict(enumerate(rot)) | dict.fromkeys(strangers, ()) if strangers else rot
+    cells_at = dict.fromkeys(chain(range(n), strangers), 0) if strangers else [0] * n
+    failures: list[str | None] = []  # per check, what fails it, or None
 
-def _first_miscounted(sides: list[int], rev: array, want: bytearray) -> int | None:
-    """The lowest dart d with sides[d] + sides[rev[d]] != want[d], if any."""
-    if all(map(eq, map(add, sides, map(sides.__getitem__, rev)), want)):
-        return None
-    covered = map(add, sides, map(sides.__getitem__, rev))
-    return next(compress(count(), map(ne, covered, want)))
+    bad = next((c for c in cells if len(c) != p or len(set(c)) != p or strangers & set(c)), None)
+    named = next((v for v in bad or () if v in strangers), None)
+    failures.append(
+        None if bad is None
+        else f"cell {bad} is not a {p}-gon" if named is None
+        else f"cell {bad} names {named}, outside 0..{n - 1}"
+    )
+    for v in chain.from_iterable(cells):
+        cells_at[v] += 1
+    v = next((v for v in range(n)[: n - len(outer)] if len(rot[v]) != q or cells_at[v] != q), None)
+    failures.append(
+        None if v is None
+        else f"vertex {v} has degree {len(rot[v])} and {cells_at[v]} cells (expected {q})"
+    )
+
+    first = list(accumulate(map(len, rot), initial=0))
+
+    def dart(d: int) -> tuple[int, int]:
+        return bisect_right(first, d) - 1, heads[d]
+
+    listed = (first[v] + at[v].index(u) if u in at[v] else -1 for u in range(n) for v in rot[u])
+    rev = array("q", listed)
+    broken = next((d for d, e in enumerate(rev) if e < 0 or rev[e] != d), None)
+    if broken is None:
+        # faces turn clockwise at the head: the dart just before rev[d] there
+        succ = array("q", (e - 1 if e > first[v] else first[v + 1] - 1 for e, v in zip(rev, heads)))
+
+    # sides[d] counts the cell sides along dart d; a cell is a face when the
+    # successor map chains its sides in order and no other side shares them
+    sides = [0] * len(rev)
+    stray = bad = None
+    for vs in cells:
+        ds = [first[a] + at[a].index(b) if b in at[a] else -1 for a, b in zip(vs, vs[1:] + vs[:1])]
+        if -1 in ds:
+            k = ds.index(-1)
+            stray = stray or tuple(sorted((vs[k], vs[(k + 1) % len(vs)])))
+            bad = bad or vs
+            ds = [d for d in ds if d >= 0]
+        elif bad is None and broken is None and [succ[d] for d in ds] != ds[1:] + ds[:1]:
+            bad = vs
+        for d in ds:
+            sides[d] += 1
+
+    if broken is not None:
+        u, v = dart(broken)
+        fault = f"{v} does not list {u}" if rev[broken] < 0 else f"{u} lists {v} twice"
+        fault = f"{v} is outside 0..{n - 1}" if v in strangers else fault
+        failures.append(f"dart ({u}, {v}): {fault}")
+    elif bad is not None:
+        failures.append(f"cell {bad} is not a face of the rotation system")
+    elif max(sides, default=0) > 1:
+        d = next(d for d, k in enumerate(sides) if k > 1)
+        failures.append(f"dart {dart(d)} lies on {sides[d]} cells")
+    else:
+        # the darts on no cell must form one face, the outer one, on the outer vertices
+        free = sides.count(0)
+        walk = [sides.index(0)] if free else []
+        while walk and succ[walk[-1]] != walk[0]:
+            walk.append(succ[walk[-1]])
+        face = len(walk) == free == len(outer) and {heads[d] for d in walk} == set(outer)
+        failures.append(None if face else f"the {free} darts on no cell are not the outer face")
+
+    ahead = [*outer[1:], *outer[:1]]
+    simple = len(outer) == len(set(outer)) and all(b in at[a] for a, b in zip(outer, ahead))
+    failures.append(None if simple else "outer boundary is not a simple adjacent cycle")
+
+    # an edge is a pair of darts that are each other's reverse; it wants 1
+    # cell if a boundary step runs along it, else 2
+    on_boundary = bytearray(len(rev))
+    for a, b in zip(outer, ahead):
+        if b in at[a]:
+            on_boundary[first[a] + at[a].index(b)] = 1
+    edges, failure = 0, None
+    for d, e in enumerate(rev):
+        if d < e and rev[e] == d:
+            edges += 1
+            got, want = sides[d] + sides[e], 2 - (on_boundary[d] | on_boundary[e])
+            if got != want and failure is None:
+                failure = f"edge {dart(d)}: {got} cells, expected {want}"
+    if failure is None and stray is not None:
+        failure = f"edge {stray}: a cell side with no rotation edge"
+    failures.append(failure)
+    faces = len(cells) + 1
+    failures.append(None if n - edges + faces == 2 else f"V-E+F = {n}-{edges}+{faces} != 2")
+    return ValidationReport(
+        tuple(CheckResult(name, f is None, f or "") for name, f in zip(_CHECKS, failures))
+    )

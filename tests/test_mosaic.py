@@ -15,6 +15,7 @@ from mosaicforest.mosaic import (
     ValidationReport,
     _Builder,
     _Cells,
+    _explain,
     build,
     text_blocks,
     validate,
@@ -530,6 +531,118 @@ def _outer_self_loop(m):
     m.rot[51] += (51,)
 
 
+# The corruptions below each fail a single pass of `validate`'s verdict
+# (`mosaic._holds`); `tests/test_mutants.py` drops each pass in turn and
+# pins the row that catches it.  Some replace the map outright with a small
+# one that no other pass rejects.
+
+
+def _relabel(tuples, to):
+    return [tuple(map(to, t)) for t in tuples]
+
+
+def _wrong_symbol(m):
+    # the {4,5} map read as a map of {4,6}: every interior vertex is short
+    m.symbol = SchlafliSymbol(m.symbol.p, m.symbol.q + 1)
+
+
+def _regroup_cells(m):
+    # the same ids in the same order, one cell a vertex longer and the next
+    # one shorter, so the flat list of ids is unchanged
+    a, b = m.cells[7], m.cells[8]
+    m.cells[7:9] = [a + b[:1], b[1:]]
+
+
+def _cross_cell(m):
+    # a cell's second and third vertices swap: its first side is a diagonal
+    a, b, c, *rest = m.cells[7]
+    m.cells[7] = (a, c, b, *rest)
+
+
+def _swap_last_two_cell_vertices(m):
+    # the first side stays a side of the cell's face, and the face goes on
+    *rest, c, d = m.cells[7]
+    m.cells[7] = (*rest, d, c)
+
+
+def _outer_layer_cuts_a_corner(m):
+    # the outer layer runs through a cell's first vertex in place of its
+    # third, a corner on that cell alone: still a cycle of distinct vertices
+    # along darts, but two boundary edges lose their step
+    v, _, corner, _ = [c for c in m.cells if len(m.rot[c[2]]) == 2][0]
+    outer = list(m.layers[-1])
+    outer[outer.index(corner)] = v
+    m.layers[-1] = outer
+
+
+def _torus(first):
+    """The 4 x 4 square grid on a torus, ids first..first + 15: its rotations
+    (east, north, west, south) and its black and its white squares."""
+
+    def at(x, y):
+        return first + x % 4 + 4 * (y % 4)
+
+    rot = [(at(x + 1, y), at(x, y + 1), at(x - 1, y), at(x, y - 1)) for y in range(4) for x in range(4)]
+    squares = [[], []]
+    for y in range(4):
+        for x in range(4):
+            squares[(x + y) % 2].append((at(x, y), at(x + 1, y), at(x + 1, y + 1), at(x, y + 1)))
+    return rot, *squares
+
+
+def _closed_torus(m):
+    # every vertex and edge is right, but a closed surface has no outer
+    # face for Euler's formula to count
+    rot, black, white = _torus(0)
+    m.symbol = SchlafliSymbol(4, 4)
+    m.rot[:], m.cells[:], m.layers[:] = rot, black + white, [range(1), []]
+
+
+def _torus_with_doubled_squares(m):
+    # a one-belt {4,4} patch beside a torus whose black squares are each
+    # listed twice and whose white squares are on no cell: the counts, the
+    # coverage and Euler's formula hold, and only the darts on two cells
+    # give it away.  The seed keeps id 0, the torus takes 1..16, the ring 17..24
+    patch = build(SchlafliSymbol(4, 4), 1)
+    rot, black, _ = _torus(1)
+
+    def shift(v):
+        return v + 16 if v else 0
+
+    m.symbol = SchlafliSymbol(4, 4)
+    m.rot[:] = _relabel(patch.rot[:1], shift) + rot + _relabel(patch.rot[1:], shift)
+    m.cells[:] = _relabel(patch.cells, shift) + black * 2
+    m.layers[:] = [range(1), [shift(v) for v in patch.layers[1]]]
+
+
+def _two_patches_at_a_corner(m):
+    # two one-belt {4,4} patches share ring corner 2, and the outer layer
+    # passes it twice; the second patch's seed, 10, is on no interior id.
+    # At the corner each patch's cell turns from the previous ring vertex to
+    # the next, and the outer face crosses from one patch to the other.
+    a = build(SchlafliSymbol(4, 4), 1)
+    to_b = {0: 10, 2: 2} | {v: 8 + v for v in (1, 3, 4, 5, 6, 7, 8)}
+    rot = a.rot + [()] * 8
+    for v, r in enumerate(a.rot):
+        rot[to_b[v]] = tuple(map(to_b.get, r))
+    rot[2] = (3, 1, 11, 9)
+    m.symbol = SchlafliSymbol(4, 4)
+    m.rot[:] = rot
+    m.cells[:] = list(a.cells) + _relabel(a.cells, to_b.get)
+    m.layers[:] = [range(1), [*range(2, 9), 1, 2, *range(11, 17), 9]]
+
+
+def _tetrahedron_with_doubled_outer_edges(m):
+    # the outer layer is one face of a tetrahedron, and each outer edge is
+    # listed again right after itself at one end.  The cells take the second
+    # entries and the first lie on no cell; the counts, the coverage and
+    # Euler's formula over darts hold, but no dart runs back along a second entry.
+    m.symbol = SchlafliSymbol(3, 3)
+    m.rot[:] = [(1, 2, 3), (2, 2, 0, 3), (0, 1, 3, 3), (0, 2, 1, 1)]
+    m.cells[:] = [(0, 1, 2), (0, 2, 3), (0, 3, 1), (1, 3, 2)]
+    m.layers[:] = [range(1), [1, 2, 3]]
+
+
 CHECKS = [
     "cell-size",
     "interior-degree",
@@ -540,7 +653,8 @@ CHECKS = [
 ]
 
 
-# corruption of build({4,5}, 3) -> the names of the checks it fails
+# corruption of build({4,5}, 3) -> the names of the checks it fails, as
+# reference_validate reports them
 CORRUPTIONS = {
     "swap-rotation-entries": (_swap_rotation_entries, ["rotation-faces"]),
     "repeat-vertex-in-cell": (
@@ -602,6 +716,21 @@ CORRUPTIONS = {
     ),
     "outer-step-one-sided": (_outer_step_one_sided, ["rotation-faces", "euler"]),
     "outer-self-loop": (_outer_self_loop, ["rotation-faces"]),
+    "wrong-symbol": (_wrong_symbol, ["interior-degree"]),
+    "regroup-cells": (_regroup_cells, ["cell-size", "rotation-faces", "edge-coverage"]),
+    "cross-cell": (_cross_cell, ["rotation-faces", "edge-coverage"]),
+    "swap-last-two-cell-vertices": (
+        _swap_last_two_cell_vertices,
+        ["rotation-faces", "edge-coverage"],
+    ),
+    "outer-layer-cuts-a-corner": (_outer_layer_cuts_a_corner, ["rotation-faces", "edge-coverage"]),
+    "closed-torus": (_closed_torus, ["euler"]),
+    "torus-with-doubled-squares": (_torus_with_doubled_squares, ["rotation-faces"]),
+    "two-patches-at-a-corner": (_two_patches_at_a_corner, ["boundary-cycle"]),
+    "tetrahedron-with-doubled-outer-edges": (
+        _tetrahedron_with_doubled_outer_edges,
+        ["rotation-faces", "edge-coverage", "euler"],
+    ),
 }
 
 
@@ -612,6 +741,7 @@ def test_corrupted_mosaic_fails_validation_naming_vertex(corruption):
     m.cells = list(m.cells)  # the built view is read-only
     named = corrupt(m) or {}
     report = validate(m)
+    assert str(report) == str(reference_validate(m))
     assert [c.name for c in report.checks] == CHECKS
     assert [c.name for c in report.failures()] == failing, str(report)
     details = {c.name: c.detail for c in report.checks}
@@ -633,7 +763,7 @@ def test_edge_coverage_names_the_lowest_dart():
 
 # the corruptions that leave some cell with other than p entries, which a
 # flat p-strided list cannot hold
-RAGGED = {"empty-cell", "one-vertex-cell"}
+RAGGED = {"empty-cell", "one-vertex-cell", "regroup-cells"}
 
 
 def _with_cells(m: Mosaic, cells) -> Mosaic:
@@ -643,13 +773,14 @@ def _with_cells(m: Mosaic, cells) -> Mosaic:
 
 @pytest.mark.parametrize("corruption", sorted(set(CORRUPTIONS) - RAGGED))
 def test_corrupted_view_and_list_of_tuples_get_the_same_report(corruption):
-    # the column route reads a built view's flat list and a flattened list
-    # of tuples the same way, corrupted or not
+    # the verdict reads a built view's flat list and a flattened list of
+    # tuples the same way, corrupted or not; some rows change the symbol
     m = build(SchlafliSymbol(4, 5), 3)
     listed = _with_cells(m, list(m.cells))
     CORRUPTIONS[corruption][0](listed)
-    assert all(len(c) == 4 for c in listed.cells)
-    viewed = _with_cells(listed, _Cells(list(chain.from_iterable(listed.cells)), 4))
+    p = listed.symbol.p
+    assert all(len(c) == p for c in listed.cells)
+    viewed = _with_cells(listed, _Cells(list(chain.from_iterable(listed.cells)), p))
     assert str(validate(viewed)) == str(validate(listed))
 
 
@@ -685,6 +816,25 @@ def test_built_view_and_list_of_tuples_get_the_same_report(p, q, belts):
     m = build(SchlafliSymbol(p, q), belts)
     report = str(validate(m))
     assert report == str(validate(_with_cells(m, list(m.cells))))
+    assert "FAIL" not in report
+
+
+@pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
+def test_clean_builds_never_reach_the_explainer(p, q, belts, monkeypatch):
+    # a verdict that wrongly rejected a good map would show only as a
+    # slower report that is still right
+    def explain(mosaic):
+        raise AssertionError("the verdict rejected a clean build")
+
+    monkeypatch.setattr("mosaicforest.mosaic._explain", explain)
+    assert validate(build(SchlafliSymbol(p, q), belts)).passed
+
+
+@pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
+def test_explainer_passes_a_clean_build_as_validate_does(p, q, belts):
+    m = build(SchlafliSymbol(p, q), belts)
+    report = str(_explain(m))
+    assert report == str(validate(m))
     assert "FAIL" not in report
 
 
@@ -970,6 +1120,27 @@ def test_validate_peak_memory_is_under_two_thirds_of_the_reference(p, q, belts):
             tracemalloc.stop()
     reference, lean = peaks
     assert lean <= 0.65 * reference, f"{lean / reference:.2f} of the reference peak"
+
+
+@pytest.mark.parametrize(
+    "corruption", ["sever-interior-edge", "reverse-cell", "vertex-outside-rotation", "empty-cell"]
+)
+def test_failing_report_peak_memory_is_at_most_the_reference(corruption):
+    # a failing map is reported a cell side at a time over array('q') maps:
+    # about 0.5-0.8 of the reference's peak here
+    m = build(SchlafliSymbol(6, 5), 4)
+    m.cells = list(m.cells)
+    CORRUPTIONS[corruption][0](m)
+    peaks = []
+    for check in (reference_validate, validate):
+        tracemalloc.start()
+        try:
+            assert not check(m).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    reference, explained = peaks
+    assert explained <= reference, f"{explained / reference:.2f} of the reference peak"
 
 
 # one symbol per builder branch: p >= 4 and q >= 4, p = 3, q = 3, Euclidean;

@@ -14,7 +14,7 @@ import textwrap
 
 import pytest
 from test_forest import _dot_counts_and_histograms, _spanning_text_agrees
-from test_mosaic import _edge_list_agrees
+from test_mosaic import CORRUPTIONS, _edge_list_agrees
 
 from mosaicforest import forest as forest_mod
 from mosaicforest import mosaic as mosaic_mod
@@ -179,3 +179,77 @@ def test_layer_mutant_makes_cross_check_raise(
     monkeypatch.setattr(owner, name, mutant(getattr(owner, name), old, new))
     with pytest.raises(error, match=message):
         _failures(p, q, levels)
+
+
+# validate's verdict, mosaic._holds, with one pass dropped, and the
+# CORRUPTIONS row that only that pass catches.  Where the pass catches an
+# exception (an id out of range, or `.index` finding no entry), validate
+# raises once it is gone; every other row then passes every check.
+VERDICT_PASSES = [
+    pytest.param(
+        "if not all(0 <= min(ids)", "if False and all(0 <= min(ids)",
+        "vertex-outside-outer-layer", IndexError, id="id-range",
+    ),
+    pytest.param(
+        "if len(flat) != p * len(cells) or not all(map(p.__eq__, map(len, map(set, cells)))):",
+        "if False:", "regroup-cells", None, id="cell-ids",
+    ),
+    pytest.param(
+        "len(rot[v]) == q and cells_at[v] == q", "True", "wrong-symbol", None, id="degree",
+    ),
+    pytest.param(
+        "except ValueError:  # a head that does not list its tail", "except ZeroDivisionError:",
+        "outer-step-one-sided", ValueError, id="reverse",
+    ),
+    pytest.param(
+        "if 0 in reached:", "if False:", "tetrahedron-with-doubled-outer-edges", None,
+        id="unreached-dart",
+    ),
+    pytest.param(
+        "except ValueError:  # a first side that is no dart", "except ZeroDivisionError:",
+        "cross-cell", ValueError, id="first-side",
+    ),
+    pytest.param(
+        "if not all(map(eq, map(heads.__getitem__", "if False and not all(map(eq, map(heads.__getitem__",
+        "swap-last-two-cell-vertices", None, id="face-column",
+    ),
+    pytest.param(
+        "if max(sides, default=0) > 1:", "if False:", "torus-with-doubled-squares", None,
+        id="two-cells",
+    ),
+    pytest.param(
+        "if on_outer.count(1) != len(outer):", "if False:", "two-patches-at-a-corner", None,
+        id="distinct-outer",
+    ),
+    pytest.param(
+        "except ValueError:  # a step that is no dart", "except ZeroDivisionError:",
+        "swap-outer-vertices", ValueError, id="outer-step",
+    ),
+    pytest.param(
+        "if not all(map(eq, map(add, sides", "if False and not all(map(eq, map(add, sides",
+        "outer-layer-cuts-a-corner", None, id="coverage",
+    ),
+    pytest.param(
+        "return n - darts // 2 + len(cells) + 1 == 2", "return True", "closed-torus", None,
+        id="euler",
+    ),
+]
+
+
+@pytest.mark.parametrize("old,new,row,error", VERDICT_PASSES)
+def test_verdict_without_a_pass_misses_its_row(old, new, row, error, monkeypatch):
+    corrupt, failing = CORRUPTIONS[row]
+
+    def validated():
+        m = build(SchlafliSymbol(4, 5), 3)
+        m.cells = list(m.cells)  # the built view is read-only
+        corrupt(m)
+        return mosaic_mod.validate(m)
+
+    assert [c.name for c in validated().failures()] == failing
+    monkeypatch.setattr(mosaic_mod, "_holds", mutant(mosaic_mod._holds, old, new))
+    if error is None:
+        assert validated().passed
+    else:
+        with pytest.raises(error):
+            validated()

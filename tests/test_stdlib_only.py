@@ -43,3 +43,31 @@ def test_every_imported_name_is_used_or_exported(path):
         used |= {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
     unused = imported - used
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
+
+
+def test_every_private_module_level_name_is_referenced():
+    # a private function, class or constant that nothing in the package
+    # names is left over; public methods the package does not call are not
+    # checked here
+    defined, referenced = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined += [(path.name, n) for n in names if n.startswith("_") and not n.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    unreferenced = [f"{module}: {name}" for module, name in defined if name not in referenced]
+    assert not unreferenced, f"never referenced in the package: {unreferenced}"
