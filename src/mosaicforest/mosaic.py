@@ -42,13 +42,13 @@ from bisect import bisect_right
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
-from operator import add, eq
+from operator import eq
 
 from .errors import SizeLimitError, SphericalSymbolError, StructureError
 from .recurrence import Geometry, SchlafliSymbol
 
 DEFAULT_VERTEX_CAP = 10_000_000
-_BLOCK = 2048  # vertices or cells per list of ints made on the way into an array
+_BLOCK = 2048  # vertices or cells per slice of a whole-map list taken at a time
 # lines per piece of exported text: on {4,5} at 8 belts, export peak RSS is
 # flat up to 1024 lines a piece and 0.4-3 MB higher at 4096-16384
 _TEXT_BLOCK = 1024
@@ -317,110 +317,111 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     Checks: cell sizes, interior degrees and cell counts, rotation-system
     face recovery (stored cells plus exactly one outer walk), outer boundary
     simplicity, per-edge cell coverage (interior 2, boundary 1) and Euler's
-    formula.  They run over one dart numbering: dart (u, rot[u][i]) is
-    first[u] + i.  A malformed map (say, a neighbour listed on one side only,
-    or an id that names no vertex) fails a check; it never raises.
+    formula on a connected map.  They run over one dart numbering: dart
+    (u, rot[u][i]) is first[u] + i.  A malformed map (say, a neighbour listed
+    on one side only, or an id that names no vertex) fails a check; it never
+    raises.
 
-    A verdict, `_holds`, decides by passes over whole arrays whether every
-    check passes; only when one fails does `_explain` name the offenders.
+    A verdict, `_holds`, decides by one pass over the cell corners and a few
+    over the outer layer whether every check passes; only when one fails
+    does `_explain` name the offenders.
     """
     if _holds(mosaic):
         return ValidationReport(tuple(CheckResult(name, True) for name in _CHECKS))
     return _explain(mosaic)
 
 
+def _reached(rot: Sequence[Sequence[int]]) -> bytearray:
+    """1 for each vertex that a path over `rot` reaches from vertex 0, found a frontier at a time."""
+    reached = bytearray(len(rot))
+    frontier = [0] if rot else []
+    for v in frontier:
+        reached[v] = 1
+    while frontier:
+        ahead = []
+        for v in frontier:
+            for w in rot[v]:
+                if not reached[w]:
+                    reached[w] = 1
+                    ahead.append(w)
+        frontier = ahead
+    return reached
+
+
 def _holds(mosaic: Mosaic) -> bool:
     """Whether `mosaic` passes every check of `validate`; False at the first failed pass.
 
-    The per-dart maps are `array('q')`s filled a block at a time; the cells
-    are one flat list of ids, a built view's own or a list of tuples
-    flattened once.  No pass names an offender, and none walks the outer
-    face: once rev pairs the darts, each cell is a face of p distinct ids,
-    no dart is on two cells and each edge on its count of cells, the darts
-    on no cell are one per boundary step and make one face round the layer.
+    It decides from one mark per cell corner, in a bytearray over the darts,
+    and builds no reverse or successor map.  Corner (a, b, c) of a cell turns
+    at b from a to c: c comes just before a in b's rotation, and the corner
+    marks dart (b, a), the reverse of the side a -> b, at a's first entry
+    there.  No dart may take two marks, and every interior dart needs one.
+
+    Then the darts are accounted for.  The outer layer is at least 3
+    distinct ids (of the maps with 1 or 2 the checks pass only a lone vertex
+    with a loop), so its steps are distinct edges; each has exactly one dart
+    marked, and no other dart is unmarked.  So every dart is a first entry,
+    names a vertex and has its reverse: the reverses pair the darts, each
+    cell is a face, the marks are the cell sides seen through the reverses,
+    and the darts on no cell can only go round the outer cycle, once.
+    Euler's formula and a search from vertex 0 that reaches every vertex
+    finish it.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
     n = len(rot)
-    heads = list(chain.from_iterable(rot))
-    darts = len(heads)
     built = isinstance(cells, _Cells) and cells.p == p
     flat = cells.flat if built else list(chain.from_iterable(cells))
-    if not all(0 <= min(ids) and max(ids) < n for ids in (heads, outer, flat) if ids):
-        return False  # first: no later pass may index by, or store, an id outside 0..n-1
-    if len(flat) != p * len(cells) or not all(map(p.__eq__, map(len, map(set, cells)))):
-        return False
-    cells_at = [0] * n
-    for v in flat:
-        cells_at[v] += 1
-    # the interior is every layer below the outer one: the ids before it
-    if not all(len(rot[v]) == q and cells_at[v] == q for v in range(n)[: n - len(outer)]):
-        return False
-    del cells_at
-
-    # rev[d] is the dart back along d, at the first entry of d's tail in the
-    # head's rotation.  A head that lists a tail twice sends two darts to
-    # one, so rev pairs the darts of each edge exactly when it reaches all.
-    first = list(accumulate(map(len, rot), initial=0))
-    rev = array("q")
-    try:
-        for lo in range(0, n, _BLOCK):
-            tails = range(lo, min(lo + _BLOCK, n))
-            rev.extend([rot[v].index(u) + first[v] for u in tails for v in rot[u]])
-    except ValueError:  # a head that does not list its tail
-        return False
-    reached = bytearray(darts)
-    for e in rev:
-        reached[e] = 1
-    if 0 in reached:
-        return False
-    del reached
-    # faces turn clockwise at the head: succ[d] is the dart just before rev[d] there
-    succ = array("q")
-    for lo in range(0, darts, _BLOCK):
-        ends = zip(rev[lo : lo + _BLOCK], heads[lo : lo + _BLOCK])
-        succ.extend([e - 1 if e > first[v] else first[v + 1] - 1 for e, v in ends])
-
-    # each cell is a face, a column of cells at a time (column j is flat[j::p]):
-    # side 0 is looked up, side j is succ of side j - 1 and ends at the cell's
-    # vertex j + 1, and succ of side p - 1 ends at vertex 1, so it is side 0
-    col = array("q")
-    try:
-        for lo in range(0, len(flat), _BLOCK * p):
-            block = flat[lo : lo + _BLOCK * p]
-            col.extend([rot[a].index(b) + first[a] for a, b in zip(block[::p], block[1::p])])
-    except ValueError:  # a first side that is no dart
-        return False
-    sides = [0] * darts  # the cell sides along each dart
-    for j in range(1, p + 1):
-        for d in col:
-            sides[d] += 1
-        col = array("q", map(succ.__getitem__, col))
-        if not all(map(eq, map(heads.__getitem__, col), flat[(j + 1) % p :: p])):
-            return False
-    del col
-    if max(sides, default=0) > 1:
-        return False
-
-    # the outer layer is a cycle of distinct vertices along darts
+    if not all(0 <= min(ids) and max(ids) < n for ids in (outer, flat) if ids):
+        return False  # first: no later pass may index by an id outside 0..n-1
+    # the outer layer is at least 3 distinct ids, so its steps are distinct edges
     on_outer = bytearray(n)
     for v in outer:
         on_outer[v] = 1
-    if on_outer.count(1) != len(outer):
+    if len(outer) < 3 or on_outer.count(1) != len(outer):
         return False
-    ahead = chain(outer[1:], outer[:1])
+    if len(flat) != p * len(cells) or not all(map(p.__eq__, map(len, map(set, cells)))):
+        return False
+    # the interior is every layer below the outer one: the ids before it
+    inner = n - len(outer)
+    if not all(map(q.__eq__, map(len, islice(rot, inner)))):
+        return False
+
+    first = list(accumulate(map(len, rot), initial=0))
+    marks = bytearray(first[-1])
     try:
-        steps = array("q", (rot[a].index(b) + first[a] for a, b in zip(outer, ahead)))
+        # column j of corners, a cell block at a time, is flat[j::p] turning
+        # at flat[j + 1::p] towards flat[j + 2::p], the columns taken cyclically
+        for lo in range(0, len(flat), _BLOCK * p):
+            block = flat[lo : lo + _BLOCK * p]
+            for j in range(p):
+                for a, b, c in zip(block[j::p], block[(j + 1) % p :: p], block[(j + 2) % p :: p]):
+                    turn = rot[b]
+                    i = turn.index(a)
+                    if turn[i - 1] != c:
+                        return False
+                    d = first[b] + i
+                    if marks[d]:
+                        return False
+                    marks[d] = 1
+    except ValueError:  # a head that does not list its tail
+        return False
+    # an interior vertex of degree q with every dart marked lies on q cells
+    if marks.find(0, 0, first[inner]) >= 0:
+        return False
+    # as many darts unmarked as there are steps, and each step has one
+    if marks.count(0) != len(outer):
+        return False
+    try:
+        for a, b in zip(outer, chain(outer[1:], outer[:1])):
+            there, back = first[a] + rot[a].index(b), first[b] + rot[b].index(a)
+            if marks[there] == marks[back]:
+                return False
     except ValueError:  # a step that is no dart
         return False
-    # each edge is on 1 cell if a boundary step runs along it, else on 2; a
-    # self-loop is its own reverse and no cell's side, so it is on none
-    want = bytearray(b"\2") * darts
-    for d in steps:
-        want[d] = want[rev[d]] = 1
-    if not all(map(eq, map(add, sides, map(sides.__getitem__, rev)), want)):
+    if n - first[-1] // 2 + len(cells) + 1 != 2:
         return False
-    return n - darts // 2 + len(cells) + 1 == 2
+    return 0 not in _reached(rot)
 
 
 def _explain(mosaic: Mosaic) -> ValidationReport:
@@ -430,7 +431,8 @@ def _explain(mosaic: Mosaic) -> ValidationReport:
     as a vertex with no neighbours and no cells: at[v] is its rotation, ()
     for such an id.  rev and succ are `array('q')`s; rev[d] is -1 where the
     head does not list the tail.  Tails ascend with the dart index, so an
-    edge's lower dart names it from u <= v.
+    edge's lower dart names it from u <= v.  Where Euler's formula holds,
+    `euler` names the lowest vertex that no path reaches from vertex 0.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
@@ -524,7 +526,13 @@ def _explain(mosaic: Mosaic) -> ValidationReport:
         failure = f"edge {stray}: a cell side with no rotation edge"
     failures.append(failure)
     faces = len(cells) + 1
-    failures.append(None if n - edges + faces == 2 else f"V-E+F = {n}-{edges}+{faces} != 2")
+    if n - edges + faces != 2:
+        failures.append(f"V-E+F = {n}-{edges}+{faces} != 2")
+    else:
+        # the formula counts a map in one piece: name the lowest vertex it leaves out
+        known = [[w for w in r if 0 <= w < n] for r in rot] if strangers else rot
+        v = _reached(known).find(0)
+        failures.append(None if v < 0 else f"vertex {v} is not reached from vertex 0")
     return ValidationReport(
         tuple(CheckResult(name, f is None, f or "") for name, f in zip(_CHECKS, failures))
     )

@@ -16,6 +16,7 @@ from mosaicforest.mosaic import (
     _Builder,
     _Cells,
     _explain,
+    _holds,
     build,
     text_blocks,
     validate,
@@ -531,10 +532,19 @@ def _outer_self_loop(m):
     m.rot[51] += (51,)
 
 
-# The corruptions below each fail a single pass of `validate`'s verdict
-# (`mosaic._holds`); `tests/test_mutants.py` drops each pass in turn and
-# pins the row that catches it.  Some replace the map outright with a small
-# one that no other pass rejects.
+# The corruptions below were each made to fail a single pass of
+# `validate`'s verdict (`mosaic._holds`), this one or an earlier one;
+# `tests/test_mutants.py` drops each pass in turn and pins the row that
+# catches it.  Some replace the map outright with a small one that no other
+# pass rejects.
+
+
+def _self_loop_in_the_outer_face(m):
+    # an outer vertex lists itself between its previous and next neighbours
+    # on the layer, where the outer face turns: no cell's turn changes, and
+    # the loop's dart is on no cell and no boundary step
+    v = m.layers[-1][0]
+    m.rot[v] = (m.rot[v][0], v, *m.rot[v][1:])
 
 
 def _relabel(tuples, to):
@@ -598,21 +608,83 @@ def _closed_torus(m):
     m.rot[:], m.cells[:], m.layers[:] = rot, black + white, [range(1), []]
 
 
-def _torus_with_doubled_squares(m):
-    # a one-belt {4,4} patch beside a torus whose black squares are each
-    # listed twice and whose white squares are on no cell: the counts, the
-    # coverage and Euler's formula hold, and only the darts on two cells
-    # give it away.  The seed keeps id 0, the torus takes 1..16, the ring 17..24
+def _beside_a_torus(m, squares):
+    """A one-belt {4,4} patch beside the 4 x 4 torus `_torus(1)`, with
+    `squares` of the torus as cells.  The seed keeps id 0, the torus takes
+    1..16, the ring 17..24."""
     patch = build(SchlafliSymbol(4, 4), 1)
-    rot, black, _ = _torus(1)
 
     def shift(v):
         return v + 16 if v else 0
 
     m.symbol = SchlafliSymbol(4, 4)
-    m.rot[:] = _relabel(patch.rot[:1], shift) + rot + _relabel(patch.rot[1:], shift)
-    m.cells[:] = _relabel(patch.cells, shift) + black * 2
+    m.rot[:] = _relabel(patch.rot[:1], shift) + _torus(1)[0] + _relabel(patch.rot[1:], shift)
+    m.cells[:] = _relabel(patch.cells, shift) + squares
     m.layers[:] = [range(1), [shift(v) for v in patch.layers[1]]]
+
+
+def _torus_with_doubled_squares(m):
+    # the torus's black squares are each listed twice and its white squares
+    # are on no cell: the counts, the coverage and Euler's formula hold, and
+    # the darts on two cells and the torus out of reach give it away
+    _, black, _ = _torus(1)
+    _beside_a_torus(m, black * 2)
+
+
+def _patch_beside_a_torus(m):
+    # each square once: every check of the counts, faces, boundary, coverage
+    # and Euler's formula holds, and the torus adds 0 to V - E + F; only
+    # that no path leads from the seed to the torus gives it away
+    _, black, white = _torus(1)
+    _beside_a_torus(m, black + white)
+
+
+def _holed_torus():
+    """The 4 x 4 torus less its square (10, 11, 15, 14), whose corners are
+    the outer layer: ids 10 and 11 trade with 12 and 13, so the corners are
+    the last four ids.  Its rotations, its other squares and that layer."""
+
+    def to(v):
+        return {10: 12, 11: 13, 12: 10, 13: 11}.get(v, v)
+
+    rot, black, white = _torus(0)
+    hole = (10, 11, 15, 14)
+    squares = [sq for sq in black + white if sq != hole]
+    return [tuple(map(to, rot[to(v)])) for v in range(16)], _relabel(squares, to), list(map(to, hole))
+
+
+def _torus_with_a_hole(m):
+    # connected, every cell a face and the outer layer one face round the
+    # hole, but a handle leaves V - E + F at 0
+    rot, squares, outer = _holed_torus()
+    m.symbol = SchlafliSymbol(4, 4)
+    m.rot[:], m.cells[:], m.layers[:] = rot, squares, [range(1), outer]
+
+
+def _dart_marked_twice(m):
+    # the torus with a hole and two squares listed twice: the two extra cells
+    # make up Euler's count for the handle, and every dart but the hole's
+    # steps is still on a cell, so only the darts on two cells give it away
+    rot, squares, outer = _holed_torus()
+    m.symbol = SchlafliSymbol(4, 4)
+    m.rot[:], m.cells[:], m.layers[:] = rot, squares + squares[:2], [range(1), outer]
+
+
+def _outer_vertex_with_an_interior_id(m):
+    # a {6,3} map whose seed trades ids with an outer vertex of degree 3:
+    # that vertex, now 0, is read as interior, where its degree is right but
+    # its boundary steps' darts lie on no cell
+    b = build(SchlafliSymbol(6, 3), 2)
+    v = next(v for v in b.layers[-1] if len(b.rot[v]) == 3)
+
+    def swap(w):
+        return {0: v, v: 0}.get(w, w)
+
+    m.symbol = b.symbol
+    m.rot[:] = [tuple(map(swap, b.rot[swap(w)])) for w in range(b.vertex_count)]
+    m.cells[:] = _relabel(b.cells, swap)
+    m.layers[:] = [*b.layers[:-1], list(map(swap, b.layers[-1]))]
+    return {"interior-degree": ("vertex 0 has degree 3 and 2 cells",)}
 
 
 def _two_patches_at_a_corner(m):
@@ -716,6 +788,7 @@ CORRUPTIONS = {
     ),
     "outer-step-one-sided": (_outer_step_one_sided, ["rotation-faces", "euler"]),
     "outer-self-loop": (_outer_self_loop, ["rotation-faces"]),
+    "self-loop-in-the-outer-face": (_self_loop_in_the_outer_face, ["rotation-faces"]),
     "wrong-symbol": (_wrong_symbol, ["interior-degree"]),
     "regroup-cells": (_regroup_cells, ["cell-size", "rotation-faces", "edge-coverage"]),
     "cross-cell": (_cross_cell, ["rotation-faces", "edge-coverage"]),
@@ -725,8 +798,15 @@ CORRUPTIONS = {
     ),
     "outer-layer-cuts-a-corner": (_outer_layer_cuts_a_corner, ["rotation-faces", "edge-coverage"]),
     "closed-torus": (_closed_torus, ["euler"]),
-    "torus-with-doubled-squares": (_torus_with_doubled_squares, ["rotation-faces"]),
+    "torus-with-doubled-squares": (_torus_with_doubled_squares, ["rotation-faces", "euler"]),
     "two-patches-at-a-corner": (_two_patches_at_a_corner, ["boundary-cycle"]),
+    "patch-beside-a-torus": (_patch_beside_a_torus, ["euler"]),
+    "torus-with-a-hole": (_torus_with_a_hole, ["euler"]),
+    "dart-marked-twice": (
+        _dart_marked_twice,
+        ["interior-degree", "rotation-faces", "edge-coverage"],
+    ),
+    "outer-vertex-with-an-interior-id": (_outer_vertex_with_an_interior_id, ["interior-degree"]),
     "tetrahedron-with-doubled-outer-edges": (
         _tetrahedron_with_doubled_outer_edges,
         ["rotation-faces", "edge-coverage", "euler"],
@@ -740,8 +820,9 @@ def test_corrupted_mosaic_fails_validation_naming_vertex(corruption):
     m = build(SchlafliSymbol(4, 5), 3)
     m.cells = list(m.cells)  # the built view is read-only
     named = corrupt(m) or {}
-    report = validate(m)
-    assert str(report) == str(reference_validate(m))
+    report, expected = validate(m), reference_validate(m)
+    assert str(report) == str(expected)
+    assert _holds(m) is expected.passed
     assert [c.name for c in report.checks] == CHECKS
     assert [c.name for c in report.failures()] == failing, str(report)
     details = {c.name: c.detail for c in report.checks}
@@ -836,6 +917,7 @@ def test_explainer_passes_a_clean_build_as_validate_does(p, q, belts):
     report = str(_explain(m))
     assert report == str(validate(m))
     assert "FAIL" not in report
+    assert _holds(m) is reference_validate(m).passed
 
 
 @pytest.mark.parametrize("p,q,belts", CONVENTION_BUILDS)
@@ -1054,8 +1136,22 @@ def reference_validate(mosaic: Mosaic) -> ValidationReport:
         failure = f"edge {stray}: a cell side with no rotation edge"
     report("edge-coverage", failure)
 
+    # the formula holds for a map in one piece: every vertex is reached from
+    # vertex 0 over the rotation entries that name vertices
+    reached = {0} if n else set()
+    stack = list(reached)
+    while stack:
+        for w in rot[stack.pop()]:
+            if 0 <= w < n and w not in reached:
+                reached.add(w)
+                stack.append(w)
     v_, e_, f_ = mosaic.vertex_count, edges, len(cells) + 1
-    report("euler", None if v_ - e_ + f_ == 2 else f"V-E+F = {v_}-{e_}+{f_} != 2")
+    if v_ - e_ + f_ != 2:
+        failure = f"V-E+F = {v_}-{e_}+{f_} != 2"
+    else:
+        v = next((v for v in range(n) if v not in reached), None)
+        failure = None if v is None else f"vertex {v} is not reached from vertex 0"
+    report("euler", failure)
 
     return ValidationReport(tuple(checks))
 
@@ -1101,13 +1197,15 @@ def test_validate_reports_what_the_list_based_reference_reports():
                 corrupt(m)
             except (IndexError, ValueError):
                 pass  # an earlier corruption took away what this one edits
-        expected = str(reference_validate(m))
-        assert str(validate(m)) == expected
-        seen.add(expected)
+        expected = reference_validate(m)
+        # a verdict wrongly False would not show in the report, which the explainer writes
+        assert _holds(m) is expected.passed
+        assert str(validate(m)) == str(expected)
+        seen.add(str(expected))
     assert len(seen) > 800  # the corruptions reach many distinct reports
 
 
-@pytest.mark.parametrize("p,q,belts", [(6, 5, 4), (3, 7, 8)])
+@pytest.mark.parametrize("p,q,belts", [(6, 5, 4), (3, 7, 8), (10, 3, 5)])
 def test_validate_peak_memory_is_under_two_thirds_of_the_reference(p, q, belts):
     m = build(SchlafliSymbol(p, q), belts)
     peaks = []

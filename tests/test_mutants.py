@@ -8,6 +8,7 @@ the unpatched export agrees.  A mutant of a layer must fail a named check of
 run passes both.
 """
 
+import ast
 import inspect
 import sys
 import textwrap
@@ -191,49 +192,63 @@ VERDICT_PASSES = [
         "vertex-outside-outer-layer", IndexError, id="id-range",
     ),
     pytest.param(
+        "if len(outer) < 3 or on_outer.count(1) != len(outer):", "if False:",
+        "two-patches-at-a-corner", None, id="distinct-outer",
+    ),
+    pytest.param(
         "if len(flat) != p * len(cells) or not all(map(p.__eq__, map(len, map(set, cells)))):",
         "if False:", "regroup-cells", None, id="cell-ids",
     ),
     pytest.param(
-        "len(rot[v]) == q and cells_at[v] == q", "True", "wrong-symbol", None, id="degree",
+        "if not all(map(q.__eq__, map(len, islice(rot, inner)))):", "if False:",
+        "wrong-symbol", None, id="degree",
     ),
     pytest.param(
         "except ValueError:  # a head that does not list its tail", "except ZeroDivisionError:",
         "outer-step-one-sided", ValueError, id="reverse",
     ),
     pytest.param(
-        "if 0 in reached:", "if False:", "tetrahedron-with-doubled-outer-edges", None,
-        id="unreached-dart",
+        "if turn[i - 1] != c:", "if False:", "swap-rotation-entries", None, id="face-column",
+    ),
+    pytest.param("if marks[d]:", "if False:", "dart-marked-twice", None, id="two-cells"),
+    pytest.param(
+        "if marks.find(0, 0, first[inner]) >= 0:", "if False:",
+        "outer-vertex-with-an-interior-id", None, id="unreached-dart",
     ),
     pytest.param(
-        "except ValueError:  # a first side that is no dart", "except ZeroDivisionError:",
-        "cross-cell", ValueError, id="first-side",
-    ),
-    pytest.param(
-        "if not all(map(eq, map(heads.__getitem__", "if False and not all(map(eq, map(heads.__getitem__",
-        "swap-last-two-cell-vertices", None, id="face-column",
-    ),
-    pytest.param(
-        "if max(sides, default=0) > 1:", "if False:", "torus-with-doubled-squares", None,
-        id="two-cells",
-    ),
-    pytest.param(
-        "if on_outer.count(1) != len(outer):", "if False:", "two-patches-at-a-corner", None,
-        id="distinct-outer",
+        "if marks.count(0) != len(outer):", "if False:", "self-loop-in-the-outer-face", None,
+        id="unmarked-darts",
     ),
     pytest.param(
         "except ValueError:  # a step that is no dart", "except ZeroDivisionError:",
         "swap-outer-vertices", ValueError, id="outer-step",
     ),
     pytest.param(
-        "if not all(map(eq, map(add, sides", "if False and not all(map(eq, map(add, sides",
-        "outer-layer-cuts-a-corner", None, id="coverage",
+        "if marks[there] == marks[back]:", "if False:", "outer-layer-cuts-a-corner", None,
+        id="coverage",
     ),
     pytest.param(
-        "return n - darts // 2 + len(cells) + 1 == 2", "return True", "closed-torus", None,
+        "if n - first[-1] // 2 + len(cells) + 1 != 2:", "if False:", "torus-with-a-hole", None,
         id="euler",
     ),
+    pytest.param(
+        "return 0 not in _reached(rot)", "return True", "patch-beside-a-torus", None,
+        id="connected",
+    ),
 ]
+
+
+def test_each_verdict_exit_has_its_row():
+    # every `return` of the verdict ends one pass, and each `except` is a
+    # ValueError guard that returns False: a pass cannot land without its mutant
+    tree = ast.parse(textwrap.dedent(inspect.getsource(mosaic_mod._holds)))
+    exits = [node for node in ast.walk(tree) if isinstance(node, ast.Return)]
+    guards = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    assert [(ast.unparse(g.type), ast.unparse(g.body)) for g in guards] == [
+        ("ValueError", "return False")
+    ] * len(guards)
+    assert len(exits) == len(VERDICT_PASSES)
+    assert len({param.values[0] for param in VERDICT_PASSES}) == len(VERDICT_PASSES)
 
 
 @pytest.mark.parametrize("old,new,row,error", VERDICT_PASSES)
