@@ -48,7 +48,7 @@ from .errors import SizeLimitError, SphericalSymbolError, StructureError
 from .recurrence import Geometry, SchlafliSymbol
 
 DEFAULT_VERTEX_CAP = 10_000_000
-_BLOCK = 2048  # vertices or cells per slice of a whole-map list taken at a time
+_BLOCK = 2048  # cells per slice of the flat cell list that `_holds` reads at a time
 # lines per piece of exported text: on {4,5} at 8 belts, export peak RSS is
 # flat up to 1024 lines a piece and 0.4-3 MB higher at 4096-16384
 _TEXT_BLOCK = 1024
@@ -59,11 +59,6 @@ def text_blocks(lines: Iterable[str]) -> Iterator[str]:
     lines = iter(lines)
     while block := list(islice(lines, _TEXT_BLOCK)):
         yield "".join(block)
-
-
-def _blocks(seq: list, lo: int, hi: int) -> Iterator:
-    """seq[lo:hi], a block at a time; `islice` would step through seq[:lo] first."""
-    return chain.from_iterable(seq[i : min(i + _BLOCK, hi)] for i in range(lo, hi, _BLOCK))
 
 
 class _Cells(Sequence):
@@ -133,42 +128,42 @@ class Mosaic:
 class _Builder:
     """Belt-by-belt state of one build.
 
-    Every view of a vertex id (a rotation, a cell, a `down` entry, a belt's
-    walk, a fan's tips) is taken from a slice of `ids`, so each id is one
-    int object however many tuples and lists hold it.  `cells` is one flat
-    list, p ids per cell, extended a cell at a time.  No cell counts are
-    kept: the sweep reads the cells a vertex misses off its tip-less
-    rotation's length.  After each belt, `rot`, `cells`, `layers` and
-    `belt_sizes` are that many belts' finished map.
+    Between belts it keeps one layer: `outer`, the outer layer's ids.  A
+    belt makes its new layer's ids and lower neighbours as belt-local lists,
+    id v at index v - s0.  Every view of a vertex id (a rotation, a cell, a
+    belt's walk, a fan's tips) is taken from a slice of those ids, so each
+    id is one int object however many tuples and lists hold it.  `cells` is
+    one flat list, p ids per cell, extended a cell at a time.  No cell
+    counts are kept: the sweep reads the cells a vertex misses off its
+    tip-less rotation's length.  After each belt, `rot`, `cells`, `layers`
+    and `belt_sizes` are that many belts' finished map.
     """
 
     def __init__(self, p: int, q: int, cap: int):
         self.p = p
         self.q = q
         self.cap = cap
-        # vertex 0 is the seed; per-vertex lists grow in creation order, which
-        # is layer by layer, so layer i is the next run of ids
-        self.ids = [0]
-        self.down = [-1]  # the lower neighbour of a tip, -1 for none
+        self.outer = [0]  # the outer layer's ids; vertex 0 is the seed
         self.rot: list[tuple[int, ...]] = []  # tip-less until the next sweep
         self.cells: list[int] = []  # p ids per cell, in build order
         self.layers: list[range] = [range(1)]
         self.belt_sizes: list[int] = []
 
-    def close_belt(self) -> None:
-        """Record the belt's cell count and its outer layer, the ids it made,
-        with their tip-less rotations: each turns from its previous neighbour
-        u to its next one and down (p = 3: and down[u] if it differs)."""
-        ids, down, triangles = self.ids, self.down, self.p == 3
-        first, stop = self.layers[-1].stop, len(ids)
+    def close_belt(self, ids: list[int], down: list[int]) -> None:
+        """Record the belt's cell count and its outer layer `ids`, the lower
+        neighbour of each in `down` (-1 for none), with their tip-less
+        rotations: each turns from its previous neighbour u to its next one
+        w and down d (p = 3: and u's down e if it differs)."""
+        triangles, first = self.p == 3, ids[0]
         self.belt_sizes.append(len(self.cells) // self.p - sum(self.belt_sizes))
-        self.layers.append(range(first, stop))
-        before = chain(ids[-1:], _blocks(ids, first, stop - 1))
-        after = chain(_blocks(ids, first + 1, stop), ids[first : first + 1])
+        self.layers.append(range(first, first + len(ids)))
+        # zip stops with the layer, so the lists shifted by one need no cut
+        before, after = chain(ids[-1:], ids), chain(islice(ids, 1, None), ids[:1])
         self.rot += (
-            (u, w) if d < 0 else (u, w, d, down[u]) if triangles and down[u] != d else (u, w, d)
-            for u, w, d in zip(before, after, _blocks(down, first, stop))
+            (u, w) if d < 0 else (u, w, d, e) if triangles and e != d else (u, w, d)
+            for u, w, d, e in zip(before, after, down, chain(down[-1:], down))
         )
+        self.outer = ids
 
     def first_belt(self) -> None:
         """q cells around the seed; the seed's rotation is its q spokes."""
@@ -176,35 +171,31 @@ class _Builder:
         n = p - 2  # new vertices per cell: a spoke's tip, then p - 3 arcs
         if 1 + q * n > self.cap:
             raise SizeLimitError(f"vertex cap {self.cap} exceeded while building belt 1")
-        ids = self.ids
-        ids += range(1, 1 + q * n)
-        ring = ids[1:]
+        ring = list(range(1, 1 + q * n))
         spokes = ring[::n]
-        # each cell's first new vertex is a spoke's tip, on the seed
-        self.down += ([0] + [-1] * (n - 1)) * q
         for j in range(q):
             self.cells += (0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q])
         self.rot.append(tuple(spokes))
-        self.close_belt()
+        # each cell's first new vertex is a spoke's tip, on the seed
+        self.close_belt(ring, ([0] + [-1] * (n - 1)) * q)
 
     def next_belt(self) -> None:
         p, q, cap, belt = self.p, self.q, self.cap, len(self.layers)
         n2 = p - 2  # new vertices per inner cell: its arcs, then its tip
-        old = self.layers[-1]
-        ids, down, rot, cells = self.ids, self.down, self.rot, self.cells
+        outer, rot, cells = self.outer, self.rot, self.cells
 
         # start the sweep at a vertex that is not one cell short, so it owns
         # a radial tip; only q = 3 leaves one short: one with a lower neighbour
-        start = next(v for v in old if len(rot[v]) < q)
-        walk = ids[start : old.stop] + ids[old.start : start]
+        start = next(k for k, v in enumerate(outer) if len(rot[v]) < q)
+        walk = outer[start:] + outer[:start]
         m = len(walk)
         walk.append(walk[0])  # walk[m] closes the cycle
 
-        # walk[0]'s first tip, which the sweep's last fan closes on; it is
-        # held to the cap with walk[0]'s fan, which always comes next
-        s0 = len(ids)
-        ids.append(s0)
-        down.append(-1)
+        # the new layer, id v at index v - s0; s0 is walk[0]'s first tip,
+        # which the sweep's last fan closes on.  It is held to the cap with
+        # walk[0]'s fan, which always comes next
+        s0 = self.layers[-1].stop
+        ids, down = [s0], [-1]  # down: the lower neighbour of a tip, -1 for none
         carry = s0
 
         for k in range(m):
@@ -233,12 +224,12 @@ class _Builder:
             inner = (missing - 1) * n2
             ring = pos == m
             made = inner + n - ring
-            first = len(ids)
+            first = s0 + len(ids)
             if first + made > cap:
                 raise SizeLimitError(f"vertex cap {cap} exceeded while building belt {belt}")
             ids += range(first, first + made)
             down += [-1] * made
-            run = ids[first:]
+            run = ids[first - s0 :]
             if ring:
                 run.append(s0)
 
@@ -247,18 +238,18 @@ class _Builder:
             for i in range(0, inner, n2):
                 cells += (v, carry, *run[i : i + n2])
                 carry = run[i + n2 - 1]
-                down[carry] = v
+                down[carry - s0] = v
 
             top = run[inner:]
             cells += (v, carry, *top, *back)
             if top:
                 carry = top[-1]
-            down[carry] = back[0]  # p = 3: the fan's last tip; v is its second lower neighbour
+            down[carry - s0] = back[0]  # p = 3: the fan's last tip; v is its second lower neighbour
 
             # v's tips go after its previous neighbour, the rotation's first entry
             rot[v] = (turn[0], tip, *run[n2 - 1 : inner : n2], *turn[1:])
 
-        self.close_belt()
+        self.close_belt(ids, down)
 
 
 def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> Mosaic:
@@ -315,12 +306,12 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     """Run the structural invariant checks and report each outcome.
 
     Checks: cell sizes, interior degrees and cell counts, rotation-system
-    face recovery (stored cells plus exactly one outer walk), outer boundary
-    simplicity, per-edge cell coverage (interior 2, boundary 1) and Euler's
-    formula on a connected map.  They run over one dart numbering: dart
-    (u, rot[u][i]) is first[u] + i.  A malformed map (say, a neighbour listed
-    on one side only, or an id that names no vertex) fails a check; it never
-    raises.
+    face recovery (stored cells plus exactly one outer walk), an outer
+    boundary that is a simple cycle of at least 3 vertices, per-edge cell
+    coverage (interior 2, boundary 1) and Euler's formula on a connected
+    map.  They run over one dart numbering: dart (u, rot[u][i]) is
+    first[u] + i.  A malformed map (say, a neighbour listed on one side
+    only, or an id that names no vertex) fails a check; it never raises.
 
     A verdict, `_holds`, decides by one pass over the cell corners and a few
     over the outer layer whether every check passes; only when one fails
@@ -358,8 +349,7 @@ def _holds(mosaic: Mosaic) -> bool:
     there.  No dart may take two marks, and every interior dart needs one.
 
     Then the darts are accounted for.  The outer layer is at least 3
-    distinct ids (of the maps with 1 or 2 the checks pass only a lone vertex
-    with a loop), so its steps are distinct edges; each has exactly one dart
+    distinct ids, so its steps are distinct edges; each has exactly one dart
     marked, and no other dart is unmarked.  So every dart is a first entry,
     names a vertex and has its reverse: the reverses pair the darts, each
     cell is a face, the marks are the cell sides seen through the reverses,
@@ -506,7 +496,7 @@ def _explain(mosaic: Mosaic) -> ValidationReport:
         failures.append(None if face else f"the {free} darts on no cell are not the outer face")
 
     ahead = [*outer[1:], *outer[:1]]
-    simple = len(outer) == len(set(outer)) and all(b in at[a] for a, b in zip(outer, ahead))
+    simple = 3 <= len(outer) == len(set(outer)) and all(b in at[a] for a, b in zip(outer, ahead))
     failures.append(None if simple else "outer boundary is not a simple adjacent cycle")
 
     # an edge is a pair of darts that are each other's reverse; it wants 1

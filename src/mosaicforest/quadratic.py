@@ -3,9 +3,9 @@
 A value is one integer triple (a, b, m) meaning (a + b*sqrt(d)) / m, with d
 a fixed square-free integer >= 2 (1 for a rational value), m > 0 and
 gcd(m, a, b) == 1, so equal values have equal parts.  Every operation reads
-and writes the integers and reduces its result once.  Every quotient (`/`,
-`inverse()`, negative powers) is the conjugate over the norm in `_over`, and
-`<=`, `>` and `>=` derive from `__lt__`.  Comparisons, floors and decimal
+and writes the integers and reduces its result once.  Every quotient (`/`
+and negative powers) is the conjugate over the norm in `_over`, and `<=`,
+`>` and `>=` derive from `__lt__`.  Comparisons, floors and decimal
 renderings are all exact integer arithmetic.  Operands of the operators,
 `decimal` and `order_of_magnitude` pass through `_coerce` and constructor
 parts must be rational, so anything but an int, a Fraction or a
@@ -160,9 +160,6 @@ class QuadraticNumber:
         return _reduced(a * c + b * e * d, a * e + b * c, self._m * o._m, d)
 
     __rmul__ = __mul__
-
-    def inverse(self) -> "QuadraticNumber":
-        return 1 / self
 
     def _over(self, o: "QuadraticNumber") -> "QuadraticNumber":
         """self / o: multiply by o's conjugate over o's norm."""

@@ -133,7 +133,7 @@ def test_triangle_builder_mutant_fails_validate(p, q, levels, monkeypatch):
         return [c.name for c in mosaic_mod.validate(build(SchlafliSymbol(p, q), levels)).failures()]
 
     assert failed() == []
-    old, new = "(u, w, d, down[u]) if triangles", "(u, w, d) if triangles"
+    old, new = "(u, w, d, e) if triangles", "(u, w, d) if triangles"
     monkeypatch.setattr(
         mosaic_mod._Builder, "close_belt", mutant(mosaic_mod._Builder.close_belt, old, new)
     )

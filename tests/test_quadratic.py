@@ -106,7 +106,7 @@ def test_power_is_repeated_multiplication(x, y, d, n):
     z = qn(x, y, d)
     if n < 0 and not z:
         return
-    factor = z if n >= 0 else z.inverse()
+    factor = z if n >= 0 else 1 / z
     expected = QuadraticNumber(1)
     for _ in range(abs(n)):
         expected = expected * factor
@@ -601,7 +601,7 @@ def test_every_operation_matches_the_fraction_pair_reference(pair, n, digits, r)
     if v:
         assert_same(u / v, ru / rv)
         assert_same(r / v, r / rv)
-        assert_same(v.inverse(), rv.inverse())
+        assert_same(1 / v, rv.inverse())
     if r:
         assert_same(u / r, ru / r)
     if u or n >= 0:

@@ -2,6 +2,8 @@
 
 Every name a module imports is also used there, or, in `__init__.py`,
 listed in `__all__`, so deleting the last use of a name deletes its import.
+Every public function and method is likewise listed in `__all__` or named
+by the package, a demo or the benchmark.
 """
 
 import ast
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import mosaicforest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "mosaicforest").glob("*.py"))
 
@@ -45,14 +49,26 @@ def test_every_imported_name_is_used_or_exported(path):
     assert not unused, f"{path.name} imports {sorted(unused)} and never uses them"
 
 
+def _referenced(paths) -> set[str]:
+    """Every name the files at `paths` load, take as an attribute or import."""
+    referenced = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name)
+    return referenced
+
+
 def test_every_private_module_level_name_is_referenced():
     # a private function, class or constant that nothing in the package
-    # names is left over; public methods the package does not call are not
-    # checked here
-    defined, referenced = [], set()
+    # names is left over; public ones are checked below
+    defined = []
     for path in SOURCES:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, ast.Assign):
@@ -62,12 +78,23 @@ def test_every_private_module_level_name_is_referenced():
             else:
                 names = []
             defined += [(path.name, n) for n in names if n.startswith("_") and not n.endswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.alias):
-                referenced.add(node.name)
+    referenced = _referenced(SOURCES)
     unreferenced = [f"{module}: {name}" for module, name in defined if name not in referenced]
     assert not unreferenced, f"never referenced in the package: {unreferenced}"
+
+
+def test_every_public_function_and_method_is_exported_or_referenced():
+    # a public module-level function or method of a module-level class is
+    # listed in `__all__` or named by the package, a demo or the benchmark;
+    # dunders start with "_" and are exempt
+    defined = []
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(d, ast.FunctionDef) and not d.name.startswith("_"):
+                    defined.append((path.name, d.name))
+    root = SOURCES[0].parent.parent.parent
+    users = [*SOURCES, *(root / "demos").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    referenced = _referenced(users) | set(mosaicforest.__all__)
+    orphans = [f"{module}: {name}" for module, name in defined if name not in referenced]
+    assert not orphans, f"neither exported nor referenced: {orphans}"
