@@ -11,11 +11,12 @@ cells around each boundary vertex until it lies on q cells.  The inner
 cells of a fan share exactly one boundary vertex ("vertex"-attached).  The
 last cell closes the fan ("edge"-attached): it shares one boundary edge, or
 two consecutive edges when it fills the boundary vertex between them, as
-it does in every q = 3 belt after the first.  Each fan's new vertices are
-one run of ids, numbered in creation order along the sweep, which makes
-builds fully deterministic.  The cells are one flat list of ids, p per cell
-in build order; `Mosaic.cells` is a read-only view that yields each as a
-tuple.
+it does in every q = 3 belt after the first.  Belt 1 is the same sweep of
+layer 0, the seed alone: its one fan closes on the sweep's first tip and
+shares no layer edge.  Each fan's new vertices are one run of ids,
+numbered in creation order along the sweep, which makes builds fully
+deterministic.  The cells are one flat list of ids, p per cell in build
+order; `Mosaic.cells` is a read-only view that yields each as a tuple.
 
 No cell counts are kept.  Every belt-i cell's first vertex lies on layer
 i - 1 (the fan's vertex), and every layer-i vertex lies on 1 + j cells of
@@ -128,15 +129,17 @@ class Mosaic:
 class _Builder:
     """Belt-by-belt state of one build.
 
-    Between belts it keeps one layer: `outer`, the outer layer's ids.  A
-    belt makes its new layer's ids and lower neighbours as belt-local lists,
-    id v at index v - s0.  Every view of a vertex id (a rotation, a cell, a
-    belt's walk, a fan's tips) is taken from a slice of those ids, so each
-    id is one int object however many tuples and lists hold it.  `cells` is
-    one flat list, p ids per cell, extended a cell at a time.  No cell
-    counts are kept: the sweep reads the cells a vertex misses off its
-    tip-less rotation's length.  After each belt, `rot`, `cells`, `layers`
-    and `belt_sizes` are that many belts' finished map.
+    Between belts it keeps one layer: `outer`, the outer layer's ids.
+    Before belt 1 that is the seed alone, with an empty rotation and no
+    cells, and every belt is one `next_belt` sweep of it.  A belt makes its
+    new layer's ids and lower neighbours as belt-local lists, id v at index
+    v - s0.  Every view of a vertex id (a rotation, a cell, a belt's walk, a
+    fan's tips) is taken from a slice of those ids, so each id is one int
+    object however many tuples and lists hold it.  `cells` is one flat list,
+    p ids per cell, extended a cell at a time.  No cell counts are kept: the
+    sweep reads the cells a vertex misses off its tip-less rotation's
+    length.  After each belt, `rot`, `cells`, `layers` and `belt_sizes` are
+    that many belts' finished map.
     """
 
     def __init__(self, p: int, q: int, cap: int):
@@ -144,7 +147,7 @@ class _Builder:
         self.q = q
         self.cap = cap
         self.outer = [0]  # the outer layer's ids; vertex 0 is the seed
-        self.rot: list[tuple[int, ...]] = []  # tip-less until the next sweep
+        self.rot: list[tuple[int, ...]] = [()]  # tip-less until the next sweep
         self.cells: list[int] = []  # p ids per cell, in build order
         self.layers: list[range] = [range(1)]
         self.belt_sizes: list[int] = []
@@ -165,20 +168,6 @@ class _Builder:
         )
         self.outer = ids
 
-    def first_belt(self) -> None:
-        """q cells around the seed; the seed's rotation is its q spokes."""
-        p, q = self.p, self.q
-        n = p - 2  # new vertices per cell: a spoke's tip, then p - 3 arcs
-        if 1 + q * n > self.cap:
-            raise SizeLimitError(f"vertex cap {self.cap} exceeded while building belt 1")
-        ring = list(range(1, 1 + q * n))
-        spokes = ring[::n]
-        for j in range(q):
-            self.cells += (0, *ring[j * n : (j + 1) * n], spokes[(j + 1) % q])
-        self.rot.append(tuple(spokes))
-        # each cell's first new vertex is a spoke's tip, on the seed
-        self.close_belt(ring, ([0] + [-1] * (n - 1)) * q)
-
     def next_belt(self) -> None:
         p, q, cap, belt = self.p, self.q, self.cap, len(self.layers)
         n2 = p - 2  # new vertices per inner cell: its arcs, then its tip
@@ -189,7 +178,8 @@ class _Builder:
         start = next(k for k, v in enumerate(outer) if len(rot[v]) < q)
         walk = outer[start:] + outer[:start]
         m = len(walk)
-        walk.append(walk[0])  # walk[m] closes the cycle
+        if m > 1:
+            walk.append(walk[0])  # walk[m] closes the cycle; the seed is no cycle
 
         # the new layer, id v at index v - s0; s0 is walk[0]'s first tip,
         # which the sweep's last fan closes on.  It is held to the cap with
@@ -202,7 +192,7 @@ class _Builder:
             v = walk[k]
             turn = rot[v]  # tip-less: previous and next neighbour, then the lower ones
             # v lies on len(turn) - 1 cells and the closing cell of the fan
-            # before it; for walk[0], the one closing the ring
+            # before it; for walk[0], the one closing the ring.  The seed lies on none
             missing = q - len(turn)
             if missing <= 0:
                 # already completed by a run cell sweeping past it: no tips
@@ -219,8 +209,8 @@ class _Builder:
                 raise StructureError(f"belt {belt}: cell run longer than a {p}-gon can cover")
 
             # the fan's new vertices are one run of ids: each inner cell's
-            # arcs and tip, then the top.  When the run reaches walk[m], the
-            # ring, its last vertex is s0: the top's end, or the p = 3 seam tip
+            # arcs and tip, then the top.  When the run closes the ring
+            # (pos = m), its last vertex is s0: the top's end, or the p = 3 seam tip
             inner = (missing - 1) * n2
             ring = pos == m
             made = inner + n - ring
@@ -244,10 +234,12 @@ class _Builder:
             cells += (v, carry, *top, *back)
             if top:
                 carry = top[-1]
-            down[carry - s0] = back[0]  # p = 3: the fan's last tip; v is its second lower neighbour
+            # p = 3: the fan's last tip, v its second lower neighbour; the seed's hangs on v
+            down[carry - s0] = back[0] if back else v
 
-            # v's tips go after its previous neighbour, the rotation's first entry
-            rot[v] = (turn[0], tip, *run[n2 - 1 : inner : n2], *turn[1:])
+            # v's tips go after its previous neighbour, the rotation's first
+            # entry; the seed has none, so its rotation is its tips
+            rot[v] = (*turn[:1], tip, *run[n2 - 1 : inner : n2], *turn[1:])
 
         self.close_belt(ids, down)
 
@@ -266,8 +258,7 @@ def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> 
     if belts < 1:
         raise ValueError("belts must be >= 1")
     b = _Builder(symbol.p, symbol.q, cap)
-    b.first_belt()
-    for _ in range(belts - 1):
+    for _ in range(belts):
         b.next_belt()
     return Mosaic(symbol, b.rot, b.layers, _Cells(b.cells, symbol.p), b.belt_sizes)
 

@@ -65,7 +65,7 @@ def test_vertex_cap():
         build(SchlafliSymbol(4, 5), 10, cap=1000)
 
 
-class ReferenceBuilder(_Builder):
+class ReferenceBuilder:
     """The per-cell belt builder: the oracle for `build`'s fan-at-a-time one.
 
     Each cell takes its new vertices with `new_vertices`, which holds every
@@ -75,14 +75,19 @@ class ReferenceBuilder(_Builder):
     second lower neighbour of each p = 3 tip that has one, which its own
     `finish` reads.  It keeps its own whole-build `ids` and `down`, the
     lower neighbour of every vertex (-1 for none), where the lean builder
-    keeps one layer.  It shares `_Builder`'s `rot`, `layers` and
-    `belt_sizes`, but keeps its own `close_belt`, which writes no rotation:
-    its `next_belt` and `finish` write each one once.  Its `cells` is a list
-    of tuples, so no cell writer is shared with `_Builder`'s flat list.
+    keeps one layer.  It shares no state or code with `_Builder`: its `rot`
+    starts empty and `first_belt` builds belt 1 around the seed, where the
+    lean builder sweeps the seed as a one-vertex layer.  Its `close_belt`
+    writes no rotation: `first_belt`, `next_belt` and `finish` write each
+    one once.  Its `cells` is a list of tuples.
     """
 
     def __init__(self, p: int, q: int, cap: int):
-        super().__init__(p, q, cap)
+        self.p, self.q, self.cap = p, q, cap
+        self.rot: list[tuple[int, ...]] = []
+        self.cells: list[tuple[int, ...]] = []
+        self.layers = [range(1)]
+        self.belt_sizes: list[int] = []
         self.ids = [0]
         self.down = [-1]
         self.ncells = [0]
@@ -121,6 +126,8 @@ class ReferenceBuilder(_Builder):
         self.close_belt()
 
     def next_belt(self) -> None:
+        if len(self.layers) == 1:
+            return self.first_belt()
         p, q = self.p, self.q
         old = self.layers[-1]
         rot, down, down2, ncells = self.rot, self.down, self.down2, self.ncells
@@ -180,12 +187,11 @@ class ReferenceBuilder(_Builder):
         return Mosaic(symbol, self.rot, self.layers, self.cells, self.belt_sizes)
 
 
-def _refusal(builder: type[_Builder], symbol: SchlafliSymbol, belts: int, cap: int) -> str | None:
+def _refusal(builder: type, symbol: SchlafliSymbol, belts: int, cap: int) -> str | None:
     """The SizeLimitError message of a build under `cap`, None if it builds."""
     b = builder(symbol.p, symbol.q, cap)
     try:
-        b.first_belt()
-        for _ in range(belts - 1):
+        for _ in range(belts):
             b.next_belt()
     except SizeLimitError as e:
         return str(e)
@@ -194,7 +200,8 @@ def _refusal(builder: type[_Builder], symbol: SchlafliSymbol, belts: int, cap: i
 
 # p >= 4, then p = 3 (the seam) and q = 3 (cells that fill a layer vertex)
 @pytest.mark.parametrize(
-    "p,q,belts,vertices", [(4, 5, 1, 11), (4, 5, 2, 51), (3, 7, 6, 1625), (7, 3, 4, 496)]
+    "p,q,belts,vertices",
+    [(4, 5, 1, 11), (3, 7, 1, 8), (7, 3, 1, 16), (4, 5, 2, 51), (3, 7, 6, 1625), (7, 3, 4, 496)],
 )
 def test_vertex_cap_trips_at_the_same_count_in_every_belt(p, q, belts, vertices):
     symbol = SchlafliSymbol(p, q)
@@ -298,7 +305,7 @@ def test_belt_whose_run_outgrows_a_cell_raises(p, q):
     reference = ReferenceBuilder(p, q, DEFAULT_VERTEX_CAP)
     builders = lean, reference
     for b in builders:
-        b.first_belt()
+        b.next_belt()
     first, *rest = lean.layers[1]
     lean.rot[first] = lean.rot[first][:2]
     reference.ncells[first] = q - 2
@@ -328,8 +335,8 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
     symbol = SchlafliSymbol(p, q)
     budget = 100_000 if symbol.geometry is Geometry.EUCLIDEAN else 20_000
     lean, reference = _Builder(p, q, budget), ReferenceBuilder(p, q, budget)
-    lean.first_belt()
-    reference.first_belt()
+    lean.next_belt()
+    reference.next_belt()
     while True:
         before, last = lean.layers[-2:]
         down, down2, ncells = reference.down, reference.down2, reference.ncells
@@ -351,14 +358,13 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
     + [(10, 3, 4)],
 )
 def test_each_closed_belt_is_a_finished_map(p, q, belts):
-    # the builder holds no rotation back for later: after every belt its
-    # state is the map that many belts build
+    # the builder holds no rotation back for later: before belt 1 its state
+    # is the seed alone, and after every belt the map that many belts build
     symbol = SchlafliSymbol(p, q)
     b = _Builder(p, q, DEFAULT_VERTEX_CAP)
-    b.first_belt()
+    assert (b.rot, b.cells, b.layers, b.belt_sizes) == ([()], [], [range(1)], [])
     for i in range(1, belts + 1):
-        if i > 1:
-            b.next_belt()
+        b.next_belt()
         m = build(symbol, i)
         assert (b.rot, b.cells, b.layers, b.belt_sizes) == (
             m.rot, list(chain.from_iterable(m.cells)), m.layers, m.belt_sizes
@@ -371,10 +377,8 @@ def test_builder_keeps_one_layer_between_belts(p, q, belts):
     # but the map's own `rot` and `cells`, and `outer` is the outer layer's
     # ids, the very int objects the rotations hold
     b = _Builder(p, q, DEFAULT_VERTEX_CAP)
-    b.first_belt()
     for i in range(1, belts + 1):
-        if i > 1:
-            b.next_belt()
+        b.next_belt()
         layer = b.layers[-1]
         held = {w: w for w in chain.from_iterable(b.rot)}
         assert b.outer == list(layer) and all(held[v] is v for v in b.outer), i
@@ -1233,7 +1237,7 @@ def test_validate_reports_what_the_list_based_reference_reports():
     kinds = [corrupt for corrupt, _ in CORRUPTIONS.values()]
     kinds += [_random_rotation_entry(rng), _random_cell_vertex(rng)]
     seen = set()
-    for _ in range(2600):
+    for _ in range(3000):
         m0 = builds[rng.choice(FUZZ_SYMBOLS)]
         m = Mosaic(m0.symbol, list(m0.rot), list(m0.layers), list(m0.cells), list(m0.belt_sizes))
         for corrupt in rng.sample(kinds, rng.randint(1, 2)):

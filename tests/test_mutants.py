@@ -125,6 +125,29 @@ def test_layer_mutant_fails_a_check(owner, name, old, new, failed, p, q, levels,
     assert _failures(p, q, levels) == failed
 
 
+@pytest.mark.parametrize(
+    "p,q,failing",
+    [
+        (4, 5, ["rotation-faces", "edge-coverage"]),
+        (6, 6, ["rotation-faces", "edge-coverage"]),
+        (7, 3, ["rotation-faces", "edge-coverage"]),
+        (3, 7, ["rotation-faces"]),
+    ],
+)
+def test_closing_cell_mutant_fails_validate_on_one_belt(p, q, failing, monkeypatch):
+    # belt 1 is the sweep of the seed, so the builder's closing-cell mutant
+    # reaches it: the seed's fan closes clockwise on the sweep's first tip
+    def failed():
+        return [c.name for c in mosaic_mod.validate(build(SchlafliSymbol(p, q), 1)).failures()]
+
+    assert failed() == []
+    old, new = "cells += (v, carry, *top, *back)", "cells += (carry, v, *top, *back)"
+    monkeypatch.setattr(
+        mosaic_mod._Builder, "next_belt", mutant(mosaic_mod._Builder.next_belt, old, new)
+    )
+    assert failed() == failing
+
+
 @pytest.mark.parametrize("p,q,levels", [(3, 7, 5), (3, 8, 4)])
 def test_triangle_builder_mutant_fails_validate(p, q, levels, monkeypatch):
     # p = 3: a fan's last tip drops its second lower neighbour.  By default
