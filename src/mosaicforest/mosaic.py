@@ -6,8 +6,11 @@ boundary cycle of belt i.  The map is purely combinatorial: each vertex
 stores its incident neighbours in counter-clockwise rotation order, so faces
 can be recovered by rotation walks and no coordinates are ever needed.
 
-Construction sweeps the current boundary counter-clockwise and fans new
-cells around each boundary vertex until it lies on q cells.  The inner
+The builder is one stream of maps, `_belt_maps`: the finished map of belt 0,
+the seed alone, then that of each next belt in turn, all over one set of
+lists that the next belt extends.  `build` takes the map after `belts`
+belts.  Each belt sweeps the outer layer counter-clockwise and fans new
+cells around each layer vertex until it lies on q cells.  The inner
 cells of a fan share exactly one boundary vertex ("vertex"-attached).  The
 last cell closes the fan ("edge"-attached): it shares one boundary edge, or
 two consecutive edges when it fills the boundary vertex between them, as
@@ -126,52 +129,33 @@ class Mosaic:
         return "".join(text_blocks(chain((header,), pairs)))
 
 
-class _Builder:
-    """Belt-by-belt state of one build.
+def _belt_maps(symbol: SchlafliSymbol, cap: int) -> Iterator[Mosaic]:
+    """The finished maps of belts 0, 1, 2, ... of `symbol`, in turn.
 
-    Between belts it keeps one layer: `outer`, the outer layer's ids.
-    Before belt 1 that is the seed alone, with an empty rotation and no
-    cells, and every belt is one `next_belt` sweep of it.  A belt makes its
-    new layer's ids and lower neighbours as belt-local lists, id v at index
-    v - s0.  Every view of a vertex id (a rotation, a cell, a belt's walk, a
-    fan's tips) is taken from a slice of those ids, so each id is one int
-    object however many tuples and lists hold it.  `cells` is one flat list,
-    p ids per cell, extended a cell at a time.  No cell counts are kept: the
-    sweep reads the cells a vertex misses off its tip-less rotation's
-    length.  After each belt, `rot`, `cells`, `layers` and `belt_sizes` are
-    that many belts' finished map.
+    Every map shares one set of lists, which the next belt extends and
+    rewrites, so a map holds only until the next one is asked for.  Belt 0
+    is the seed alone, with an empty rotation and no cells, and every belt
+    is one sweep of `outer`, the outer layer's ids, the one layer kept
+    between belts.  A belt makes its new layer's ids and lower neighbours
+    as belt-local lists, id v at index v - s0.  Every view of a vertex id
+    (a rotation, a cell, a belt's walk, a fan's tips) is taken from a slice
+    of those ids, so each id is one int object however many tuples and
+    lists hold it.  `cells` is one flat list, p ids per cell, extended a
+    cell at a time.  No cell counts are kept: the sweep reads the cells a
+    vertex misses off its tip-less rotation's length.  Raises
+    SizeLimitError once more than `cap` vertices would be created.
     """
-
-    def __init__(self, p: int, q: int, cap: int):
-        self.p = p
-        self.q = q
-        self.cap = cap
-        self.outer = [0]  # the outer layer's ids; vertex 0 is the seed
-        self.rot: list[tuple[int, ...]] = [()]  # tip-less until the next sweep
-        self.cells: list[int] = []  # p ids per cell, in build order
-        self.layers: list[range] = [range(1)]
-        self.belt_sizes: list[int] = []
-
-    def close_belt(self, ids: list[int], down: list[int]) -> None:
-        """Record the belt's cell count and its outer layer `ids`, the lower
-        neighbour of each in `down` (-1 for none), with their tip-less
-        rotations: each turns from its previous neighbour u to its next one
-        w and down d (p = 3: and u's down e if it differs)."""
-        triangles, first = self.p == 3, ids[0]
-        self.belt_sizes.append(len(self.cells) // self.p - sum(self.belt_sizes))
-        self.layers.append(range(first, first + len(ids)))
-        # zip stops with the layer, so the lists shifted by one need no cut
-        before, after = chain(ids[-1:], ids), chain(islice(ids, 1, None), ids[:1])
-        self.rot += (
-            (u, w) if d < 0 else (u, w, d, e) if triangles and e != d else (u, w, d)
-            for u, w, d, e in zip(before, after, down, chain(down[-1:], down))
-        )
-        self.outer = ids
-
-    def next_belt(self) -> None:
-        p, q, cap, belt = self.p, self.q, self.cap, len(self.layers)
-        n2 = p - 2  # new vertices per inner cell: its arcs, then its tip
-        outer, rot, cells = self.outer, self.rot, self.cells
+    p, q = symbol.p, symbol.q
+    n2 = p - 2  # new vertices per inner cell: its arcs, then its tip
+    triangles = p == 3
+    outer = [0]  # the outer layer's ids; vertex 0 is the seed
+    rot: list[tuple[int, ...]] = [()]  # tip-less until the next sweep
+    cells: list[int] = []  # p ids per cell, in build order
+    layers = [range(1)]
+    belt_sizes: list[int] = []
+    while True:
+        yield Mosaic(symbol, rot, layers, _Cells(cells, p), belt_sizes)
+        belt = len(layers)
 
         # start the sweep at a vertex that is not one cell short, so it owns
         # a radial tip; only q = 3 leaves one short: one with a lower neighbour
@@ -184,7 +168,7 @@ class _Builder:
         # the new layer, id v at index v - s0; s0 is walk[0]'s first tip,
         # which the sweep's last fan closes on.  It is held to the cap with
         # walk[0]'s fan, which always comes next
-        s0 = self.layers[-1].stop
+        s0 = layers[-1].stop
         ids, down = [s0], [-1]  # down: the lower neighbour of a tip, -1 for none
         carry = s0
 
@@ -241,7 +225,18 @@ class _Builder:
             # entry; the seed has none, so its rotation is its tips
             rot[v] = (*turn[:1], tip, *run[n2 - 1 : inner : n2], *turn[1:])
 
-        self.close_belt(ids, down)
+        # close the belt: its cell count, its layer, and each new vertex's
+        # tip-less rotation, turning from its previous neighbour u to its
+        # next one w and down d (p = 3: and u's down e if it differs)
+        belt_sizes.append(len(cells) // p - sum(belt_sizes))
+        layers.append(range(s0, s0 + len(ids)))
+        # zip stops with the layer, so the lists shifted by one need no cut
+        before, after = chain(ids[-1:], ids), chain(islice(ids, 1, None), ids[:1])
+        rot += (
+            (u, w) if d < 0 else (u, w, d, e) if triangles and e != d else (u, w, d)
+            for u, w, d, e in zip(before, after, down, chain(down[-1:], down))
+        )
+        outer = ids
 
 
 def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> Mosaic:
@@ -257,10 +252,7 @@ def build(symbol: SchlafliSymbol, belts: int, cap: int = DEFAULT_VERTEX_CAP) -> 
         )
     if belts < 1:
         raise ValueError("belts must be >= 1")
-    b = _Builder(symbol.p, symbol.q, cap)
-    for _ in range(belts):
-        b.next_belt()
-    return Mosaic(symbol, b.rot, b.layers, _Cells(b.cells, symbol.p), b.belt_sizes)
+    return next(islice(_belt_maps(symbol, cap), belts, None))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import tracemalloc
 from bisect import bisect_right
 from collections.abc import Iterator, Sized
 from itertools import accumulate, chain
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,7 @@ from mosaicforest.mosaic import (
     CheckResult,
     Mosaic,
     ValidationReport,
-    _Builder,
+    _belt_maps,
     _Cells,
     _explain,
     _holds,
@@ -75,9 +76,9 @@ class ReferenceBuilder:
     second lower neighbour of each p = 3 tip that has one, which its own
     `finish` reads.  It keeps its own whole-build `ids` and `down`, the
     lower neighbour of every vertex (-1 for none), where the lean builder
-    keeps one layer.  It shares no state or code with `_Builder`: its `rot`
-    starts empty and `first_belt` builds belt 1 around the seed, where the
-    lean builder sweeps the seed as a one-vertex layer.  Its `close_belt`
+    keeps one layer.  It shares no state or code with `_belt_maps`: its
+    `rot` starts empty and `first_belt` builds belt 1 around the seed, where
+    the lean stream sweeps the seed as a one-vertex layer.  Its `close_belt`
     writes no rotation: `first_belt`, `next_belt` and `finish` write each
     one once.  Its `cells` is a list of tuples.
     """
@@ -187,9 +188,9 @@ class ReferenceBuilder:
         return Mosaic(symbol, self.rot, self.layers, self.cells, self.belt_sizes)
 
 
-def _refusal(builder: type, symbol: SchlafliSymbol, belts: int, cap: int) -> str | None:
-    """The SizeLimitError message of a build under `cap`, None if it builds."""
-    b = builder(symbol.p, symbol.q, cap)
+def _refusal(symbol: SchlafliSymbol, belts: int, cap: int) -> str | None:
+    """The reference's SizeLimitError message of a build under `cap`, None if it builds."""
+    b = ReferenceBuilder(symbol.p, symbol.q, cap)
     try:
         for _ in range(belts):
             b.next_belt()
@@ -211,9 +212,12 @@ def test_vertex_cap_trips_at_the_same_count_in_every_belt(p, q, belts, vertices)
     # every cap names the belt the per-cell reference names, including caps
     # that fall inside a fan's run of new vertices, as most of these do
     for cap in [*range(1, vertices - 1, 1 + vertices // 60), vertices - 1, vertices]:
-        assert _refusal(_Builder, symbol, belts, cap) == _refusal(
-            ReferenceBuilder, symbol, belts, cap
-        ), cap
+        message = _refusal(symbol, belts, cap)
+        if message is None:
+            build(symbol, belts, cap=cap)
+        else:
+            with pytest.raises(SizeLimitError, match=f"^{message}$"):
+                build(symbol, belts, cap=cap)
 
 
 def test_determinism():
@@ -301,11 +305,11 @@ def test_belt_whose_run_outgrows_a_cell_raises(p, q):
     # first vertex's closing cell would run around the whole layer.  The
     # lean builder reads a vertex's cells off its rotation's length, the
     # reference off `ncells`
-    lean = _Builder(p, q, DEFAULT_VERTEX_CAP)
+    maps = _belt_maps(SchlafliSymbol(p, q), DEFAULT_VERTEX_CAP)
+    next(maps)
+    lean = next(maps)
     reference = ReferenceBuilder(p, q, DEFAULT_VERTEX_CAP)
-    builders = lean, reference
-    for b in builders:
-        b.next_belt()
+    reference.next_belt()
     first, *rest = lean.layers[1]
     lean.rot[first] = lean.rot[first][:2]
     reference.ncells[first] = q - 2
@@ -313,9 +317,9 @@ def test_belt_whose_run_outgrows_a_cell_raises(p, q):
         lean.rot[v] = (*lean.rot[v][:2], 0)
         reference.ncells[v] = q - 1
     messages = set()
-    for b in builders:
+    for advance in (maps.__next__, reference.next_belt):
         with pytest.raises(StructureError, match=f"^belt 2: cell run longer than a {p}-gon") as e:
-            b.next_belt()
+            advance()
         messages.add(str(e.value))
     assert len(messages) == 1
 
@@ -334,8 +338,9 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
     # builder no longer keeps, is 1 + its number of lower neighbours
     symbol = SchlafliSymbol(p, q)
     budget = 100_000 if symbol.geometry is Geometry.EUCLIDEAN else 20_000
-    lean, reference = _Builder(p, q, budget), ReferenceBuilder(p, q, budget)
-    lean.next_belt()
+    maps, reference = _belt_maps(symbol, budget), ReferenceBuilder(p, q, budget)
+    next(maps)
+    lean = next(maps)
     reference.next_belt()
     while True:
         before, last = lean.layers[-2:]
@@ -344,10 +349,10 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
         ahead = symbol.trace * len(last) - len(before)
         if len(lean.layers) > 2 and lean.layers[-1].stop + ahead > budget:
             break
-        lean.next_belt()
+        lean = next(maps)
         reference.next_belt()
     r = reference.finish(symbol)
-    assert (lean.rot, lean.cells, lean.layers, lean.belt_sizes) == (
+    assert (lean.rot, lean.cells.flat, lean.layers, lean.belt_sizes) == (
         r.rot, list(chain.from_iterable(r.cells)), r.layers, r.belt_sizes
     )
 
@@ -358,27 +363,33 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
     + [(10, 3, 4)],
 )
 def test_each_closed_belt_is_a_finished_map(p, q, belts):
-    # the builder holds no rotation back for later: before belt 1 its state
-    # is the seed alone, and after every belt the map that many belts build
+    # the stream holds no rotation back for later: its first map is the seed
+    # alone, and each next one passes validate and is the map that many belts
+    # build.  Every map holds the same lists, which the next belt extends
     symbol = SchlafliSymbol(p, q)
-    b = _Builder(p, q, DEFAULT_VERTEX_CAP)
-    assert (b.rot, b.cells, b.layers, b.belt_sizes) == ([()], [], [range(1)], [])
+    maps = _belt_maps(symbol, DEFAULT_VERTEX_CAP)
+    seed = next(maps)
+    assert (seed.rot, seed.cells.flat, seed.layers, seed.belt_sizes) == ([()], [], [range(1)], [])
     for i in range(1, belts + 1):
-        b.next_belt()
+        b = next(maps)
+        assert b.rot is seed.rot, i
+        assert validate(b).passed, i
         m = build(symbol, i)
-        assert (b.rot, b.cells, b.layers, b.belt_sizes) == (
-            m.rot, list(chain.from_iterable(m.cells)), m.layers, m.belt_sizes
+        assert (b.rot, b.cells.flat, b.layers, b.belt_sizes) == (
+            m.rot, m.cells.flat, m.layers, m.belt_sizes
         ), i
 
 
 @pytest.mark.parametrize("p,q,belts", [(4, 5, 5), (3, 7, 6), (7, 3, 5), (4, 4, 6)])
 def test_builder_keeps_one_layer_between_belts(p, q, belts):
-    # after every belt the builder holds no list longer than the outer layer
+    # after every belt the stream holds no list longer than the outer layer
     # but the map's own `rot` and `cells`, and `outer` is the outer layer's
     # ids, the very int objects the rotations hold
-    b = _Builder(p, q, DEFAULT_VERTEX_CAP)
+    maps = _belt_maps(SchlafliSymbol(p, q), DEFAULT_VERTEX_CAP)
+    next(maps)
     for i in range(1, belts + 1):
-        b.next_belt()
+        next(maps)
+        b = SimpleNamespace(**maps.gi_frame.f_locals)
         layer = b.layers[-1]
         held = {w: w for w in chain.from_iterable(b.rot)}
         assert b.outer == list(layer) and all(held[v] is v for v in b.outer), i

@@ -91,19 +91,19 @@ SWEEP = "*run[n2 - 1 : inner : n2]"
         # builder: a vertex lists its first tip after its other tips; only
         # validate sees it until verify checks the rotation-forest identity
         pytest.param(
-            mosaic_mod._Builder, "next_belt", f"tip, {SWEEP}", f"{SWEEP}, tip",
+            mosaic_mod, "_belt_maps", f"tip, {SWEEP}", f"{SWEEP}, tip",
             (["rotation-faces"], []), id="builder",
         ),
         # builder: a vertex with no lower neighbour turns from its next
         # neighbour to its previous one until the sweep gives it tips
         pytest.param(
-            mosaic_mod._Builder, "close_belt", "(u, w) if d < 0", "(w, u) if d < 0",
+            mosaic_mod, "_belt_maps", "(u, w) if d < 0", "(w, u) if d < 0",
             (["rotation-faces"], []), id="builder-turn",
         ),
         # builder: a fan's closing cell lists its tip before its vertex, so
         # it runs clockwise; cross_check reads no cells and does not see it
         pytest.param(
-            mosaic_mod._Builder, "next_belt", "cells += (v, carry, *top, *back)",
+            mosaic_mod, "_belt_maps", "cells += (v, carry, *top, *back)",
             "cells += (carry, v, *top, *back)",
             (["rotation-faces", "edge-coverage"], []), id="builder-closing-cell",
         ),
@@ -142,9 +142,7 @@ def test_closing_cell_mutant_fails_validate_on_one_belt(p, q, failing, monkeypat
 
     assert failed() == []
     old, new = "cells += (v, carry, *top, *back)", "cells += (carry, v, *top, *back)"
-    monkeypatch.setattr(
-        mosaic_mod._Builder, "next_belt", mutant(mosaic_mod._Builder.next_belt, old, new)
-    )
+    monkeypatch.setattr(mosaic_mod, "_belt_maps", mutant(mosaic_mod._belt_maps, old, new))
     assert failed() == failing
 
 
@@ -157,9 +155,7 @@ def test_triangle_builder_mutant_fails_validate(p, q, levels, monkeypatch):
 
     assert failed() == []
     old, new = "(u, w, d, e) if triangles", "(u, w, d) if triangles"
-    monkeypatch.setattr(
-        mosaic_mod._Builder, "close_belt", mutant(mosaic_mod._Builder.close_belt, old, new)
-    )
+    monkeypatch.setattr(mosaic_mod, "_belt_maps", mutant(mosaic_mod._belt_maps, old, new))
     assert failed() == ["interior-degree", "rotation-faces", "edge-coverage", "euler"]
 
 

@@ -6,10 +6,12 @@ without keeping the outputs themselves in the repository.
 """
 
 import hashlib
+from itertools import count
 
 import pytest
 
 from mosaicforest import SchlafliSymbol, build, grow
+from mosaicforest.errors import SizeLimitError
 
 # sha256 of repr() of the tuple made by _pinned_parts
 PINNED = {
@@ -42,3 +44,27 @@ def _pinned_parts(p: int, q: int, belts: int) -> tuple:
 def test_build_and_grow_match_pinned_digest(p, q, belts):
     digest = hashlib.sha256(repr(_pinned_parts(p, q, belts)).encode()).hexdigest()
     assert digest == PINNED[p, q, belts]
+
+
+# sha256 of the builds and refusals of test_every_small_build_matches_the_sweep_digest
+SWEEP_DIGEST = "c36c46e318e4b55680ebfa04d0b07428f3fa287ef31381148459d2b675cb8a16"
+
+
+def test_every_small_build_matches_the_sweep_digest():
+    # every non-spherical {p,q} with 3 <= p, q <= 10 at belts 1, 2, ... under
+    # a 5000-vertex cap (256 builds), then the SizeLimitError text of each
+    # symbol's first refused belt count
+    digest = hashlib.sha256()
+    for p in range(3, 11):
+        for q in range(3, 11):
+            if (p - 2) * (q - 2) < 4:
+                continue  # spherical
+            for belts in count(1):
+                try:
+                    m = build(SchlafliSymbol(p, q), belts, cap=5000)
+                except SizeLimitError as e:
+                    digest.update(str(e).encode())
+                    break
+                parts = ([list(r) for r in m.rot], list(m.cells), m.layers, m.belt_sizes)
+                digest.update(repr(parts).encode())
+    assert digest.hexdigest() == SWEEP_DIGEST

@@ -4,7 +4,8 @@ Every name a module imports is also used there, or, in `__init__.py`,
 listed in `__all__`, so deleting the last use of a name deletes its import.
 Every public function and method is likewise listed in `__all__` or named
 by the package, a demo or the benchmark, and every private one, like every
-private module-level name, is named by the package.
+private module-level name, is named by the package.  No module, in the
+package or among the tests, rebinds at its top level a name it imports.
 """
 
 import ast
@@ -16,6 +17,7 @@ import pytest
 import mosaicforest
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "mosaicforest").glob("*.py"))
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _top_level_imports(path: Path) -> set[str]:
@@ -103,3 +105,35 @@ def test_every_public_function_and_method_is_exported_or_referenced():
     referenced = _referenced(users) | set(mosaicforest.__all__)
     orphans = [f"{module}: {name}" for module, name in defined if name not in referenced]
     assert not orphans, f"neither exported nor referenced: {orphans}"
+
+
+def _rebound_imports(source: str) -> list[str]:
+    """Names that a module-level def, class or assignment in `source` binds
+    again after the module imports them, which silently shadows the import."""
+    imported, rebound = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            rebound += [node.name] if node.name in imported else []
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+            rebound += [name for name in stored if name in imported]
+    return rebound
+
+
+@pytest.mark.parametrize("path", SOURCES + TESTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_module_rebinds_a_name_it_imports(path):
+    rebound = _rebound_imports(path.read_text(encoding="utf-8"))
+    assert not rebound, f"{path.name} rebinds {rebound}, which it imports"
+
+
+def test_a_planted_rebinding_of_an_import_is_caught():
+    # a test module's own helper named like the function it imports
+    planted = "from mosaicforest.mosaic import _belt_maps, build\n\ndef _belt_maps(m):\n    pass\n"
+    assert _rebound_imports(planted) == ["_belt_maps"]
+    assert _rebound_imports("import ast\nast, n = None, 1\nx: int = 2\n") == ["ast"]
+    assert _rebound_imports("from x import y\ndef z():\n    y = 1\n") == []
