@@ -18,13 +18,35 @@ the smaller id.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
+from operator import eq
 
 from .errors import DegenerateForestError, StructureError
 from .mosaic import Mosaic, text_blocks
 from .recurrence import SchlafliSymbol
+
+
+class _Edges:
+    """Read-only (u, v) pairs that `pairs()` yields afresh on each pass and
+    `size()` counts without one; the view equals any sequence of the same pairs."""
+
+    __slots__ = ("pairs", "size")
+
+    def __init__(self, pairs: Callable[[], Iterator[tuple[int, int]]], size: Callable[[], int]):
+        self.pairs, self.size = pairs, size
+
+    def __len__(self) -> int:
+        return self.size()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return self.pairs()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Sequence, _Edges)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 @dataclass
@@ -71,16 +93,22 @@ class Forest:
                 if parent[v] is None:
                     yield v, layer[(k + 1) % m]
 
-    def spanning_tree(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-        """Forest edges plus one connector per non-main root.
+    def spanning_tree(self) -> tuple[_Edges, _Edges]:
+        """Forest edges plus one connector per non-main root, as two views.
 
         Each non-main root is joined to its counter-clockwise neighbour on
         its own boundary cycle, stitching every tree onto the main one.
-        Returns (tree_edges, connector_edges), where tree_edges holds a
+        Returns (tree_edges, connector_edges), where tree_edges gives a
         (parent, child) pair for every non-root vertex, by child id; their
-        union spans all vertices with |E| = |V| - 1.
+        union spans all vertices with |E| = |V| - 1.  Both read `parent` and
+        `mosaic.layers` on each pass, so they hold nothing per edge and show
+        later edits to `parent`.
         """
-        return list(self._tree_edges()), list(self._connectors())
+        # every root but the seed, id 0, has a connector
+        return (
+            _Edges(self._tree_edges, lambda: len(self.parent) - self.parent.count(None)),
+            _Edges(self._connectors, lambda: self.parent.count(None) - (self.parent[0] is None)),
+        )
 
     def spanning_tree_text(self) -> str:
         """Plain text export of `spanning_tree`: a header line, then its pairs.

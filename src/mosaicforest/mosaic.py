@@ -337,8 +337,13 @@ def _holds(mosaic: Mosaic) -> bool:
     names a vertex and has its reverse: the reverses pair the darts, each
     cell is a face, the marks are the cell sides seen through the reverses,
     and the darts on no cell can only go round the outer cycle, once.
-    Euler's formula and a search from vertex 0 that reaches every vertex
-    finish it.
+    Euler's formula finishes it, with a search from vertex 0 that reaches
+    every vertex, run only where the symbol is not hyperbolic.  For a
+    hyperbolic one the formula alone rules out a second piece.  A piece
+    without the outer layer is closed: every vertex is interior, of degree
+    q, and every dart lies on one p-gon, so its V - E + F is
+    V(2p + 2q - pq)/(2p) < 0.  The piece with the outer layer has
+    V - E + F <= 2, so a closed piece would pull the map's V - E + F below 2.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
     rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
@@ -394,7 +399,7 @@ def _holds(mosaic: Mosaic) -> bool:
         return False
     if n - first[-1] // 2 + len(cells) + 1 != 2:
         return False
-    return 0 not in _reached(rot)
+    return mosaic.symbol.geometry is Geometry.HYPERBOLIC or 0 not in _reached(rot)
 
 
 def _explain(mosaic: Mosaic) -> ValidationReport:

@@ -239,7 +239,7 @@ def test_criterion_10_spanning_tree():
         for p, q, levels in ((4, 5, 5), (5, 4, 5), (4, 6, 4), (6, 4, 4), (5, 5, 4), (4, 4, 6)):
             forest = grow(build(SchlafliSymbol(p, q), levels))
             tree, connectors = forest.spanning_tree()
-            edges = tree + connectors
+            edges = [*tree, *connectors]
             n = forest.mosaic.vertex_count
             assert len(edges) == n - 1
             parent = list(range(n))

@@ -23,12 +23,16 @@ ELAPSED = "total time: "
 
 
 def run(demo: Path | str) -> str:
-    """The stdout of a demo file, or of a string of Python code."""
+    """The stdout of a demo file, or of a string of Python code, run with warnings as errors."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     command = [str(demo)] if isinstance(demo, Path) else ["-c", demo]
     done = subprocess.run(
-        [sys.executable, *command], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error", *command],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines(keepends=True)

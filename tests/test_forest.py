@@ -143,7 +143,7 @@ def test_root_chains_terminate_at_roots(forest45):
 def test_spanning_tree(p, q, levels):
     f = grow(build(SchlafliSymbol(p, q), levels))
     tree, connectors = f.spanning_tree()
-    edges = tree + connectors
+    edges = [*tree, *connectors]
     n = f.mosaic.vertex_count
     assert len(edges) == n - 1
     acyclic, components = union_find_spanning(n, edges)
@@ -155,6 +155,44 @@ def test_spanning_tree(p, q, levels):
         assert f.parent[r] is None
         assert any(r in layer and nbr in layer for layer in f.mosaic.layers)
         assert nbr in f.mosaic.rot[r]
+
+
+def _ccw_connectors(parent, layers):
+    # each layer is a run of ids in CCW order, so a root's CCW neighbour is the next id
+    return [
+        (v, v + 1 if v + 1 < layer.stop else layer.start)
+        for layer in layers[1:]
+        for v in layer
+        if parent[v] is None
+    ]
+
+
+# spanning_tree() holds nothing per edge: its two views read `parent` and the
+# layers on each pass
+@pytest.mark.parametrize("p,q,levels", [(4, 5, 7), (3, 7, 8)])
+def test_spanning_tree_is_two_views_over_parent(p, q, levels):
+    f = grow(build(SchlafliSymbol(p, q), levels), allow_triangles=p == 3)
+    tracemalloc.start()
+    try:
+        tree, connectors = f.spanning_tree()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024, f"spanning_tree() allocated {peak} bytes"
+    parent, layers = f.parent, f.mosaic.layers
+    n, roots = f.mosaic.vertex_count, parent.count(None)
+    expected = [(u, v) for v, u in enumerate(parent) if u is not None]
+    for _ in range(2):
+        assert list(tree) == expected and tree == expected
+        assert list(connectors) == _ccw_connectors(parent, layers) == connectors
+    assert (len(tree), len(connectors)) == (n - roots, roots - 1)
+    if p == 3:
+        assert (len(tree), len(connectors), list(connectors)) == (n - 1, 0, [])
+    # an edit to `parent` shows through: the last child becomes a root
+    u, v = expected[-1]
+    parent[v] = None
+    assert tree == expected[:-1] and len(tree) == n - roots - 1
+    assert connectors == _ccw_connectors(parent, layers) and len(connectors) == roots
 
 
 def test_levels_validation():
