@@ -96,18 +96,28 @@ class _Cells(Sequence):
 
 
 class Mosaic:
-    """A built tiling patch: rotation system, layer id runs, cells."""
+    """A built tiling patch: rotation system, layer id runs and cells, but no cell count."""
 
-    def __init__(self, symbol, rot, layers, cells, belt_sizes):
+    def __init__(self, symbol, rot, layers, cells):
         self.symbol: SchlafliSymbol = symbol
         self.rot: list[tuple[int, ...]] = rot  # CCW neighbour order per vertex
         self.layers: list[range] = layers  # layer i's ids, its boundary cycle in CCW order
         self.cells: Sequence[tuple[int, ...]] = cells  # CCW cycles by belt; `build` gives a view
-        self.belt_sizes: list[int] = belt_sizes  # cells per belt, index 0 = belt 1
 
     @property
     def belts(self) -> int:
         return len(self.layers) - 1
+
+    @property
+    def belt_sizes(self) -> list[int]:
+        """Cells per belt, index 0 = belt 1, read off the layer sizes L by Euler's formula
+        on the disc of belts 0..i: belt i holds (L[i - 1] + L[i] - [i = 1]) / (p - 2)."""
+        p, sizes = self.symbol.p, [0, *self.layer_sizes[1:]]  # L[0] - 1: the seed is no disc
+        counts = [divmod(a + b, p - 2) for a, b in zip(sizes, sizes[1:])]
+        for belt, (_, rest) in enumerate(counts, 1):
+            if rest:
+                raise StructureError(f"belt {belt}: its layer sizes give no whole count of cells")
+        return [cells for cells, _ in counts]
 
     @property
     def vertex_count(self) -> int:
@@ -140,10 +150,10 @@ def _belt_maps(symbol: SchlafliSymbol, cap: int) -> Iterator[Mosaic]:
     as belt-local lists, id v at index v - s0.  Every view of a vertex id
     (a rotation, a cell, a belt's walk, a fan's tips) is taken from a slice
     of those ids, so each id is one int object however many tuples and
-    lists hold it.  `cells` is one flat list, p ids per cell, extended a
-    cell at a time.  No cell counts are kept: the sweep reads the cells a
-    vertex misses off its tip-less rotation's length.  Raises
-    SizeLimitError once more than `cap` vertices would be created.
+    lists hold it.  `cells` is one flat list, p ids per cell.  No cell count
+    is kept: the sweep reads a vertex's off its rotation's length, and
+    `belt_sizes` reads a belt's off the layer sizes by Euler's formula.
+    Raises SizeLimitError once more than `cap` vertices would be created.
     """
     p, q = symbol.p, symbol.q
     n2 = p - 2  # new vertices per inner cell: its arcs, then its tip
@@ -152,18 +162,15 @@ def _belt_maps(symbol: SchlafliSymbol, cap: int) -> Iterator[Mosaic]:
     rot: list[tuple[int, ...]] = [()]  # tip-less until the next sweep
     cells: list[int] = []  # p ids per cell, in build order
     layers = [range(1)]
-    belt_sizes: list[int] = []
     while True:
-        yield Mosaic(symbol, rot, layers, _Cells(cells, p), belt_sizes)
+        yield Mosaic(symbol, rot, layers, _Cells(cells, p))
         belt = len(layers)
 
         # start the sweep at a vertex that is not one cell short, so it owns
         # a radial tip; only q = 3 leaves one short: one with a lower neighbour
         start = next(k for k, v in enumerate(outer) if len(rot[v]) < q)
-        walk = outer[start:] + outer[:start]
-        m = len(walk)
-        if m > 1:
-            walk.append(walk[0])  # walk[m] closes the cycle; the seed is no cycle
+        m = len(outer)
+        walk = outer[start:] + outer[: start + (m > 1)]  # walk[m] closes it, bar the seed
 
         # the new layer, id v at index v - s0; s0 is walk[0]'s first tip,
         # which the sweep's last fan closes on.  It is held to the cap with
@@ -216,8 +223,7 @@ def _belt_maps(symbol: SchlafliSymbol, cap: int) -> Iterator[Mosaic]:
 
             top = run[inner:]
             cells += (v, carry, *top, *back)
-            if top:
-                carry = top[-1]
+            carry = top[-1] if top else carry
             # p = 3: the fan's last tip, v its second lower neighbour; the seed's hangs on v
             down[carry - s0] = back[0] if back else v
 
@@ -225,10 +231,9 @@ def _belt_maps(symbol: SchlafliSymbol, cap: int) -> Iterator[Mosaic]:
             # entry; the seed has none, so its rotation is its tips
             rot[v] = (*turn[:1], tip, *run[n2 - 1 : inner : n2], *turn[1:])
 
-        # close the belt: its cell count, its layer, and each new vertex's
-        # tip-less rotation, turning from its previous neighbour u to its
-        # next one w and down d (p = 3: and u's down e if it differs)
-        belt_sizes.append(len(cells) // p - sum(belt_sizes))
+        # close the belt: its layer, and each new vertex's tip-less rotation,
+        # turning from its previous neighbour u to its next one w and down d
+        # (p = 3: and u's down e if it differs)
         layers.append(range(s0, s0 + len(ids)))
         # zip stops with the layer, so the lists shifted by one need no cut
         before, after = chain(ids[-1:], ids), chain(islice(ids, 1, None), ids[:1])
@@ -306,19 +311,14 @@ def validate(mosaic: Mosaic) -> ValidationReport:
 
 
 def _reached(rot: Sequence[Sequence[int]]) -> bytearray:
-    """1 for each vertex that a path over `rot` reaches from vertex 0, found a frontier at a time."""
-    reached = bytearray(len(rot))
-    frontier = [0] if rot else []
-    for v in frontier:
-        reached[v] = 1
-    while frontier:
-        ahead = []
-        for v in frontier:
-            for w in rot[v]:
-                if not reached[w]:
-                    reached[w] = 1
-                    ahead.append(w)
-        frontier = ahead
+    """1 for each vertex that a path over `rot` reaches from vertex 0, in breadth-first order."""
+    reached, queue = bytearray(len(rot)), list(range(len(rot))[:1])  # vertex 0, if any
+    reached[:1] = b"\1" * len(queue)
+    for v in queue:  # it grows as it goes: each vertex is queued once, when first reached
+        for w in rot[v]:
+            if not reached[w]:
+                reached[w] = 1
+                queue.append(w)
     return reached
 
 

@@ -261,7 +261,7 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
         if value != form:
             raise ArithmeticError(f"{symbol}: {name} is not its eigenvector form")
 
-    return SpectralConstants(
+    constants = SpectralConstants(
         symbol=symbol,
         trace=symbol.trace,
         radicand=symbol.trace**2 - 4,
@@ -274,6 +274,10 @@ def spectral_constants(symbol: SchlafliSymbol) -> SpectralConstants:
         root_share=root_share,
         step_share=step_share,
     )
+    # the eigenvalues are (c +- sqrt(radicand)) / 2, so their gap squares to it
+    if gap * gap != constants.radicand:
+        raise ArithmeticError(f"{symbol}: radicand is not (growth - decay)**2")
+    return constants
 
 
 def _closed_form_integer(value: QuadraticNumber, level: int) -> int:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mosaicforest import mosaic as mosaic_mod
+from mosaicforest import verify as verify_mod
 from mosaicforest.cli import MAX_EUCLIDEAN_LEVELS, MAX_PQ, main
 from mosaicforest.recurrence import SchlafliSymbol
 
@@ -342,6 +343,30 @@ class TestVerify:
         assert lines[-2].startswith("FAIL {3,7}: with p = 3 ")
         assert "allow_triangles" not in out and out.count("{3,7}") == 1
         assert lines[-1] == "verification FAILED"
+
+    def test_arithmetic_error_of_one_symbol_is_a_fail_line(self, capsys, monkeypatch):
+        # an exact route's self-check that fails for {5,4} fails that symbol
+        # alone: the symbols before and after it are still checked and printed
+        real = verify_mod.spectral_constants
+
+        def planted(symbol):
+            if symbol == SchlafliSymbol(5, 4):
+                raise ArithmeticError("planted self-check failure")
+            return real(symbol)
+
+        monkeypatch.setattr(verify_mod, "spectral_constants", planted)
+        code, out, _ = run(capsys, "verify", "--levels", "2", "--symbols", "4:5,5:4,4:6")
+        assert code == 1
+        *checks, last = out.splitlines()
+        assert [line for line in checks if "FAIL" in line] == [
+            "FAIL {5,4}: planted self-check failure"
+        ]
+        assert [line.split(":")[0] for line in checks if "{5,4}" not in line] == [
+            f"ok   {{{s}}} {name}"
+            for s in ("4,5", "4,6")
+            for name in ("layer-sizes", "forest-counts", "closed-form", "histogram")
+        ]
+        assert last == "verification FAILED"
 
     def test_bad_symbol_list_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from bisect import bisect_right
 from collections.abc import Iterator, Sized
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from types import SimpleNamespace
 
 import pytest
@@ -80,7 +80,9 @@ class ReferenceBuilder:
     `rot` starts empty and `first_belt` builds belt 1 around the seed, where
     the lean stream sweeps the seed as a one-vertex layer.  Its `close_belt`
     writes no rotation: `first_belt`, `next_belt` and `finish` write each
-    one once.  Its `cells` is a list of tuples.
+    one once.  Its `cells` is a list of tuples.  It counts each belt's cells
+    in its own `belt_sizes`, which a `Mosaic` reads off the layer sizes by
+    Euler's formula, so comparing the two tests the formula.
     """
 
     def __init__(self, p: int, q: int, cap: int):
@@ -185,7 +187,7 @@ class ReferenceBuilder:
             d = self.down[v]
             below = () if d < 0 else (d, self.down2[v]) if v in self.down2 else (d,)
             self.rot.append((u, w, *below))
-        return Mosaic(symbol, self.rot, self.layers, self.cells, self.belt_sizes)
+        return Mosaic(symbol, self.rot, self.layers, self.cells)
 
 
 def _refusal(symbol: SchlafliSymbol, belts: int, cap: int) -> str | None:
@@ -335,7 +337,9 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
     # belt by belt to the deepest one within the budget (the trace recursion
     # gives each next layer's size from level 2 on); after every belt the
     # reference's exact cell count of each new-layer vertex, which the lean
-    # builder no longer keeps, is 1 + its number of lower neighbours
+    # builder no longer keeps, is 1 + its number of lower neighbours.  The
+    # reference counts its belts' cells, and the lean map reads them off its
+    # layer sizes
     symbol = SchlafliSymbol(p, q)
     budget = 100_000 if symbol.geometry is Geometry.EUCLIDEAN else 20_000
     maps, reference = _belt_maps(symbol, budget), ReferenceBuilder(p, q, budget)
@@ -351,9 +355,10 @@ def test_build_matches_the_per_cell_reference_builder(p, q):
             break
         lean = next(maps)
         reference.next_belt()
+    assert lean.belt_sizes == reference.belt_sizes
     r = reference.finish(symbol)
-    assert (lean.rot, lean.cells.flat, lean.layers, lean.belt_sizes) == (
-        r.rot, list(chain.from_iterable(r.cells)), r.layers, r.belt_sizes
+    assert (lean.rot, lean.cells.flat, lean.layers) == (
+        r.rot, list(chain.from_iterable(r.cells)), r.layers
     )
 
 
@@ -446,6 +451,65 @@ def test_each_layer_vertex_lies_on_one_more_cell_than_its_lower_neighbours(p, q)
                 on[v] += 1
         for v in layer:
             assert on[v] == 1 + sum(w in lower for w in m.rot[v]), v
+
+
+def _cells_at(cells: list[tuple[int, ...]]) -> list[list[int]]:
+    """The indices of the cells at each vertex id, read off `cells` alone."""
+    at: list[list[int]] = [[] for _ in range(1 + max(chain.from_iterable(cells)))]
+    for k, cell in enumerate(cells):
+        for v in cell:
+            at[v].append(k)
+    return at
+
+
+def _belts_by_definition(
+    cells: list[tuple[int, ...]], at: list[list[int]], seed: int
+) -> Iterator[tuple[list[int], set[int]]]:
+    """The paper's belts around `seed`: each belt's cell indices, ascending,
+    and the layer it adds, belt 1 first, up to the first empty belt.
+
+    Belt 1 is the cells at the seed; belt i + 1 is the cells that share a
+    vertex with belt i and lie in no earlier belt; layer i is the vertices
+    that belt i adds.  It reads `cells` alone, through `at`: no rotation,
+    layer range or sweep state.
+    """
+    taken, seen, near = set(), {seed}, {seed}
+    while belt := sorted({k for v in near for k in at[v]} - taken):
+        taken.update(belt)
+        near = {v for k in belt for v in cells[k]}
+        layer = near - seen
+        seen |= layer
+        yield belt, layer
+
+
+def _check_belts_by_definition(m: Mosaic) -> None:
+    """The belts and layers of `m` are the paper's, around its seed and around
+    an interior vertex, where the tiling looks the same as from the seed."""
+    cells = list(m.cells)
+    at = _cells_at(cells)
+    belts, layers = zip(*_belts_by_definition(cells, at, 0))
+    assert [set(layer) for layer in m.layers] == [{0}, *layers]
+    starts = list(accumulate(m.belt_sizes, initial=0))
+    assert list(belts) == [list(range(lo, hi)) for lo, hi in zip(starts, starts[1:])]
+    # re-seeded on layer r, belts 1..k are whole: each is found from the
+    # vertices of the belt before, which lie below the outer layer
+    r = m.belts // 2
+    k = m.belts - r
+    around = islice(_belts_by_definition(cells, at, m.layers[r].start), k)
+    assert [1, *(len(layer) for _, layer in around)] == m.layer_sizes[: k + 1]
+
+
+# p >= 4, p = 3, q = 3 and Euclidean builds, to 215,821 vertices on {6,5}
+BELT_DEFINITION_BUILDS = [
+    (4, 5, 7), (5, 4, 6), (3, 7, 10), (7, 3, 6), (4, 4, 20),
+    (3, 6, 20), (6, 3, 20), (6, 5, 5), (10, 3, 5),
+]
+
+
+@pytest.mark.parametrize("p,q,belts", BELT_DEFINITION_BUILDS)
+def test_belts_and_layers_follow_the_papers_definition(p, q, belts):
+    # "belt i+1 consists of the p-gons touching belt i but not belt i-1"
+    _check_belts_by_definition(build(SchlafliSymbol(p, q), belts))
 
 
 def _without(rotation, w):
@@ -907,8 +971,8 @@ RAGGED = {"empty-cell", "one-vertex-cell", "regroup-cells"}
 
 
 def _with_cells(m: Mosaic, cells) -> Mosaic:
-    """A copy of `m` with its own rotation, layer and belt lists and `cells`."""
-    return Mosaic(m.symbol, list(m.rot), list(m.layers), cells, list(m.belt_sizes))
+    """A copy of `m` with its own rotation and layer lists and `cells`."""
+    return Mosaic(m.symbol, list(m.rot), list(m.layers), cells)
 
 
 @pytest.mark.parametrize("corruption", sorted(set(CORRUPTIONS) - RAGGED))
@@ -1250,7 +1314,7 @@ def test_validate_reports_what_the_list_based_reference_reports():
     seen = set()
     for _ in range(3000):
         m0 = builds[rng.choice(FUZZ_SYMBOLS)]
-        m = Mosaic(m0.symbol, list(m0.rot), list(m0.layers), list(m0.cells), list(m0.belt_sizes))
+        m = Mosaic(m0.symbol, list(m0.rot), list(m0.layers), list(m0.cells))
         for corrupt in rng.sample(kinds, rng.randint(1, 2)):
             try:
                 corrupt(m)

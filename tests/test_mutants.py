@@ -12,15 +12,21 @@ import ast
 import inspect
 import sys
 import textwrap
+from collections import Counter
+from functools import cache
 
+import mutation_sweep
 import pytest
+import test_mosaic
 from test_forest import _dot_counts_and_histograms, _spanning_text_agrees
-from test_mosaic import CORRUPTIONS, _edge_list_agrees
+from test_mosaic import CORRUPTIONS, _check_belts_by_definition, _edge_list_agrees
 
 from mosaicforest import forest as forest_mod
 from mosaicforest import mosaic as mosaic_mod
 from mosaicforest import probability, quadratic, recurrence
+from mosaicforest import verify as verify_mod
 from mosaicforest.forest import Forest, grow
+from mosaicforest.errors import StructureError
 from mosaicforest.mosaic import Mosaic, build
 from mosaicforest.quadratic import QuadraticNumber
 from mosaicforest.recurrence import SchlafliSymbol, layer_counts
@@ -66,6 +72,19 @@ def test_edge_list_without_its_order_filter_is_caught(p, q, levels):
     assert _edge_list_agrees(m.edge_list_text(), m)
     both_ways = mutant(Mosaic.edge_list_text, " if u < v)", ")")
     assert not _edge_list_agrees(both_ways(m), m)
+
+
+# p = 3 divides by 1, so each belt gains a cell; p >= 4 leaves a remainder
+@pytest.mark.parametrize("p,q,error", [(3, 7, AssertionError), (4, 5, StructureError)])
+def test_planted_wrong_belt_formula_fails_the_oracle_and_the_reference(p, q, error, monkeypatch):
+    m = build(SchlafliSymbol(p, q), 5)
+    _check_belts_by_definition(m)
+    planted = mutant(Mosaic.belt_sizes.fget, "divmod(a + b,", "divmod(a + b + 1,")
+    monkeypatch.setattr(Mosaic, "belt_sizes", planted)
+    with pytest.raises(error):
+        _check_belts_by_definition(m)
+    with pytest.raises(error):
+        test_mosaic.test_build_matches_the_per_cell_reference_builder(p, q)
 
 
 def _failures(p, q, levels):
@@ -190,6 +209,13 @@ def test_triangle_builder_mutant_fails_validate(p, q, levels, monkeypatch):
             quadratic, "_coerce", "_canonical(value, 0, 1, 1)", "_canonical(-value, 0, 1, 1)",
             ArithmeticError, "root_nonroot_limit is not its eigenvector form", id="coerce-int",
         ),
+        # eigen data: the radicand that `constants` prints, which no count reads,
+        # loses its - 4; cross_check reaches it through verify's own import
+        pytest.param(
+            verify_mod, "spectral_constants", "radicand=symbol.trace**2 - 4",
+            "radicand=symbol.trace**2 + 4",
+            ArithmeticError, r"radicand is not \(growth - decay\)\*\*2", id="radicand",
+        ),
     ],
 )
 def test_layer_mutant_makes_cross_check_raise(
@@ -288,3 +314,35 @@ def test_verdict_without_a_pass_misses_its_row(old, new, row, error, monkeypatch
     else:
         with pytest.raises(error):
             validated()
+
+
+# a fixed sample of the generated mutants (tests/mutation_sweep.py), about
+# 20, scored as the sweep scores them, against its pinned list
+SWEPT = mutation_sweep.mutants()
+SAMPLE = range(0, len(SWEPT), len(SWEPT) // 20)
+
+
+@cache
+def _sweep() -> mutation_sweep.Sweep:
+    return mutation_sweep.Sweep()
+
+
+def test_each_pinned_mutant_is_generated():
+    generated = Counter(m.key for m in SWEPT)
+    pinned = Counter(row[1:] for row in mutation_sweep.pinned().elements())
+    assert not pinned - generated
+    assert {row[0] for row in mutation_sweep.pinned()} <= {"identical", "survives"}
+
+
+@pytest.mark.parametrize("k", SAMPLE, ids=lambda k: f"{SWEPT[k].function}-{k}")
+def test_sampled_mutant_scores_as_its_pinned_verdict(k):
+    m = SWEPT[k]
+    assert not _sweep().failed
+    verdict, _ = _sweep().score(m)
+    pinned = {row[1:]: row[0] for row in mutation_sweep.pinned()}
+    if verdict in ("identical", "survives"):
+        assert pinned.get(m.key) == verdict, (verdict, m.key)
+    else:
+        # a pinned line names a mutant that is kept, unless another one shares its key
+        shared = sum(n.key == m.key for n in SWEPT) > 1
+        assert shared or m.key not in pinned, (verdict, m.key)

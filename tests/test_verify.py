@@ -22,12 +22,14 @@ def test_passes(p, q):
 
 @pytest.mark.parametrize("p,q", [(4, 5), (4, 4)])
 def test_corrupted_root_level_fails_only_histogram(p, q):
+    # on the first and on the last level, which every check must reach
     levels = 4
-    forest = grown(p, q, levels)
-    victim = forest.mosaic.layers[levels][0]
-    forest.root_level[victim] = (forest.root_level[victim] + 1) % (levels + 1)
-    report = cross_check(forest)
-    assert [c.name for c in report.failures()] == ["histogram"]
+    for level in (1, levels):
+        forest = grown(p, q, levels)
+        victim = forest.mosaic.layers[level][0]
+        forest.root_level[victim] = (forest.root_level[victim] + 1) % (levels + 1)
+        report = cross_check(forest)
+        assert [c.name for c in report.failures()] == ["histogram"], level
 
 
 def test_unparented_vertex_fails_only_forest_counts():
