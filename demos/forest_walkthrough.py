@@ -40,7 +40,7 @@ print(f"\nmain-root descendants by level: "
       f"{[forest.root_level_histogram(i).get(0, 0) for i in range(1, levels + 1)]}")
 print(f"fan-outs: the main root has q children, other roots q-2, A vertices q-3")
 
-tree, connectors = forest.spanning_tree()
+tree, connectors = map(list, forest.spanning_tree())
 n = forest.mosaic.vertex_count
 print(f"\nspanning tree: {len(tree)} parent edges + {len(connectors)} connectors "
       f"= {len(tree) + len(connectors)} = |V|-1 = {n - 1}")

@@ -13,6 +13,9 @@ Subcommands and the options each accepts (any other option is rejected):
              --what --p --q --levels --cap --out
 
 Exit codes: 0 success, 1 verification failure, 2 usage or precondition error.
+An exact route that fails its own self-check (an ArithmeticError) is a
+verification failure: `verify` prints a FAIL line for that symbol, and the
+other commands print `error: <message>` to stderr and write nothing.
 p and q, from --p/--q or each --symbols entry, must be at most 10000.
 The default vertex cap is 10**7 and can be overridden with the
 MOSAICFOREST_CAP environment variable or --cap; either must be an integer
@@ -249,8 +252,8 @@ def _emit_verify(args: argparse.Namespace, out: io.StringIO) -> int:
         try:
             report = _check_symbol(symbol, levels, args.cap, args.inject_corruption)
         except (StructureError, SizeLimitError, ArithmeticError) as exc:
-            # an exact route's self-check fails only this symbol
-            print(f"FAIL {symbol}: {exc}", file=out)
+            # an exact route's self-check fails only this symbol, named once
+            print(f"FAIL {symbol}: {str(exc).removeprefix(f'{symbol}: ')}", file=out)
             all_ok = False
             continue
         all_ok &= report.passed
@@ -370,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
         return 2

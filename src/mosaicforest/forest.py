@@ -18,35 +18,13 @@ the smaller id.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
-from operator import eq
 
 from .errors import DegenerateForestError, StructureError
 from .mosaic import Mosaic, text_blocks
-from .recurrence import SchlafliSymbol
-
-
-class _Edges:
-    """Read-only (u, v) pairs that `pairs()` yields afresh on each pass and
-    `size()` counts without one; the view equals any sequence of the same pairs."""
-
-    __slots__ = ("pairs", "size")
-
-    def __init__(self, pairs: Callable[[], Iterator[tuple[int, int]]], size: Callable[[], int]):
-        self.pairs, self.size = pairs, size
-
-    def __len__(self) -> int:
-        return self.size()
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return self.pairs()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (Sequence, _Edges)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
+from .recurrence import SchlafliSymbol, forest_domain_reason
 
 
 @dataclass
@@ -93,22 +71,17 @@ class Forest:
                 if parent[v] is None:
                     yield v, layer[(k + 1) % m]
 
-    def spanning_tree(self) -> tuple[_Edges, _Edges]:
-        """Forest edges plus one connector per non-main root, as two views.
+    def spanning_tree(self) -> tuple[Iterator[tuple[int, int]], Iterator[tuple[int, int]]]:
+        """Forest edges plus one connector per non-main root, as two iterators.
 
         Each non-main root is joined to its counter-clockwise neighbour on
         its own boundary cycle, stitching every tree onto the main one.
         Returns (tree_edges, connector_edges), where tree_edges gives a
         (parent, child) pair for every non-root vertex, by child id; their
-        union spans all vertices with |E| = |V| - 1.  Both read `parent` and
-        `mosaic.layers` on each pass, so they hold nothing per edge and show
-        later edits to `parent`.
+        union spans all vertices with |E| = |V| - 1.  Each iterator makes its
+        pairs from `parent` and `mosaic.layers` as it is consumed, once.
         """
-        # every root but the seed, id 0, has a connector
-        return (
-            _Edges(self._tree_edges, lambda: len(self.parent) - self.parent.count(None)),
-            _Edges(self._connectors, lambda: self.parent.count(None) - (self.parent[0] is None)),
-        )
+        return self._tree_edges(), self._connectors()
 
     def spanning_tree_text(self) -> str:
         """Plain text export of `spanning_tree`: a header line, then its pairs.
@@ -143,16 +116,9 @@ class Forest:
 
 def _require_growable(symbol: SchlafliSymbol, allow_triangles: bool) -> None:
     """Raise DegenerateForestError where `grow` refuses `symbol`, before any build."""
-    if symbol.q == 3:
-        raise DegenerateForestError(
-            f"{symbol}: with q = 3 a level vertex has at most one edge toward "
-            "the next level, so no tree branches; there are no trees to grow"
-        )
-    if symbol.p == 3 and not allow_triangles:
-        raise DegenerateForestError(
-            f"{symbol}: with p = 3 parents are not forced and no roots appear "
-            "beyond the main one; pass allow_triangles=True to grow anyway"
-        )
+    if symbol.q == 3 or (symbol.p == 3 and not allow_triangles):
+        hint = "" if symbol.q == 3 else "; pass allow_triangles=True to grow anyway"
+        raise DegenerateForestError(f"{symbol}: {forest_domain_reason(symbol)}{hint}")
 
 
 def grow(mosaic: Mosaic, *, allow_triangles: bool = False) -> Forest:

@@ -351,7 +351,7 @@ class TestVerify:
 
         def planted(symbol):
             if symbol == SchlafliSymbol(5, 4):
-                raise ArithmeticError("planted self-check failure")
+                raise ArithmeticError(f"{symbol}: planted self-check failure")
             return real(symbol)
 
         monkeypatch.setattr(verify_mod, "spectral_constants", planted)
@@ -412,8 +412,8 @@ class TestExport:
         code, out, err = run(capsys, "export", "--what", what, *argv)
         assert (code, out) == (2, "")
         assert err == (
-            f"error: {{{p},3}}: with q = 3 a level vertex has at most one edge toward "
-            "the next level, so no tree branches; there are no trees to grow\n"
+            f"error: {{{p},3}}: with q = 3 a level vertex keeps only one free edge toward "
+            "the next level, so no trees exist and the count recursion is undefined\n"
         )
         code, _, err = run(capsys, "export", "--what", "mosaic-edges", *argv)
         assert (code, err) == (2, "error: vertex cap 10 exceeded while building belt 1\n")
@@ -452,6 +452,25 @@ class TestConfig:
     def test_bad_precision(self, capsys):
         code, _, err = run(capsys, "constants", "--p", "4", "--q", "5", "--precision", "0")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("constants", "--p", "4", "--q", "5"), ("probs", "--p", "4", "--q", "5", "--levels", "3")],
+    )
+    def test_arithmetic_error_is_a_verification_failure(self, capsys, monkeypatch, tmp_path, argv):
+        # an exact route that fails its own self-check exits 1 with one error
+        # line, no traceback, and leaves --out as it was
+        def planted(symbol):
+            raise ArithmeticError(f"{symbol}: radicand is not (growth - decay)**2")
+
+        monkeypatch.setattr("mosaicforest.cli.spectral_constants", planted)
+        target = tmp_path / "out.txt"
+        target.write_text("before\n")
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert (code, out) == (1, "")
+        assert err == "error: {4,5}: radicand is not (growth - decay)**2\n"
+        assert target.read_text() == "before\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["out.txt"]
 
     def test_usage_error_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
