@@ -299,7 +299,8 @@ def validate(mosaic: Mosaic) -> ValidationReport:
     coverage (interior 2, boundary 1) and Euler's formula on a connected
     map.  They run over one dart numbering: dart (u, rot[u][i]) is
     first[u] + i.  A malformed map (say, a neighbour listed on one side
-    only, or an id that names no vertex) fails a check; it never raises.
+    only, an id that names no vertex, or no layers, read as an empty outer
+    layer) fails a check; it never raises.
 
     A verdict, `_holds`, decides by one pass over the cell corners and a few
     over the outer layer whether every check passes; only when one fails
@@ -346,7 +347,7 @@ def _holds(mosaic: Mosaic) -> bool:
     V - E + F <= 2, so a closed piece would pull the map's V - E + F below 2.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
-    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
+    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1] if mosaic.layers else ()
     n = len(rot)
     built = isinstance(cells, _Cells) and cells.p == p
     flat = cells.flat if built else list(chain.from_iterable(cells))
@@ -413,7 +414,7 @@ def _explain(mosaic: Mosaic) -> ValidationReport:
     `euler` names the lowest vertex that no path reaches from vertex 0.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
-    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
+    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1] if mosaic.layers else ()
     n = len(rot)
     heads = list(chain.from_iterable(rot))
     strangers = {v for v in chain(heads, outer, chain.from_iterable(cells)) if not 0 <= v < n}

@@ -2,13 +2,13 @@
 
 A value is one integer triple (a, b, m) meaning (a + b*sqrt(d)) / m, with d
 a fixed square-free integer >= 2 (1 for a rational value), m > 0 and
-gcd(m, a, b) == 1, so equal values have equal parts.  Every operation reads
-and writes the integers and reduces its result once.  Every quotient (`/`
-and negative powers) is the conjugate over the norm in `_over`, and `<=`,
-`>` and `>=` derive from `__lt__`.  Comparisons, floors and decimal
-renderings are all exact integer arithmetic.  Operands of the operators,
-`decimal` and `order_of_magnitude` pass through `_coerce` and constructor
-parts must be rational, so anything but an int, a Fraction or a
+gcd(m, a, b) == 1, so equal values have equal parts.  The constructor and
+every operation read and write the integers and reduce the result once.
+Every quotient (`/` and negative powers) is the conjugate over the norm in
+`_over`; `<=`, `>` and `>=` derive from `__lt__`.  Comparisons, floors and
+decimal renderings are all exact integer arithmetic.  Operands of the
+operators, `decimal` and `order_of_magnitude` pass through `_coerce` and
+constructor parts must be rational, so anything but an int, a Fraction or a
 QuadraticNumber raises TypeError: no floating point enters anywhere, which
 is what makes assertions at the 1e-113 scale possible.
 """
@@ -74,24 +74,14 @@ class QuadraticNumber:
     def __init__(self, x: Rational, y: Rational = 0, d: int = 1):
         if not (isinstance(x, Rational) and isinstance(y, Rational)):
             raise TypeError(f"parts must be int or Fraction, got {x!r} and {y!r}")
-        x = Fraction(x)
-        y = Fraction(y)
-        if y:
-            s, f = square_free_split(d) if d >= 2 else (1, 1)
-            if f == 1:
-                raise ValueError(f"radicand must be a non-square integer >= 2, got {d}")
-            if s > 1:  # sqrt(s*s*f) = s*sqrt(f)
-                y *= s
-            d = f
-        else:
-            d = 1
-        # over m = lcm of the two denominators, gcd(m, a, b) is already 1
+        x, y = Fraction(x), Fraction(y)
+        s, f = square_free_split(d) if y and d >= 2 else (1, 1)
+        if y and f == 1:
+            raise ValueError(f"radicand must be a non-square integer >= 2, got {d}")
+        # sqrt(s*s*f) = s*sqrt(f); over the product of the denominators
         xm, ym = x.denominator, y.denominator
-        m = xm // gcd(xm, ym) * ym
-        self._a = x.numerator * (m // xm)
-        self._b = y.numerator * (m // ym)
-        self._m = m
-        self._d = d
+        v = _reduced(x.numerator * ym, s * y.numerator * xm, xm * ym, f)
+        self._a, self._b, self._m, self._d = v._a, v._b, v._m, v._d
 
     @property
     def x(self) -> Fraction:

@@ -610,6 +610,11 @@ def _empty_outer_layer(m):
     m.layers[-1] = []
 
 
+def _no_layers(m):
+    # reads as an empty outer layer: the same report as empty-outer-layer
+    m.layers.clear()
+
+
 def _no_cells(m):
     m.cells.clear()
 
@@ -897,6 +902,10 @@ CORRUPTIONS = {
         _empty_outer_layer,
         ["interior-degree", "rotation-faces", "boundary-cycle", "edge-coverage"],
     ),
+    "no-layers": (
+        _no_layers,
+        ["interior-degree", "rotation-faces", "boundary-cycle", "edge-coverage"],
+    ),
     "no-cells": (_no_cells, ["interior-degree", "rotation-faces", "edge-coverage", "euler"]),
     "self-loop": (_self_loop, ["interior-degree", "rotation-faces"]),
     "cell-301-times": (
@@ -1130,7 +1139,7 @@ def reference_validate(mosaic: Mosaic) -> ValidationReport:
     return the same report, detail strings included, on every input.
     """
     p, q = mosaic.symbol.p, mosaic.symbol.q
-    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1]
+    rot, cells, outer = mosaic.rot, mosaic.cells, mosaic.layers[-1] if mosaic.layers else []
     n = len(rot)
     heads = list(chain.from_iterable(rot))
     checks: list[CheckResult] = []
